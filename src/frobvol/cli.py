@@ -360,53 +360,49 @@ def _checks_json(reports) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _union_parts(spec: ProblemSpec) -> list:
+    if len(spec.j_parts) < 2:
+        raise BadInputError("union_decomposition needs two or more J statements in the spec")
+    return [Ideal(spec.ring(), part) for part in spec.j_parts]
+
+
+# Checkers that run once per level: name -> call(spec, seq, e, pres, budget).
+# The lambdas look each checker up by name at call time, so rebinding a
+# checker's module-level name (as a tracer does) reaches this dispatch too.
+_LEVEL_CHECKS = {
+    "frob_shift": lambda spec, seq, e, pres, budget: check_frob_shift(
+        seq, spec.reference_ideal(), e, pres, budget),
+    "containment_monotone": lambda spec, seq, e, pres, budget: check_containment_monotone(
+        seq, spec.reference_ideal(), Ideal(spec.ring(), spec.ring().gens()), e, pres, budget),
+    "slice_bound": lambda spec, seq, e, pres, budget: check_slice_bound(
+        seq, spec.reference_ideal(), e, pres, budget),
+    "simplex_bound": lambda spec, seq, e, pres, budget: check_simplex_bound(
+        seq, spec.reference_ideal(), e, pres, budget),
+    "sup_identity": lambda spec, seq, e, pres, budget: check_sup_identity(
+        seq, spec.reference_ideal(), e, pres, budget),
+    "threshold_bounds": lambda spec, seq, e, pres, budget: check_threshold_bounds(
+        seq, spec.reference_ideal(), e, pres, budget),
+    "union_decomposition": lambda spec, seq, e, pres, budget: check_union_decomposition(
+        seq, _union_parts(spec), e, pres, budget),
+    "hk_length_ineq": lambda spec, seq, e, pres, budget: check_hk_length_inequality(
+        seq, spec.reference_ideal(), e, pres, budget),
+}
+
+
 def _run_check(spec: ProblemSpec, name: str, args) -> tuple:
     seq = spec.sequence()
     pres = spec.presentation()
     counter = BudgetCounter(spec.budget)
-    levels = [args.e] if args.e is not None else list(spec.levels())
-    reports = []
-    if name == "frob_shift":
-        J = spec.reference_ideal()
-        reports = [check_frob_shift(seq, J, e, pres, counter) for e in levels]
-    elif name == "containment_monotone":
-        J = spec.reference_ideal()
-        bigger = Ideal(spec.ring(), spec.ring().gens())
-        reports = [check_containment_monotone(seq, J, bigger, e, pres, counter) for e in levels]
-    elif name == "slice_bound":
-        J = spec.reference_ideal()
-        reports = [check_slice_bound(seq, J, e, pres, counter) for e in levels]
-    elif name == "simplex_bound":
-        J = spec.reference_ideal()
-        reports = [check_simplex_bound(seq, J, e, pres, counter) for e in levels]
-    elif name == "sup_identity":
-        J = spec.reference_ideal()
-        reports = [check_sup_identity(seq, J, e, pres, counter) for e in levels]
-    elif name == "threshold_bounds":
-        J = spec.reference_ideal()
-        reports = [check_threshold_bounds(seq, J, e, pres, counter) for e in levels]
-    elif name == "union_decomposition":
-        if len(spec.j_parts) < 2:
-            raise BadInputError(
-                "union_decomposition needs two or more J statements in the spec"
-            )
-        ring = spec.ring()
-        parts = [Ideal(ring, part) for part in spec.j_parts]
-        reports = [check_union_decomposition(seq, parts, e, pres, counter) for e in levels]
-    elif name == "hk_length_ineq":
-        J = spec.reference_ideal()
-        reports = [check_hk_length_inequality(seq, J, e, pres, counter) for e in levels]
+    if name in _LEVEL_CHECKS:
+        levels = [args.e] if args.e is not None else spec.levels()
+        reports = [_LEVEL_CHECKS[name](spec, seq, e, pres, counter) for e in levels]
     elif name == "level_refinement_bound":
-        fam = spec.family()
         e = args.e if args.e is not None else spec.e_lo
         e1 = args.e1 if args.e1 is not None else 1
         e2 = args.e2 if args.e2 is not None else 1
-        reports = [check_level_refinement_bound(seq, fam, e, e1, e2, pres, counter)]
-    elif name == "pfamily_truncation":
-        fam = spec.family()
-        reports = [truncation_table(seq, fam, spec.levels(), spec.levels(), pres, counter)]
-    else:
-        raise BadInputError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+        reports = [check_level_refinement_bound(seq, spec.family(), e, e1, e2, pres, counter)]
+    else:  # pfamily_truncation; argparse admits only CHECK_NAMES
+        reports = [truncation_table(seq, spec.family(), spec.levels(), spec.levels(), pres, counter)]
     code = 0 if all(r.ok for r in reports) else 4
     return _checks_json(reports), code
 

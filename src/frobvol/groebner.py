@@ -3,11 +3,17 @@
 Buchberger's algorithm with the normal selection strategy, normal forms,
 Frobenius powers, sums/products/powers/intersections, radical membership,
 staircase counting and combinatorial Krull dimension. Completed bases are
-immutable and cached; reduction against a shared basis is pure.
+immutable; reduction against a shared basis is pure.
+
+`groebner_basis` and `frobenius_basis` cache every basis they build for the
+life of the process (`functools.cache`, keyed on the arguments as passed, so
+`f(J)` and `f(J, None)` are separate entries). Each exposes `cache_info()`
+for hit and miss counts and `cache_clear()` to empty its cache.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -165,11 +171,7 @@ class GroebnerBasis:
         polys = sorted(polys, key=lambda f: key(f.leading()[0]))
         self.polys = tuple(polys)
         self.leading_monomials = tuple(f.leading()[0] for f in polys)
-        tails = []
-        for f in polys:
-            lm, _ = f.leading()
-            tails.append(tuple((m, c) for m, c in f.coeffs.items() if m != lm))
-        self._tails = tuple(tails)
+        self._tails = tuple(_tail(f, lm) for f, lm in zip(polys, self.leading_monomials))
         self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
 
     @property
@@ -190,29 +192,7 @@ class GroebnerBasis:
                 if not any(mono_divides(lm, m) for lm in lms)
             }
             return Polynomial(self.ring, out)
-        p = self.ring.p
-        okey = self.ring.order.key
-        tails = self._tails
-        work = dict(f.coeffs)
-        rem = {}
-        while work:
-            m = max(work, key=okey)
-            c = work.pop(m)
-            for i, lm in enumerate(lms):
-                if mono_divides(lm, m):
-                    shift = mono_div(m, lm)
-                    # basis is monic: subtract c * x^shift * tail
-                    for tm, tc in tails[i]:
-                        key2 = mono_mul(tm, shift)
-                        v = (work.get(key2, 0) - c * tc) % p
-                        if v:
-                            work[key2] = v
-                        elif key2 in work:
-                            del work[key2]
-                    break
-            else:
-                rem[m] = c
-        return Polynomial(self.ring, rem)
+        return _divide(f.coeffs, lms, self._tails, self.ring)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero
@@ -227,15 +207,20 @@ class GroebnerBasis:
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
 
 
-def _top_reduce(coeffs: dict, basis: list, ring: PolynomialRing) -> Polynomial:
-    """Full reduction of a raw coefficient dict against a monic working basis."""
+def _tail(f: Polynomial, lm: tuple) -> tuple:
+    """The terms of f other than its leading monomial lm."""
+    return tuple((m, c) for m, c in f.coeffs.items() if m != lm)
+
+
+def _divide(coeffs: dict, lms, tails, ring: PolynomialRing) -> Polynomial:
+    """Remainder of the terms `coeffs` on division by monic divisors, given by
+    their leading monomials `lms` and the matching `tails`.
+
+    Each step cancels the largest remaining term with the first listed
+    divisor whose leading monomial divides it.
+    """
     p = ring.p
     okey = ring.order.key
-    lms = [g.leading()[0] for g in basis]
-    tails = [
-        [(m, c) for m, c in g.coeffs.items() if m != lm]
-        for g, lm in zip(basis, lms)
-    ]
     work = dict(coeffs)
     rem = {}
     while work:
@@ -244,6 +229,7 @@ def _top_reduce(coeffs: dict, basis: list, ring: PolynomialRing) -> Polynomial:
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
+                # the divisor is monic: subtract c * x^shift * tail
                 for tm, tc in tails[i]:
                     key2 = mono_mul(tm, shift)
                     v = (work.get(key2, 0) - c * tc) % p
@@ -278,40 +264,40 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     p = ring.p
 
     basis: list[Polynomial] = []
+    lms: list[tuple] = []
+    tails: list[tuple] = []
     pairs: list[tuple] = []
 
     def push(f: Polynomial):
         f = f.monic()
         j = len(basis)
         lm_j = f.leading()[0]
-        for i in range(j):
-            lm_i = basis[i].leading()[0]
+        for i, lm_i in enumerate(lms):
             lcm = mono_lcm(lm_i, lm_j)
             if lcm == mono_mul(lm_i, lm_j):
                 continue  # coprime leading terms: S-pair reduces to zero
             heapq.heappush(pairs, (okey(lcm), i, j, lcm))
         basis.append(f)
+        lms.append(lm_j)
+        tails.append(_tail(f, lm_j))
 
     for g in gens:
         push(g)
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        fi, fj = basis[i], basis[j]
-        lm_i = fi.leading()[0]
-        lm_j = fj.leading()[0]
-        # s-poly of monic fi, fj
-        si = mono_div(lcm, lm_i)
-        sj = mono_div(lcm, lm_j)
+        # s-poly of the monic basis[i] and basis[j]
+        si = mono_div(lcm, lms[i])
+        sj = mono_div(lcm, lms[j])
         s = {}
-        for m, c in fi.coeffs.items():
+        for m, c in basis[i].coeffs.items():
             key2 = mono_mul(m, si)
             s[key2] = (s.get(key2, 0) + c) % p
-        for m, c in fj.coeffs.items():
+        for m, c in basis[j].coeffs.items():
             key2 = mono_mul(m, sj)
             s[key2] = (s.get(key2, 0) - c) % p
         s = {m: c for m, c in s.items() if c}
-        r = _top_reduce(s, basis, ring)
+        r = _divide(s, lms, tails, ring)
         if not r.is_zero:
             push(r)
 
@@ -327,11 +313,14 @@ def _autoreduce(basis: list, ring: PolynomialRing) -> list:
         lm = f.leading()[0]
         if not any(mono_divides(g.leading()[0], lm) for g in minimal):
             minimal.append(f)
+    # tail reduction keeps every leading monomial, since none divides another
+    lms = [f.leading()[0] for f in minimal]
+    tails = [_tail(f, lm) for f, lm in zip(minimal, lms)]
     reduced = list(minimal)
     for i, f in enumerate(minimal):
-        others = reduced[:i] + reduced[i + 1:]
-        r = _top_reduce(dict(f.coeffs), others, ring) if others else f
-        reduced[i] = r.monic()
+        r = _divide(f.coeffs, lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:], ring).monic()
+        reduced[i] = r
+        tails[i] = _tail(r, lms[i])
     return reduced
 
 
@@ -339,18 +328,11 @@ def _autoreduce(basis: list, ring: PolynomialRing) -> list:
 # Cached basis access
 # ---------------------------------------------------------------------------
 
-_GB_CACHE: dict = {}
-
-
+@functools.cache
 def groebner_basis(ideal: Ideal, pres: QuotientPresentation | None = None) -> GroebnerBasis:
     """Reduced basis of ideal + presentation relations, cached."""
     extra = _presentation_gens(ideal.ring, pres)
-    cache_key = (ideal.key(), tuple(g.key() for g in extra))
-    hit = _GB_CACHE.get(cache_key)
-    if hit is None:
-        hit = buchberger(list(ideal.gens) + list(extra), ideal.ring)
-        _GB_CACHE[cache_key] = hit
-    return hit
+    return buchberger(list(ideal.gens) + list(extra), ideal.ring)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -392,6 +374,7 @@ def frobenius_power(J: Ideal, q: int) -> Ideal:
     return Ideal(J.ring, tuple(g.frobenius(q) for g in J.gens))
 
 
+@functools.cache
 def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) -> GroebnerBasis:
     """Cached basis of J^[q] (+ presentation).
 
@@ -402,18 +385,11 @@ def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) 
     """
     _power_of(q, J.ring.p)
     extra = _presentation_gens(J.ring, pres)
-    cache_key = ("frob", J.key(), q, tuple(g.key() for g in extra))
-    hit = _GB_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    base = groebner_basis(J)
+    base = groebner_basis(J, None)
     scaled = [g.frobenius(q) for g in base.polys]
     if not extra:
-        gb = GroebnerBasis(J.ring, scaled)
-    else:
-        gb = buchberger(scaled + list(extra), J.ring)
-    _GB_CACHE[cache_key] = gb
-    return gb
+        return GroebnerBasis(J.ring, scaled)
+    return buchberger(scaled + list(extra), J.ring)
 
 
 # ---------------------------------------------------------------------------

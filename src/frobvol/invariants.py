@@ -151,13 +151,13 @@ class CheckReport:
 _BIG_BOUND = 4096
 
 
-def nu(I: Ideal, J: Ideal, e: int, pres=None, cap: int = 512, budget=None) -> NuValue:
+def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
     """Largest k with I^k escaping J^[p^e], by binary search within the
     finiteness bound (containment is monotone in k)."""
     seq = IdealSequence([I])
     fam = PFamily.frobenius(J)
     check_hypothesis(seq, fam, pres)
-    bound = axis_bounds(seq, fam, e, pres, cap)[0]
+    bound = axis_bounds(seq, fam, e, pres)[0]
     if I.num_gens == 1 and bound > _BIG_BOUND:
         # large single-generator searches: direct binary powering, O(log) probes
         f = I.gens[0]
@@ -178,14 +178,13 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, cap: int = 512, budget=None) -> Nu
     return NuValue(e, ds.max_points[0][0])
 
 
-def threshold_table(I: Ideal, J: Ideal, levels, pres=None, cap: int = 512,
-                    budget=None) -> EstimateTable:
+def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
     """Rows (e, nu/p^e); the finite sequence only, no extrapolation."""
     counter = _as_budget(budget)
     p = I.ring.p
     rows = []
     for e in levels:
-        value = nu(I, J, e, pres, cap, counter).nu
+        value = nu(I, J, e, pres, counter).nu
         rows.append((e, Fraction(value, p ** e)))
     vals = [v for _, v in rows]
     flags = {
@@ -201,7 +200,7 @@ def threshold_table(I: Ideal, J: Ideal, levels, pres=None, cap: int = 512,
 # Volume tables
 # ---------------------------------------------------------------------------
 
-def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None, cap: int = 512,
+def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                  budget=None) -> EstimateTable:
     """Rows (e, |escape set|/p^{et}) with companion strictly-positive rows.
 

@@ -10,6 +10,7 @@ numerators over a power-of-p denominator. No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -106,6 +107,12 @@ class IdealSequence:
             self._key = tuple(I.key() for I in self.entries)
         return self._key
 
+    def __eq__(self, other):
+        return isinstance(other, IdealSequence) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
     def __repr__(self):
         return f"IdealSequence{self.entries!r}"
 
@@ -184,6 +191,12 @@ class PFamily:
                 self._key = ("explicit", tuple(J.key() for J in self.levels))
         return self._key
 
+    def __eq__(self, other):
+        return isinstance(other, PFamily) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
     def __repr__(self):
         if self.kind == "frobenius":
             return f"PFamily.frobenius({self.base!r})"
@@ -194,23 +207,14 @@ class PFamily:
 # Hypothesis checks and finiteness bounds
 # ---------------------------------------------------------------------------
 
-_HYPOTHESIS_OK: set = set()
-_AXIS_CACHE: dict = {}
-
-
-def _pres_key(pres) -> tuple:
-    return pres.key() if pres is not None else ()
-
-
+@functools.cache
 def check_hypothesis(seq: IdealSequence, fam: PFamily, pres=None):
     """Validate that every sequence generator lies in the radical of J_{p^0}.
 
     Raises HypothesisViolatedError naming the offending generator. Also
     rejects a unit reference ideal (escape sets need a proper target).
+    Cached: a passing check is not repeated for equal arguments.
     """
-    tag = (seq.key(), fam.key(), _pres_key(pres))
-    if tag in _HYPOTHESIS_OK:
-        return
     J0 = fam.base_level()
     if groebner_basis(J0, pres).contains_one:
         raise HypothesisViolatedError("reference ideal must be proper")
@@ -221,25 +225,18 @@ def check_hypothesis(seq: IdealSequence, fam: PFamily, pres=None):
                     f"generator {g} of sequence entry {n + 1} is not in the "
                     f"radical of the level-0 reference ideal"
                 )
-    _HYPOTHESIS_OK.add(tag)
 
 
-def containment_exponents(seq: IdealSequence, fam: PFamily, pres=None, cap: int = 512) -> tuple:
+@functools.cache
+def containment_exponents(seq: IdealSequence, fam: PFamily, pres=None) -> tuple:
     """Per-entry least l with I_n^l inside J_{p^0}; drives all finiteness bounds."""
-    tag = (seq.key(), fam.key(), _pres_key(pres), cap)
-    hit = _AXIS_CACHE.get(tag)
-    if hit is None:
-        J0 = fam.base_level()
-        hit = tuple(
-            power_containment_index(I, J0, pres, cap=cap) for I in seq.entries
-        )
-        _AXIS_CACHE[tag] = hit
-    return hit
+    J0 = fam.base_level()
+    return tuple(power_containment_index(I, J0, pres) for I in seq.entries)
 
 
-def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None, cap: int = 512) -> tuple:
+def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
     """Exclusive per-axis bounds mu_n * l_n * p^e on escape-set coordinates."""
-    ells = containment_exponents(seq, fam, pres, cap)
+    ells = containment_exponents(seq, fam, pres)
     q = fam.p ** e
     return tuple(mu * ell * q for mu, ell in zip(seq.generator_counts(), ells))
 
@@ -286,21 +283,15 @@ class _EscapeContext:
         return _dedup(self.basis.reduce(u * v) for u in left for v in right)
 
 
-_CONTEXT_CACHE: dict = {}
-
-
+@functools.cache
 def _context(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> _EscapeContext:
-    tag = (seq.key(), fam.key(), e, _pres_key(pres))
-    ctx = _CONTEXT_CACHE.get(tag)
-    if ctx is None:
-        basis = fam.level_basis(e, pres)
-        if basis.contains_one:
-            raise HypothesisViolatedError(
-                f"level-{e} reference ideal is the unit ideal in the quotient"
-            )
-        ctx = _EscapeContext(seq, basis)
-        _CONTEXT_CACHE[tag] = ctx
-    return ctx
+    """The shared, growing power cache for these arguments."""
+    basis = fam.level_basis(e, pres)
+    if basis.contains_one:
+        raise HypothesisViolatedError(
+            f"level-{e} reference ideal is the unit ideal in the quotient"
+        )
+    return _EscapeContext(seq, basis)
 
 
 def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> bool:
@@ -547,10 +538,10 @@ def fill_refinement(C: ScaledPointSet, extra: int, p: int) -> ScaledPointSet:
     return ScaledPointSet(C.dimension, C.level + extra, pts)
 
 
-def base_slabs(seq: IdealSequence, fam: PFamily, e1: int, pres=None, cap: int = 512) -> ScaledPointSet:
+def base_slabs(seq: IdealSequence, fam: PFamily, e1: int, pres=None) -> ScaledPointSet:
     """The coordinate-hyperplane slabs: for each axis j, points with the j-th
     numerator 0 and the others within the finiteness box."""
-    ells = containment_exponents(seq, fam, pres, cap)
+    ells = containment_exponents(seq, fam, pres)
     mus = seq.generator_counts()
     q = fam.p ** e1
     t = seq.t

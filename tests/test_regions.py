@@ -9,8 +9,16 @@ from frobvol.errors import (
     BudgetExceededError,
     HypothesisViolatedError,
 )
-from frobvol.groebner import Ideal, QuotientPresentation, frobenius_power, ideal_power
+from frobvol.cli import parse_spec
+from frobvol.groebner import (
+    Ideal,
+    QuotientPresentation,
+    frobenius_basis,
+    frobenius_power,
+    ideal_power,
+)
 from frobvol.regions import (
+    _context,
     BoxRegion,
     BudgetCounter,
     DownSet,
@@ -382,3 +390,18 @@ def test_presentation_keyed_caches(R2):
     # m^2 is inside (x^2, y^2) + (xy) but not inside (x^2, y^2)
     assert plain.size == 3 and quotient.size == 2
     assert escape_set(seq, fam, 1).size == 3  # cache entries stay separate
+
+
+def test_caches_key_on_content():
+    text = "p=3; ring x,y; J: x^2,y; seq: x+y; x*y; e: 1..2"
+    first, second = parse_spec(text), parse_spec(text)
+    seq_a, seq_b = first.sequence(), second.sequence()
+    fam_a, fam_b = first.family(), second.family()
+    assert seq_a is not seq_b and fam_a is not fam_b
+    assert seq_a == seq_b and hash(seq_a) == hash(seq_b)
+    assert fam_a == fam_b and hash(fam_a) == hash(fam_b)
+    ds = escape_set(seq_a, fam_a, 2)
+    bases, contexts = frobenius_basis.cache_info().misses, _context.cache_info().misses
+    assert escape_set(seq_b, fam_b, 2) == ds
+    assert frobenius_basis.cache_info().misses == bases
+    assert _context.cache_info().misses == contexts

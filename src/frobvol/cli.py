@@ -419,15 +419,10 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         return downset_csv(sets), args.csv, 0
 
     if command == "volume":
-        try:
-            table = volume_table(
-                spec.sequence(), spec.family(), spec.levels(), pres,
-                budget=BudgetCounter(spec.budget),
-            )
-        except BudgetExceededError as exc:
-            if exc.partial is not None:
-                return exc.partial.to_json(), args.json, 3
-            raise
+        table = volume_table(
+            spec.sequence(), spec.family(), spec.levels(), pres,
+            budget=BudgetCounter(spec.budget),
+        )
         return table.to_json(), args.json, 0
 
     if command == "threshold":
@@ -544,7 +539,11 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # volume and threshold still write the rows finished before the
+        # cutoff; fedder's label builds a volume table that is not its payload
+        if exc.partial is None or exc.partial.kind != args.command:
+            return 3
+        payload, out_path, code = exc.partial.to_json(), args.json, 3
     except TheoremViolationError as exc:
         print(f"internal check failure: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 4

@@ -14,6 +14,7 @@ from math import factorial
 
 from .errors import (
     BadInputError,
+    BudgetExceededError,
     HypothesisViolatedError,
     NotPrimaryError,
     TheoremViolationError,
@@ -33,8 +34,6 @@ from .regions import (
     IdealSequence,
     PFamily,
     _as_budget,
-    axis_bounds,
-    check_hypothesis,
     containment_exponents,
     escape_set,
 )
@@ -148,33 +147,16 @@ class CheckReport:
 # nu and the threshold table
 # ---------------------------------------------------------------------------
 
-_BIG_BOUND = 4096
-
-
 def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
-    """Largest k with I^k escaping J^[p^e], by binary search within the
-    finiteness bound (containment is monotone in k)."""
-    seq = IdealSequence([I])
-    fam = PFamily.frobenius(J)
-    check_hypothesis(seq, fam, pres)
-    bound = axis_bounds(seq, fam, e, pres)[0]
-    if I.num_gens == 1 and bound > _BIG_BOUND:
-        # large single-generator searches: direct binary powering, O(log) probes
-        f = I.gens[0]
-        gb = fam.level_basis(e, pres)
+    """Largest k with I^k escaping J^[p^e]: the maximal point of the
+    one-entry escape set, found by binary search within the finiteness bound
+    (containment is monotone in k) and charged against the budget.
 
-        def member(k: int) -> bool:
-            return not gb.reduce(f ** k).is_zero
-
-        lo, hi = 0, bound
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if member(mid):
-                lo = mid
-            else:
-                hi = mid
-        return NuValue(e, lo)
-    ds = escape_set(seq, fam, e, pres, budget)
+    For a principal I = (f) each probed power is built from f's base-p
+    digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal
+    (see `_EscapeContext.entry_power`), so a probe costs O(log_p k) products.
+    """
+    ds = escape_set(IdealSequence([I]), PFamily.frobenius(J), e, pres, budget)
     return NuValue(e, ds.max_points[0][0])
 
 
@@ -183,9 +165,12 @@ def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> Estim
     counter = _as_budget(budget)
     p = I.ring.p
     rows = []
-    for e in levels:
-        value = nu(I, J, e, pres, counter).nu
-        rows.append((e, Fraction(value, p ** e)))
+    try:
+        for e in levels:
+            rows.append((e, Fraction(nu(I, J, e, pres, counter).nu, p ** e)))
+    except BudgetExceededError as exc:
+        exc.partial = EstimateTable("threshold", p, 1, rows, flags={"budget_exceeded": True})
+        raise
     vals = [v for _, v in rows]
     flags = {
         "nondecreasing": all(a <= b for a, b in zip(vals, vals[1:])),
@@ -239,11 +224,10 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                     witness=(e, gap, bound),
                 )
             gap_notes.append({"e": e, "gap": str(gap), "bound": str(bound)})
-    except Exception as exc:
-        if hasattr(exc, "partial"):
-            exc.partial = EstimateTable(
-                "volume", p, t, rows, tilde_rows, {"budget_exceeded": True}
-            )
+    except BudgetExceededError as exc:
+        exc.partial = EstimateTable(
+            "volume", p, t, rows, tilde_rows, {"budget_exceeded": True}
+        )
         raise
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))

@@ -248,8 +248,9 @@ def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
 class _EscapeContext:
     """Reduced-power caches for one (sequence, family, level, presentation).
 
-    Entry powers are kept as deduplicated nonzero normal forms; an empty list
-    means the power is contained in the level ideal (and stays so above).
+    Entry powers are kept as deduplicated nonzero normal forms, in a dict per
+    entry keyed by exponent; an empty tuple means the power is contained in
+    the level ideal (and stays so above).
     """
 
     __slots__ = ("seq", "basis", "pows", "gens_nf")
@@ -258,22 +259,33 @@ class _EscapeContext:
         self.seq = seq
         self.basis = basis
         one_nf = basis.reduce(seq.ring.one())
-        start = [one_nf] if not one_nf.is_zero else []
-        self.gens_nf = []
-        self.pows = []
-        for I in seq.entries:
-            nf = _dedup(basis.reduce(g) for g in I.gens)
-            self.gens_nf.append(nf)
-            self.pows.append([tuple(start)])
+        start = (one_nf,) if not one_nf.is_zero else ()
+        self.gens_nf = [_dedup(basis.reduce(g) for g in I.gens) for I in seq.entries]
+        self.pows = [{0: start} for _ in seq.entries]
 
     def entry_power(self, i: int, k: int) -> tuple:
+        """Normal forms generating I_i^k modulo the level ideal L.
+
+        A one-generator entry f with k >= p is built from its base-p digits:
+        NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in any level
+        ideal L: if g = NF(f^a) = f^a + h with h in L, then in characteristic
+        p, g^p = f^(ap) + h^p and h^p lies in L. Every other power takes the
+        step I^k = I^(k-1) * I; for several generators (I^a)^[p] is only
+        contained in I^(ap), so the digit step does not apply.
+        """
         cache = self.pows[i]
-        while len(cache) <= k:
-            prev = cache[-1]
-            if not prev:
-                cache.append(())
-                continue
-            cache.append(_dedup(self.basis.reduce(u * v) for u in prev for v in self.gens_nf[i]))
+        if k in cache:
+            return cache[k]
+        p = self.seq.ring.p
+        if k >= p and self.seq.entries[i].num_gens == 1:
+            high = tuple(g.frobenius(p) for g in self.entry_power(i, k // p))
+            cache[k] = self.combine(high, self.entry_power(i, k % p))
+            return cache[k]
+        j = k - 1
+        while j not in cache:
+            j -= 1
+        for j in range(j + 1, k + 1):
+            cache[j] = self.combine(cache[j - 1], self.gens_nf[i])
         return cache[k]
 
     def combine(self, left, right) -> tuple:

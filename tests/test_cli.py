@@ -113,6 +113,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["volume", str(tmp_path / "missing.spec")]) == 2
 
 
+def test_cli_threshold_partial_table_on_budget_exit(tmp_path):
+    spec_file = tmp_path / "budget.spec"
+    # levels 1 and 2 take 3 + 4 probes; level 3 needs 5 more
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=10")
+    out = tmp_path / "partial.json"
+    assert main(["threshold", "--json", str(out), str(spec_file)]) == 3
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "threshold"
+    assert payload["flags"] == {"budget_exceeded": True}
+    assert [row["e"] for row in payload["rows"]] == [1, 2]
+
+
 def test_cli_vset_csv(tmp_path):
     spec_file = tmp_path / "f.spec"
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y^2; e: 1..1")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobvol.errors import HypothesisViolatedError, NotPrimaryError
+from frobvol.errors import BudgetExceededError, HypothesisViolatedError, NotPrimaryError
 from frobvol.groebner import (
     Ideal,
     QuotientPresentation,
@@ -30,7 +30,7 @@ from frobvol.invariants import (
     truncation_table,
     volume_table,
 )
-from frobvol.regions import IdealSequence, PFamily
+from frobvol.regions import BudgetCounter, IdealSequence, PFamily
 from frobvol.ring import PolynomialRing
 
 
@@ -71,8 +71,21 @@ def test_nu_bruteforce_crosscheck(R2, m2):
 
 def test_nu_large_level_principal(R2):
     x, _ = R2.gens()
-    # bound is large enough to hit the binary-powering path
+    # each probe builds x^k from its base-2 digits
     assert nu(Ideal(R2, [x]), Ideal(R2, [x]), 14).nu == 2**14 - 1
+
+
+def test_nu_charges_the_budget():
+    R3 = PolynomialRing(3, ["x", "y"])
+    cusp = Ideal(R3, [R3.poly("y^2+x^3")])
+    # nu = 4373 lies below the bound 6561, so the search needs a second probe
+    with pytest.raises(BudgetExceededError):
+        nu(cusp, Ideal(R3, list(R3.gens())), 8, budget=1)
+    R5 = PolynomialRing(5, ["x", "y"])
+    x, y = R5.gens()
+    counter = BudgetCounter()
+    assert nu(Ideal(R5, [x + y]), Ideal(R5, [x, y]), 6, budget=counter).nu == 15624
+    assert counter.used >= 1
 
 
 def test_nu_hypothesis(R2):

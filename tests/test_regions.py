@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobvol.errors import (
     BadInputError,
@@ -12,6 +13,7 @@ from frobvol.errors import (
 from frobvol.cli import parse_spec
 from frobvol.groebner import (
     Ideal,
+    _dedup,
     QuotientPresentation,
     frobenius_basis,
     frobenius_power,
@@ -405,3 +407,44 @@ def test_caches_key_on_content():
     assert escape_set(seq_b, fam_b, 2) == ds
     assert frobenius_basis.cache_info().misses == bases
     assert _context.cache_info().misses == contexts
+
+
+# -- entry powers: base-p digits (principal) and I^(k-1)*I steps --------------
+
+_LOW_MONOS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@st.composite
+def power_cases(draw, ngens, max_k=None):
+    """(context, entry, k) with k below the axis bound (and max_k), over
+    F_p[x,y] or F_p[x,y]/(y^2-x^3), reference (x,y)^[p^e] with e <= 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    R = PolynomialRing(p, ["x", "y"])
+    gens = []
+    for _ in range(ngens):
+        monos = draw(st.lists(st.sampled_from(_LOW_MONOS), min_size=1, max_size=3, unique=True))
+        gens.append(R.from_dict({m: draw(st.integers(1, p - 1)) for m in monos}))
+    I = Ideal(R, gens)
+    seq = IdealSequence([I])
+    fam = PFamily.frobenius(Ideal(R, list(R.gens())))
+    e = draw(st.integers(0, 2))
+    pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")])) if draw(st.booleans()) else None
+    bound = axis_bounds(seq, fam, e, pres)[0]
+    k = draw(st.integers(0, min(bound, max_k or bound) - 1))
+    return _context(seq, fam, e, pres), I, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(power_cases(ngens=1))
+def test_principal_entry_power_matches_direct_power(case):
+    ctx, I, k = case
+    assert ctx.entry_power(0, k) == _dedup([ctx.basis.reduce(I.gens[0] ** k)])
+
+
+# ideal_power of two generators grows fast, so k stays small but crosses p
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(power_cases(ngens=2, max_k=16))
+def test_two_generator_entry_power_matches_ideal_power(case):
+    ctx, I, k = case
+    expected = _dedup(ctx.basis.reduce(g) for g in ideal_power(I, k).gens)
+    assert set(ctx.entry_power(0, k)) == set(expected)

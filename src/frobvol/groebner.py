@@ -5,6 +5,13 @@ Frobenius powers, sums/products/powers/intersections, radical membership,
 staircase counting and combinatorial Krull dimension. Completed bases are
 immutable; reduction against a shared basis is pure.
 
+`GroebnerBasis.reduce_products` is the product kernel of every membership
+probe: the distinct nonzero normal forms of all pairwise products of two
+polynomial lists. On a monomial basis it multiplies and truncates in one pass
+over exponents packed by `PolynomialRing.pack` (Monagan and Pearce, CASC
+2007), so no term inside the ideal is ever stored, and unpacks the survivors
+with `PolynomialRing.unpack`. Other bases reduce each product in turn.
+
 `groebner_basis` and `frobenius_basis` cache every basis they build for the
 life of the process (`functools.cache`, keyed on the arguments as passed, so
 `f(J)` and `f(J, None)` are separate entries). Each exposes `cache_info()`
@@ -19,6 +26,7 @@ import itertools
 
 from .errors import BadInputError, RingMismatchError, SearchLimitError
 from .ring import (
+    MAX_EXPONENT,
     Polynomial,
     PolynomialRing,
     _fresh_aux_name,
@@ -193,6 +201,59 @@ class GroebnerBasis:
             }
             return Polynomial(self.ring, out)
         return _divide(f.coeffs, lms, self._tails, self.ring)
+
+    def reduce_products(self, left, right) -> tuple:
+        """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
+        first-seen order: `_dedup(self.reduce(u * v) ...)`.
+
+        On a monomial basis the product and the reduction are fused on packed
+        exponents (`PolynomialRing.pack`): a term inside the ideal is dropped
+        as soon as it is formed, and only surviving terms are unpacked. Other
+        bases, and products whose exponents could pass MAX_EXPONENT, take the
+        plain route.
+        """
+        if not left or not right:
+            return ()
+        ring = self.ring
+        if any(f.ring is not ring and f.ring != ring for f in itertools.chain(left, right)):
+            raise RingMismatchError("polynomial from a different ring")
+        if (not self.is_monomial
+                or max(u._maxexp for u in left) + max(v._maxexp for v in right) > MAX_EXPONENT):
+            return _dedup(self.reduce(u * v) for u in left for v in right)
+        p = ring.p
+        pack = ring.pack
+        # m lies in (x^lm) iff no field of (m | guard) - lm borrows its guard bit
+        guard = pack((MAX_EXPONENT + 1,) * ring.nvars)
+        lms = [pack(lm) for lm in self.leading_monomials]
+        # operands share most of their monomials, so each is packed once
+        packed = {m: pack(m) for m in {m for f in itertools.chain(left, right) for m in f.coeffs}}
+        rights = [[(packed[m], c) for m, c in v.coeffs.items()] for v in right]
+        dead = {}  # packed monomial -> whether it lies in the ideal
+        found = {}
+        for u in left:
+            uterms = [(packed[m], c) for m, c in u.coeffs.items()]
+            for vterms in rights:
+                acc = {}
+                for m1, c1 in uterms:
+                    for m2, c2 in vterms:
+                        m = m1 + m2
+                        if m in acc:
+                            acc[m] += c1 * c2
+                            continue
+                        inside = dead.get(m)
+                        if inside is None:
+                            g = m | guard
+                            inside = dead[m] = any((g - lm) & guard == guard for lm in lms)
+                        if not inside:
+                            acc[m] = c1 * c2
+                terms = {m: c % p for m, c in acc.items() if c % p}
+                if terms:
+                    found.setdefault(frozenset(terms.items()), terms)
+        unpack = ring.unpack
+        names = {m: unpack(m) for m in {m for terms in found.values() for m in terms}}
+        return tuple(
+            Polynomial(ring, {names[m]: c for m, c in terms.items()}) for terms in found.values()
+        )
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero
@@ -506,7 +567,7 @@ def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | Non
     for k in range(1, cap + 1):
         if not current:
             return k
-        current = _dedup(gb.reduce(u * v) for u in current for v in base)
+        current = gb.reduce_products(current, base)
     raise SearchLimitError(
         f"no power of {I!r} landed in {J!r} within cap {cap}; raise the cap or fix the input"
     )

@@ -279,20 +279,14 @@ class _EscapeContext:
         p = self.seq.ring.p
         if k >= p and self.seq.entries[i].num_gens == 1:
             high = tuple(g.frobenius(p) for g in self.entry_power(i, k // p))
-            cache[k] = self.combine(high, self.entry_power(i, k % p))
+            cache[k] = self.basis.reduce_products(high, self.entry_power(i, k % p))
             return cache[k]
         j = k - 1
         while j not in cache:
             j -= 1
         for j in range(j + 1, k + 1):
-            cache[j] = self.combine(cache[j - 1], self.gens_nf[i])
+            cache[j] = self.basis.reduce_products(cache[j - 1], self.gens_nf[i])
         return cache[k]
-
-    def combine(self, left, right) -> tuple:
-        """Nonzero normal forms of pairwise products, deduplicated."""
-        if not left or not right:
-            return ()
-        return _dedup(self.basis.reduce(u * v) for u in left for v in right)
 
 
 @functools.cache
@@ -321,7 +315,7 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     for i in range(1, seq.t):
         if not acc:
             return False
-        acc = ctx.combine(acc, ctx.entry_power(i, point[i]))
+        acc = ctx.basis.reduce_products(acc, ctx.entry_power(i, point[i]))
     return bool(acc)
 
 
@@ -419,7 +413,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
             pw = ctx.entry_power(t - 1, m)
             if not pw:
                 return False
-            return bool(ctx.combine(prefix_polys, pw))
+            return bool(ctx.basis.reduce_products(prefix_polys, pw))
 
         if hi <= 0:
             return 0
@@ -441,7 +435,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
         a = 0
         while a < bounds[i]:
             counter.charge()
-            polys = ctx.combine(prefix_polys, ctx.entry_power(i, a))
+            polys = ctx.basis.reduce_products(prefix_polys, ctx.entry_power(i, a))
             if not polys:
                 break
             sweep(i + 1, prefix + (a,), polys)

@@ -3,11 +3,14 @@
 Monomials are plain tuples of nonnegative ints, one entry per ring variable;
 a polynomial is an immutable sparse map from monomial to nonzero coefficient
 in F_p. All values are hashable and safe to share once constructed.
+`PolynomialRing.pack`/`unpack` convert a monomial to and from one int with
+64 bits per variable, for kernels that work on packed exponents.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 
 from .errors import (
     ExponentOverflowError,
@@ -248,7 +251,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order."""
 
-    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero")
+    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer")
 
     def __init__(self, p, variables, order="grevlex"):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -269,6 +272,7 @@ class PolynomialRing:
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._zero = None
         self._one = None
+        self._packer = struct.Struct(f"<{len(variables)}Q")
 
     @property
     def p(self) -> int:
@@ -323,6 +327,18 @@ class PolynomialRing:
                 elif mono in out:
                     del out[mono]
         return Polynomial(self, out)
+
+    def pack(self, mono: tuple) -> int:
+        """The monomial as one int: variable i in bits 64i..64i+63.
+
+        Every exponent is at most MAX_EXPONENT, so the top bit of each field
+        is clear and can serve as a guard bit.
+        """
+        return int.from_bytes(self._packer.pack(*mono), "little")
+
+    def unpack(self, packed: int) -> tuple:
+        """Inverse of `pack`."""
+        return self._packer.unpack(packed.to_bytes(self._packer.size, "little"))
 
     def poly(self, text: str, line: int = 1, column: int = 1) -> "Polynomial":
         return parse_polynomial(text, self, line=line, column=column)

@@ -1,11 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobvol.errors import BadInputError, SearchLimitError
+from frobvol.errors import (
+    BadInputError,
+    ExponentOverflowError,
+    RingMismatchError,
+    SearchLimitError,
+)
 from frobvol.groebner import (
     Ideal,
     QuotientPresentation,
+    _dedup,
     buchberger,
     frobenius_basis,
     frobenius_power,
@@ -21,7 +28,7 @@ from frobvol.groebner import (
     radical_membership,
     standard_monomial_count,
 )
-from frobvol.ring import PolynomialRing
+from frobvol.ring import MAX_EXPONENT, PolynomialRing
 from oracles import la_membership, random_poly, staircase_count_brute
 
 
@@ -288,3 +295,63 @@ def test_zero_generators_dropped(R2):
     Z = Ideal(R2, [R2.zero()])
     assert Z.is_zero
     assert groebner_basis(Z).polys == ()
+
+
+# -- reduce_products: fused multiply-and-reduce -------------------------------
+
+@st.composite
+def product_cases(draw):
+    """(basis, left, right) over F_p in 2 or 3 variables. The basis is a
+    monomial ideal that need not be m-primary, or one non-monomial ideal."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def polys():
+        terms = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=4)
+        return [R.from_dict(t) for t in draw(st.lists(terms, max_size=3))]
+
+    q = p ** draw(st.integers(0, 1))
+    a, b = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    gens = draw(st.sampled_from([
+        ["x^2*y"],
+        [f"x^{q}", f"x^{a}*y^{b}"],
+        [R.from_dict({m: 1}) for m in draw(st.lists(mono, min_size=1, max_size=3))],
+        ["y^2-x^3", f"x^{q}*y"],
+    ]))
+    basis = groebner_basis(Ideal(R, [R.poly(g) if isinstance(g, str) else g for g in gens]))
+    return basis, polys(), polys()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(product_cases())
+def test_reduce_products_matches_reducing_each_product(case):
+    basis, left, right = case
+    expected = _dedup(basis.reduce(u * v) for u in left for v in right)
+    assert basis.reduce_products(left, right) == expected
+
+
+def test_reduce_products_exponent_boundary(R2):
+    def x_to(k):
+        return R2.monomial((k, 0))
+
+    left, right = [x_to(MAX_EXPONENT - 5)], [x_to(5) + x_to(4)]
+    along_y = groebner_basis(Ideal(R2, [R2.poly("y")]))
+    assert along_y.reduce_products(left, right) == (x_to(MAX_EXPONENT) + x_to(MAX_EXPONENT - 1),)
+    at_max = groebner_basis(Ideal(R2, [x_to(MAX_EXPONENT)]))
+    assert at_max.reduce_products(left, right) == (x_to(MAX_EXPONENT - 1),)
+    with pytest.raises(ExponentOverflowError):
+        along_y.reduce_products([x_to(MAX_EXPONENT - 4)], right)
+
+
+def test_reduce_products_rejects_other_rings_and_passes_empty_operands(R2, R5):
+    basis = groebner_basis(Ideal(R2, [R2.poly("x^3"), R2.poly("y^3")]))
+    here, there = R2.poly("x+y"), R5.poly("x+y")
+    with pytest.raises(RingMismatchError):
+        basis.reduce_products([here], [there])
+    with pytest.raises(RingMismatchError):
+        basis.reduce_products([there], [here])
+    assert basis.reduce_products([], [here]) == ()
+    assert basis.reduce_products([here], []) == ()
+    assert basis.reduce_products([here], [here]) == (R2.poly("x^2+y^2"),)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -448,3 +449,51 @@ def test_two_generator_entry_power_matches_ideal_power(case):
     ctx, I, k = case
     expected = _dedup(ctx.basis.reduce(g) for g in ideal_power(I, k).gens)
     assert set(ctx.entry_power(0, k)) == set(expected)
+
+
+# -- escape sets on random small specs against the brute-force oracle ---------
+
+# reference ideals with radical (x, y): monomial, binomial, and (x, y) in the
+# quotient by y^2 - x^3
+_REFERENCES = [
+    (["x", "y"], None),
+    (["x^2", "y"], None),
+    (["x^2+y^2", "x*y"], None),
+    (["x", "y"], "y^2-x^3"),
+]
+
+
+@st.composite
+def escape_cases(draw):
+    """(seq, fam, e, pres) over F_p[x,y] with p in {2,3,5}, t <= 2 entries of
+    one or two generators, e <= 2. The oracle builds every power in its
+    bounding box from scratch, so the level is lowered until the box has at
+    most 100 cells and no side longer than 20."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = PolynomialRing(p, ["x", "y"])
+
+    def gen():
+        monos = draw(st.lists(st.sampled_from(_LOW_MONOS), min_size=1, max_size=2, unique=True))
+        return R.from_dict({m: draw(st.integers(1, p - 1)) for m in monos})
+
+    entries = [Ideal(R, [gen() for _ in range(draw(st.integers(1, 2)))])
+               for _ in range(draw(st.integers(1, 2)))]
+    seq = IdealSequence(entries)
+    J, relation = draw(st.sampled_from(_REFERENCES))
+    fam = PFamily.frobenius(Ideal(R, [R.poly(g) for g in J]))
+    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    e = draw(st.integers(0, 2))
+    while e:
+        bounds = axis_bounds(seq, fam, e, pres)
+        if math.prod(bounds) <= 100 and max(bounds) <= 20:
+            break
+        e -= 1
+    return seq, fam, e, pres
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(escape_cases())
+def test_escape_set_matches_bruteforce_on_random_specs(case):
+    seq, fam, e, pres = case
+    got = set(escape_set(seq, fam, e, pres).points())
+    assert got == brute_force_escape_points(seq, fam, e, pres)

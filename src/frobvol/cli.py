@@ -408,7 +408,7 @@ def _run_check(spec: ProblemSpec, name: str, args) -> tuple:
 
 
 def _dispatch(spec: ProblemSpec, args) -> tuple:
-    """Return (payload text, output path or None, exit code)."""
+    """Return (payload text, exit code)."""
     command = args.command
     pres = spec.presentation()
     if command == "vset":
@@ -416,25 +416,25 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         fam = spec.family()
         counter = BudgetCounter(spec.budget)
         sets = [escape_set(seq, fam, e, pres, counter) for e in spec.levels()]
-        return downset_csv(sets), args.csv, 0
+        return downset_csv(sets), 0
 
     if command == "volume":
         table = volume_table(
             spec.sequence(), spec.family(), spec.levels(), pres,
             budget=BudgetCounter(spec.budget),
         )
-        return table.to_json(), args.json, 0
+        return table.to_json(), 0
 
     if command == "threshold":
         seq = spec.sequence()
         I = ideal_sum(*seq.entries)
         table = threshold_table(I, spec.reference_ideal(), spec.levels(), pres,
                                 budget=BudgetCounter(spec.budget))
-        return table.to_json(), args.json, 0
+        return table.to_json(), 0
 
     if command == "hk":
         table = hilbert_kunz_table(spec.reference_ideal(), spec.levels(), pres, d=args.dim)
-        return table.to_json(), args.json, 0
+        return table.to_json(), 0
 
     if command == "fedder":
         seq = spec.sequence()
@@ -451,11 +451,10 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
             "sop": sop,
             "label": label,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.json, 0
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", 0
 
     if command == "check":
-        payload, code = _run_check(spec, args.name, args)
-        return payload, args.json, code
+        return _run_check(spec, args.name, args)
 
     if command == "verify-cover":
         result = verify_cover(
@@ -470,7 +469,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
             "witness": None if result.witness is None else list(result.witness),
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        return text, args.json, 0 if result.ok else 4
+        return text, 0 if result.ok else 4
 
     if command == "staircase":
         seq = spec.sequence()
@@ -479,7 +478,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         regions = [
             box_region(escape_set(seq, fam, e, pres, counter)) for e in spec.levels()
         ]
-        return staircase_svg(regions), args.svg, 0
+        return staircase_svg(regions), 0
 
     raise BadInputError(f"unknown command {command!r}")
 
@@ -491,18 +490,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, first_positional=None, **kwargs):
+    def add(name, first_positional=None, output="json", **kwargs):
         sp = sub.add_parser(name, **kwargs)
         if first_positional is not None:
             sp.add_argument(*first_positional[0], **first_positional[1])
         sp.add_argument("specfile", help="problem spec file")
-        sp.add_argument("--json", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--csv", default=None, help="write CSV here instead of stdout")
-        sp.add_argument("--svg", default=None, help="write SVG here instead of stdout")
+        sp.add_argument(f"--{output}", dest="out", default=None,
+                        help=f"write {output.upper()} here instead of stdout")
         sp.add_argument("--order", choices=("lex", "grevlex"), default=None)
         return sp
 
-    add("vset", help="enumerate escape sets, one CSV row per lattice point")
+    add("vset", output="csv", help="enumerate escape sets, one CSV row per lattice point")
     add("volume", help="exact volume table (JSON)")
     add("threshold", help="nu/p^e table for the sum of the sequence entries (JSON)")
     hk = add("hk", help="Hilbert-Kunz length table (JSON)")
@@ -519,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cover = add("verify-cover", help="check the two-cover containment at (e1, e2)")
     cover.add_argument("--e1", type=int, required=True)
     cover.add_argument("--e2", type=int, required=True)
-    add("staircase", help="SVG staircase outlines, one color per level")
+    add("staircase", output="svg", help="SVG staircase outlines, one color per level")
     return parser
 
 
@@ -533,7 +531,7 @@ def main(argv=None) -> int:
         return 2
     try:
         spec = parse_spec(text, order=args.order)
-        payload, out_path, code = _dispatch(spec, args)
+        payload, code = _dispatch(spec, args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -543,12 +541,12 @@ def main(argv=None) -> int:
         # cutoff; fedder's label builds a volume table that is not its payload
         if exc.partial is None or exc.partial.kind != args.command:
             return 3
-        payload, out_path, code = exc.partial.to_json(), args.json, 3
+        payload, code = exc.partial.to_json(), 3
     except TheoremViolationError as exc:
         print(f"internal check failure: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 4
-    if out_path:
-        Path(out_path).write_bytes(payload.encode("utf-8"))
+    if args.out:
+        Path(args.out).write_bytes(payload.encode("utf-8"))
     else:
         sys.stdout.write(payload)
     return code

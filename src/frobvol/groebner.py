@@ -12,10 +12,16 @@ over exponents packed by `PolynomialRing.pack` (Monagan and Pearce, CASC
 2007), so no term inside the ideal is ever stored, and unpacks the survivors
 with `PolynomialRing.unpack`. Other bases reduce each product in turn.
 
-`groebner_basis` and `frobenius_basis` cache every basis they build for the
-life of the process (`functools.cache`, keyed on the arguments as passed, so
-`f(J)` and `f(J, None)` are separate entries). Each exposes `cache_info()`
-for hit and miss counts and `cache_clear()` to empty its cache.
+`PowerTable` holds the normal forms of the powers I^k of one ideal modulo
+one basis; every power of an ideal modulo an ideal (entry powers of escape
+sets, containment exponents, the Fedder test) is read from it.
+
+`groebner_basis`, `frobenius_basis` and `power_table` cache what they build
+for the life of the process (`functools.cache`, keyed on the arguments as
+passed, so `f(J)` and `f(J, None)` are separate entries). Each exposes
+`cache_info()` for hit and miss counts and `cache_clear()` to empty its cache.
+A reduced basis is unique, so bases compare and hash by content, and
+`power_table` shares one table among equal level ideals.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import functools
 import heapq
 import itertools
 
-from .errors import BadInputError, RingMismatchError, SearchLimitError
+from .errors import BadInputError, ExponentOverflowError, RingMismatchError, SearchLimitError
 from .ring import (
     MAX_EXPONENT,
     Polynomial,
@@ -186,6 +192,13 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         return len(self.polys) == 1 and self.polys[0] == self.ring.one()
 
+    def __eq__(self, other):
+        return (isinstance(other, GroebnerBasis)
+                and (self.ring, self.polys) == (other.ring, other.polys))
+
+    def __hash__(self):
+        return hash((self.ring, self.polys))
+
     def reduce(self, f: Polynomial) -> Polynomial:
         """Remainder of multivariate division of f by the basis."""
         if f.ring != self.ring:
@@ -208,17 +221,17 @@ class GroebnerBasis:
 
         On a monomial basis the product and the reduction are fused on packed
         exponents (`PolynomialRing.pack`): a term inside the ideal is dropped
-        as soon as it is formed, and only surviving terms are unpacked. Other
-        bases, and products whose exponents could pass MAX_EXPONENT, take the
-        plain route.
+        as soon as it is formed, and only surviving terms are unpacked. Every
+        operand field holds at most MAX_EXPONENT, so a field of a packed
+        product sets its guard bit exactly when it overflows. Other bases
+        take the plain route.
         """
         if not left or not right:
             return ()
         ring = self.ring
         if any(f.ring is not ring and f.ring != ring for f in itertools.chain(left, right)):
             raise RingMismatchError("polynomial from a different ring")
-        if (not self.is_monomial
-                or max(u._maxexp for u in left) + max(v._maxexp for v in right) > MAX_EXPONENT):
+        if not self.is_monomial:
             return _dedup(self.reduce(u * v) for u in left for v in right)
         p = ring.p
         pack = ring.pack
@@ -242,6 +255,8 @@ class GroebnerBasis:
                             continue
                         inside = dead.get(m)
                         if inside is None:
+                            if m & guard:
+                                raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
                             g = m | guard
                             inside = dead[m] = any((g - lm) & guard == guard for lm in lms)
                         if not inside:
@@ -396,10 +411,6 @@ def groebner_basis(ideal: Ideal, pres: QuotientPresentation | None = None) -> Gr
     return buchberger(list(ideal.gens) + list(extra), ideal.ring)
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.reduce(f)
-
-
 def ideal_contains(inner: Ideal, outer: Ideal, pres: QuotientPresentation | None = None) -> bool:
     """True iff inner is contained in outer (modulo the presentation)."""
     if inner.ring != outer.ring:
@@ -451,6 +462,62 @@ def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) 
     if not extra:
         return GroebnerBasis(J.ring, scaled)
     return buchberger(scaled + list(extra), J.ring)
+
+
+# ---------------------------------------------------------------------------
+# Powers of an ideal modulo a basis
+# ---------------------------------------------------------------------------
+
+class PowerTable:
+    """Normal forms generating the powers I^k modulo the ideal of `basis`.
+
+    `pows` maps k to the deduplicated nonzero normal forms of I^k, with
+    `pows[0]` from NF(1) and `pows[1]` from the generators; an empty tuple
+    means the power lies in the ideal (and every higher one does too).
+    """
+
+    __slots__ = ("ideal", "basis", "pows")
+
+    def __init__(self, I: Ideal, basis: GroebnerBasis):
+        self.ideal = I
+        self.basis = basis
+        self.pows = {
+            0: _dedup([basis.reduce(I.ring.one())]),
+            1: _dedup(basis.reduce(g) for g in I.gens),
+        }
+
+    def power(self, k: int) -> tuple:
+        """Normal forms generating I^k modulo the ideal L of the basis.
+
+        A one-generator ideal (f) with k >= p is built from its base-p
+        digits: NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in
+        any ideal L: if g = NF(f^a) = f^a + h with h in L, then in
+        characteristic p, g^p = f^(ap) + h^p and h^p lies in L. Every other
+        power takes the step I^k = I^(k-1) * I; for several generators
+        (I^a)^[p] is only contained in I^(ap), so the digit step does not
+        apply.
+        """
+        pows = self.pows
+        if k in pows:
+            return pows[k]
+        basis = self.basis
+        p = basis.ring.p
+        if k >= p and self.ideal.num_gens == 1:
+            high = tuple(g.frobenius(p) for g in self.power(k // p))
+            pows[k] = basis.reduce_products(high, self.power(k % p))
+            return pows[k]
+        j = k - 1
+        while j not in pows:
+            j -= 1
+        for j in range(j + 1, k + 1):
+            pows[j] = basis.reduce_products(pows[j - 1], pows[1])
+        return pows[k]
+
+
+@functools.cache
+def power_table(I: Ideal, basis: GroebnerBasis) -> PowerTable:
+    """The shared, growing power table of I modulo the ideal of `basis`."""
+    return PowerTable(I, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +623,10 @@ def radical_membership(f: Polynomial, J: Ideal, pres: QuotientPresentation | Non
 def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | None = None,
                             cap: int = 512) -> int:
     """Least k >= 1 with I^k contained in J, by incremental search up to `cap`."""
-    if I.is_zero:
-        return 1
-    gb = groebner_basis(J, pres)
-    if gb.contains_one:
-        return 1
-    # normal forms are membership-preserving, so powers can be built reduced
-    base = _dedup(gb.reduce(g) for g in I.gens)
-    current = base
+    table = power_table(I, groebner_basis(J, pres))
     for k in range(1, cap + 1):
-        if not current:
+        if not table.power(k):
             return k
-        current = gb.reduce_products(current, base)
     raise SearchLimitError(
         f"no power of {I!r} landed in {J!r} within cap {cap}; raise the cap or fix the input"
     )

@@ -27,6 +27,7 @@ from .groebner import (
     ideal_intersection,
     ideal_sum,
     krull_dimension,
+    power_table,
     staircase_count_of,
     standard_monomial_count,
 )
@@ -154,7 +155,7 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
 
     For a principal I = (f) each probed power is built from f's base-p
     digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal
-    (see `_EscapeContext.entry_power`), so a probe costs O(log_p k) products.
+    (see `groebner.PowerTable.power`), so a probe costs O(log_p k) products.
     """
     ds = escape_set(IdealSequence([I]), PFamily.frobenius(J), e, pres, budget)
     return NuValue(e, ds.max_points[0][0])
@@ -293,7 +294,8 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
 
 def fedder_criterion(f_seq, e: int) -> bool:
     """True iff (f_1 ... f_t)^(p^e - 1) escapes the bracket power of the
-    ideal of all variables."""
+    ideal of all variables: the escape-set containment question at the
+    corner (p^e - 1, ..., p^e - 1)."""
     f_seq = list(f_seq)
     if not f_seq:
         raise BadInputError("need at least one element")
@@ -306,8 +308,8 @@ def fedder_criterion(f_seq, e: int) -> bool:
             return False
         prod = prod * f
     q = ring.p ** e
-    h = prod ** (q - 1)
-    return any(all(x < q for x in mono) for mono in h.coeffs)
+    m = Ideal(ring, ring.gens())
+    return bool(power_table(Ideal(ring, (prod,)), frobenius_basis(m, q)).power(q - 1))
 
 
 def is_parameter_sequence(f_seq, pres=None) -> bool:

@@ -23,12 +23,12 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    _dedup,
     frobenius_basis,
     frobenius_power,
     groebner_basis,
     ideal_contains,
     power_containment_index,
+    power_table,
     radical_membership,
 )
 
@@ -173,11 +173,18 @@ class PFamily:
         return self.levels[e]
 
     def level_basis(self, e: int, pres=None) -> GroebnerBasis:
+        """Basis of the level-e reference ideal, which must be proper."""
         if self.kind == "frobenius":
             if e < 0:
                 raise BadLevelError(f"negative level {e}")
-            return frobenius_basis(self.base, self.p ** e, pres)
-        return groebner_basis(self.level_ideal(e), pres)
+            basis = frobenius_basis(self.base, self.p ** e, pres)
+        else:
+            basis = groebner_basis(self.level_ideal(e), pres)
+        if basis.contains_one:
+            raise HypothesisViolatedError(
+                f"level-{e} reference ideal is the unit ideal in the quotient"
+            )
+        return basis
 
     def base_level(self) -> Ideal:
         """J_{p^0}, the reference for the radical hypothesis and bounds."""
@@ -245,61 +252,6 @@ def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
 # Membership machinery
 # ---------------------------------------------------------------------------
 
-class _EscapeContext:
-    """Reduced-power caches for one (sequence, family, level, presentation).
-
-    Entry powers are kept as deduplicated nonzero normal forms, in a dict per
-    entry keyed by exponent; an empty tuple means the power is contained in
-    the level ideal (and stays so above).
-    """
-
-    __slots__ = ("seq", "basis", "pows", "gens_nf")
-
-    def __init__(self, seq: IdealSequence, basis: GroebnerBasis):
-        self.seq = seq
-        self.basis = basis
-        one_nf = basis.reduce(seq.ring.one())
-        start = (one_nf,) if not one_nf.is_zero else ()
-        self.gens_nf = [_dedup(basis.reduce(g) for g in I.gens) for I in seq.entries]
-        self.pows = [{0: start} for _ in seq.entries]
-
-    def entry_power(self, i: int, k: int) -> tuple:
-        """Normal forms generating I_i^k modulo the level ideal L.
-
-        A one-generator entry f with k >= p is built from its base-p digits:
-        NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in any level
-        ideal L: if g = NF(f^a) = f^a + h with h in L, then in characteristic
-        p, g^p = f^(ap) + h^p and h^p lies in L. Every other power takes the
-        step I^k = I^(k-1) * I; for several generators (I^a)^[p] is only
-        contained in I^(ap), so the digit step does not apply.
-        """
-        cache = self.pows[i]
-        if k in cache:
-            return cache[k]
-        p = self.seq.ring.p
-        if k >= p and self.seq.entries[i].num_gens == 1:
-            high = tuple(g.frobenius(p) for g in self.entry_power(i, k // p))
-            cache[k] = self.basis.reduce_products(high, self.entry_power(i, k % p))
-            return cache[k]
-        j = k - 1
-        while j not in cache:
-            j -= 1
-        for j in range(j + 1, k + 1):
-            cache[j] = self.basis.reduce_products(cache[j - 1], self.gens_nf[i])
-        return cache[k]
-
-
-@functools.cache
-def _context(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> _EscapeContext:
-    """The shared, growing power cache for these arguments."""
-    basis = fam.level_basis(e, pres)
-    if basis.contains_one:
-        raise HypothesisViolatedError(
-            f"level-{e} reference ideal is the unit ideal in the quotient"
-        )
-    return _EscapeContext(seq, basis)
-
-
 def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> bool:
     """True iff the product ideal at `point` is NOT contained in the level ideal."""
     point = tuple(point)
@@ -309,13 +261,13 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
         raise BadInputError(f"negative exponent in {point}")
     check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
-    ctx = _context(seq, fam, e, pres)
+    basis = fam.level_basis(e, pres)
     counter.charge()
-    acc = ctx.entry_power(0, point[0])
-    for i in range(1, seq.t):
+    acc = power_table(seq.entries[0], basis).power(point[0])
+    for I, a in zip(seq.entries[1:], point[1:]):
         if not acc:
             return False
-        acc = ctx.basis.reduce_products(acc, ctx.entry_power(i, point[i]))
+        acc = basis.reduce_products(acc, power_table(I, basis).power(a))
     return bool(acc)
 
 
@@ -400,7 +352,8 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     """
     check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
-    ctx = _context(seq, fam, e, pres)
+    basis = fam.level_basis(e, pres)
+    powers = [power_table(I, basis) for I in seq.entries]
     t = seq.t
     bounds = axis_bounds(seq, fam, e, pres)
     rows: dict = {}
@@ -410,10 +363,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
 
         def member(m: int) -> bool:
             counter.charge()
-            pw = ctx.entry_power(t - 1, m)
-            if not pw:
-                return False
-            return bool(ctx.basis.reduce_products(prefix_polys, pw))
+            return bool(basis.reduce_products(prefix_polys, powers[t - 1].power(m)))
 
         if hi <= 0:
             return 0
@@ -435,14 +385,13 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
         a = 0
         while a < bounds[i]:
             counter.charge()
-            polys = ctx.basis.reduce_products(prefix_polys, ctx.entry_power(i, a))
+            polys = basis.reduce_products(prefix_polys, powers[i].power(a))
             if not polys:
                 break
             sweep(i + 1, prefix + (a,), polys)
             a += 1
 
-    one_nf = ctx.basis.reduce(seq.ring.one())
-    sweep(0, (), (one_nf,))
+    sweep(0, (), powers[0].power(0))
 
     size = sum(m + 1 for m in rows.values())
     positive = sum(

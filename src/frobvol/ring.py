@@ -45,9 +45,6 @@ class PrimeField:
             raise NonPrimeError(f"characteristic must be a prime in [2, 2^31): {p!r}")
         self.p = p
 
-    def __call__(self, value: int) -> "FpElement":
-        return FpElement(value % self.p, self)
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
@@ -61,80 +58,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class FpElement:
-    """A residue in F_p with an explicit modulus; arithmetic stays canonical."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise RingMismatchError(
-                    f"mixed moduli {self.field.p} and {other.field.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(other.value - self.value, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.field)
-
-    def inverse(self) -> "FpElement":
-        return FpElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __repr__(self):
-        return f"{self.value} mod {self.field.p}"
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +83,6 @@ def mono_div(b: tuple, a: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_deg(a: tuple) -> int:
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +262,6 @@ class PolynomialRing:
     def poly(self, text: str, line: int = 1, column: int = 1) -> "Polynomial":
         return parse_polynomial(text, self, line=line, column=column)
 
-    def with_order(self, order) -> "PolynomialRing":
-        if isinstance(order, str):
-            order = make_order(order, self.nvars)
-        return PolynomialRing(self.field, self.variables, order)
-
     def extended(self, aux_names) -> "PolynomialRing":
         """Ring with auxiliary variables prepended under an elimination order."""
         aux_names = tuple(aux_names)
@@ -407,13 +321,12 @@ class Polynomial:
     its input.
     """
 
-    __slots__ = ("ring", "coeffs", "_hash", "_maxexp")
+    __slots__ = ("ring", "coeffs", "_hash")
 
     def __init__(self, ring: PolynomialRing, coeffs: dict):
         self.ring = ring
         self.coeffs = coeffs
         self._hash = None
-        self._maxexp = max((max(m) for m in coeffs), default=0) if ring.nvars else 0
 
     # -- basic queries ------------------------------------------------------
 
@@ -433,6 +346,9 @@ class Polynomial:
         key = self.ring.order.key
         m = max(self.coeffs, key=key)
         return m, self.coeffs[m]
+
+    def _max_exponent(self) -> int:
+        return max((max(m) for m in self.coeffs), default=0)
 
     def total_degree(self) -> int:
         if not self.coeffs:
@@ -493,7 +409,7 @@ class Polynomial:
         if not self.coeffs or not other.coeffs:
             return self.ring.zero()
         p = self.ring.p
-        checked = self._maxexp + other._maxexp > MAX_EXPONENT
+        checked = self._max_exponent() + other._max_exponent() > MAX_EXPONENT
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
@@ -509,7 +425,7 @@ class Polynomial:
         """Image under x_i -> x_i^q; equals self**q when q is a power of p."""
         if q == 1:
             return self
-        if self._maxexp * q > MAX_EXPONENT:
+        if self._max_exponent() * q > MAX_EXPONENT:
             raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
         return Polynomial(self.ring, {tuple(e * q for e in m): c for m, c in self.coeffs.items()})
 

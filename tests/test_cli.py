@@ -133,6 +133,16 @@ def test_cli_vset_csv(tmp_path):
     assert out.read_text() == "e,a1,a2\n1,0,0\n1,1,0\n"
 
 
+def test_cli_rejects_an_output_flag_of_another_format(tmp_path):
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text(EXAMPLE)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--csv", str(out), str(spec_file)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_verify_cover(tmp_path):
     spec_file = tmp_path / "f.spec"
     spec_file.write_text(EXAMPLE)

@@ -29,7 +29,7 @@ from frobvol.groebner import (
     standard_monomial_count,
 )
 from frobvol.ring import MAX_EXPONENT, PolynomialRing
-from oracles import la_membership, random_poly, staircase_count_brute
+from oracles import brute_force_ell, la_membership, random_poly, staircase_count_brute
 
 
 @pytest.fixture
@@ -158,6 +158,19 @@ def test_frobenius_basis_shortcut_matches_buchberger():
                 assert fast.polys == direct.polys
 
 
+def test_bracket_power_bases_compare_by_content():
+    for p, relation in ((2, None), (3, None), (3, "y^2-x^3")):
+        ring = PolynomialRing(p, ["x", "y"])
+        pres = QuotientPresentation(ring, Ideal(ring, [ring.poly(relation)])) if relation else None
+        J = Ideal(ring, [ring.poly("x^2+y"), ring.poly("x*y")])
+        for e in (0, 1, 2):
+            shifted = frobenius_basis(frobenius_power(J, p), p**e, pres)
+            direct = frobenius_basis(J, p ** (e + 1), pres)
+            assert shifted is not direct
+            assert shifted == direct and hash(shifted) == hash(direct)
+        assert frobenius_basis(J, p) != frobenius_basis(J, p**2)
+
+
 def test_bracket_power_tower(R2):
     x, _ = R2.gens()
     J = Ideal(R2, [x, R2.poly("y^2+x")])
@@ -228,6 +241,34 @@ def test_power_containment_index(R2):
     assert power_containment_index(Ideal(R2, [R2.poly("x+y")]), Ideal(R2, [R2.poly("x^4+y^4")])) == 4
     with pytest.raises(SearchLimitError):
         power_containment_index(Ideal(R2, [x]), Ideal(R2, [y]), cap=8)
+
+
+_CONTAINMENT_TARGETS = (["x", "y"], ["x^2", "y"], ["x^2+y^2", "x*y"])
+
+
+@st.composite
+def containment_cases(draw):
+    """(I, J, pres) over F_p[x,y], p in {2,3,5}: I has one or two generators
+    without a constant term, J has radical (x,y), optionally modulo y^2-x^3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = PolynomialRing(p, ["x", "y"])
+    monos = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def gen():
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        return R.from_dict({m: draw(st.integers(1, p - 1)) for m in support})
+
+    I = Ideal(R, [gen() for _ in range(draw(st.integers(1, 2)))])
+    J = Ideal(R, [R.poly(g) for g in draw(st.sampled_from(_CONTAINMENT_TARGETS))])
+    pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")])) if draw(st.booleans()) else None
+    return I, J, pres
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(containment_cases())
+def test_power_containment_index_matches_bruteforce(case):
+    I, J, pres = case
+    assert power_containment_index(I, J, pres) == brute_force_ell(I, J, pres)
 
 
 def test_staircase_counts(R2):

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobvol.errors import BudgetExceededError, HypothesisViolatedError, NotPrimaryError
 from frobvol.groebner import (
@@ -185,6 +186,33 @@ def test_fedder_examples(R2):
     assert fedder_criterion([x, y], 1) is True
     assert fedder_criterion([R2.poly("x^2")], 1) is False
     assert fedder_criterion([R2.poly("x+y")], 2) is True
+
+
+@st.composite
+def fedder_cases(draw):
+    """(f_seq, e): one or two polynomials, with or without a constant term, in
+    two or three variables over F_p, p in {2,3,5}; e in 1..3 for p = 2 and
+    1..2 otherwise."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    mono = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    terms = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=2)
+    f_seq = [R.from_dict(draw(terms)) for _ in range(draw(st.integers(1, 2)))]
+    return f_seq, draw(st.integers(1, 3 if p == 2 else 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fedder_cases())
+def test_fedder_matches_direct_power(case):
+    f_seq, e = case
+    ring = f_seq[0].ring
+    q = ring.p ** e
+    prod = ring.one()
+    for f in f_seq:
+        prod = prod * f
+    direct = any(all(x < q for x in mono) for mono in (prod ** (q - 1)).coeffs)
+    assert fedder_criterion(f_seq, e) is direct
 
 
 def test_parameter_sequence_examples(R2):

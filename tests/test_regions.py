@@ -19,9 +19,9 @@ from frobvol.groebner import (
     frobenius_basis,
     frobenius_power,
     ideal_power,
+    power_table,
 )
 from frobvol.regions import (
-    _context,
     BoxRegion,
     BudgetCounter,
     DownSet,
@@ -404,10 +404,23 @@ def test_caches_key_on_content():
     assert seq_a == seq_b and hash(seq_a) == hash(seq_b)
     assert fam_a == fam_b and hash(fam_a) == hash(fam_b)
     ds = escape_set(seq_a, fam_a, 2)
-    bases, contexts = frobenius_basis.cache_info().misses, _context.cache_info().misses
+    bases, tables = frobenius_basis.cache_info().misses, power_table.cache_info().misses
     assert escape_set(seq_b, fam_b, 2) == ds
     assert frobenius_basis.cache_info().misses == bases
-    assert _context.cache_info().misses == contexts
+    assert power_table.cache_info().misses == tables
+
+
+def test_equal_level_ideals_share_one_power_table():
+    R = PolynomialRing(3, ["x", "y"])
+    J = Ideal(R, [R.poly("x^2"), R.poly("y")])
+    seq = IdealSequence([Ideal(R, [R.poly("x+y")]), Ideal(R, [R.poly("x*y")])])
+    # the finiteness bounds of each family read tables modulo its own J_{p^0}
+    axis_bounds(seq, PFamily.frobenius(J), 0)
+    for e in (0, 1):
+        shifted = escape_set(seq, PFamily.frobenius(frobenius_power(J, 3)), e)
+        tables = power_table.cache_info().misses
+        assert escape_set(seq, PFamily.frobenius(J), e + 1) == shifted
+        assert power_table.cache_info().misses == tables
 
 
 # -- entry powers: base-p digits (principal) and I^(k-1)*I steps --------------
@@ -417,7 +430,7 @@ _LOW_MONOS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 @st.composite
 def power_cases(draw, ngens, max_k=None):
-    """(context, entry, k) with k below the axis bound (and max_k), over
+    """(power table, entry, k) with k below the axis bound (and max_k), over
     F_p[x,y] or F_p[x,y]/(y^2-x^3), reference (x,y)^[p^e] with e <= 2."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     R = PolynomialRing(p, ["x", "y"])
@@ -432,23 +445,23 @@ def power_cases(draw, ngens, max_k=None):
     pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")])) if draw(st.booleans()) else None
     bound = axis_bounds(seq, fam, e, pres)[0]
     k = draw(st.integers(0, min(bound, max_k or bound) - 1))
-    return _context(seq, fam, e, pres), I, k
+    return power_table(I, fam.level_basis(e, pres)), I, k
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(power_cases(ngens=1))
 def test_principal_entry_power_matches_direct_power(case):
-    ctx, I, k = case
-    assert ctx.entry_power(0, k) == _dedup([ctx.basis.reduce(I.gens[0] ** k)])
+    table, I, k = case
+    assert table.power(k) == _dedup([table.basis.reduce(I.gens[0] ** k)])
 
 
 # ideal_power of two generators grows fast, so k stays small but crosses p
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(power_cases(ngens=2, max_k=16))
 def test_two_generator_entry_power_matches_ideal_power(case):
-    ctx, I, k = case
-    expected = _dedup(ctx.basis.reduce(g) for g in ideal_power(I, k).gens)
-    assert set(ctx.entry_power(0, k)) == set(expected)
+    table, I, k = case
+    expected = _dedup(table.basis.reduce(g) for g in ideal_power(I, k).gens)
+    assert set(table.power(k)) == set(expected)
 
 
 # -- escape sets on random small specs against the brute-force oracle ---------

@@ -5,12 +5,16 @@ Frobenius powers, sums/products/powers/intersections, radical membership,
 staircase counting and combinatorial Krull dimension. Completed bases are
 immutable; reduction against a shared basis is pure.
 
-`GroebnerBasis.reduce_products` is the product kernel of every membership
-probe: the distinct nonzero normal forms of all pairwise products of two
-polynomial lists. On a monomial basis it multiplies and truncates in one pass
-over exponents packed by `PolynomialRing.pack` (Monagan and Pearce, CASC
-2007), so no term inside the ideal is ever stored, and unpacks the survivors
-with `PolynomialRing.unpack`. Other bases reduce each product in turn.
+`GroebnerBasis.products` is the product kernel of every membership probe
+and every power: the distinct nonzero normal forms of all pairwise products
+of two operand lists. On a monomial basis an operand holds its monomials
+packed by `PolynomialRing.pack` (Monagan and Pearce, CASC 2007), and the
+kernel multiplies and truncates in one pass, so no term inside the ideal is
+ever stored; other bases take polynomials and reduce each product in turn.
+Operands stay packed from one kernel call to the next: `PowerTable` stores
+its powers packed, and escape-set probes chain prefix products without
+unpacking. Only `GroebnerBasis.reduce_products` (the kernel on polynomial
+lists) and `PowerTable.power` hand out `Polynomial`s.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -177,7 +181,7 @@ INFINITE_LENGTH = LengthValue(None)
 class GroebnerBasis:
     """A reduced, monic Groebner basis, sorted by leading monomial (ascending)."""
 
-    __slots__ = ("ring", "polys", "leading_monomials", "_tails", "is_monomial")
+    __slots__ = ("ring", "polys", "leading_monomials", "_tails", "is_monomial", "_guard", "_lms")
 
     def __init__(self, ring: PolynomialRing, polys):
         self.ring = ring
@@ -187,6 +191,10 @@ class GroebnerBasis:
         self.leading_monomials = tuple(f.leading()[0] for f in polys)
         self._tails = tuple(_tail(f, lm) for f, lm in zip(polys, self.leading_monomials))
         self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
+        if self.is_monomial:
+            # the guard bit of every packed field, and the packed generators
+            self._guard = ring.pack((MAX_EXPONENT + 1,) * ring.nvars)
+            self._lms = tuple(ring.pack(lm) for lm in self.leading_monomials)
 
     @property
     def contains_one(self) -> bool:
@@ -217,38 +225,64 @@ class GroebnerBasis:
 
     def reduce_products(self, left, right) -> tuple:
         """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
-        first-seen order: `_dedup(self.reduce(u * v) ...)`.
+        first-seen order: `_dedup(self.reduce(u * v) ...)`."""
+        if not left or not right:
+            return ()
+        return self.polynomials(self.products(self.operands(left), self.operands(right)))
+
+    def operands(self, polys) -> tuple:
+        """The polynomials in the form `products` takes. On a monomial basis
+        each one is a pair of tuples, its monomials packed by
+        `PolynomialRing.pack` and its coefficients; on any other basis the
+        operands are the polynomials themselves. Operands share most of their
+        monomials, so each is packed once, into one shared int."""
+        ring = self.ring
+        polys = tuple(polys)
+        if any(f.ring is not ring and f.ring != ring for f in polys):
+            raise RingMismatchError("polynomial from a different ring")
+        if not self.is_monomial:
+            return polys
+        pack = ring.pack
+        packed = {m: pack(m) for m in {m for f in polys for m in f.coeffs}}
+        return tuple(
+            (tuple(packed[m] for m in f.coeffs), tuple(f.coeffs.values())) for f in polys
+        )
+
+    def polynomials(self, operands) -> tuple:
+        """Inverse of `operands`; each distinct packed monomial is unpacked once."""
+        if not self.is_monomial:
+            return tuple(operands)
+        ring = self.ring
+        unpack = ring.unpack
+        names = {m: unpack(m) for m in {m for monos, _ in operands for m in monos}}
+        return tuple(
+            Polynomial(ring, {names[m]: c for m, c in zip(monos, coeffs)})
+            for monos, coeffs in operands
+        )
+
+    def products(self, left, right) -> tuple:
+        """`reduce_products` on operands in the form `operands` gives, with
+        the result in that form too, so products chain without repacking.
 
         On a monomial basis the product and the reduction are fused on packed
-        exponents (`PolynomialRing.pack`): a term inside the ideal is dropped
-        as soon as it is formed, and only surviving terms are unpacked. Every
-        operand field holds at most MAX_EXPONENT, so a field of a packed
+        exponents: a term inside the ideal is dropped as soon as it is formed.
+        Every operand field holds at most MAX_EXPONENT, so a field of a packed
         product sets its guard bit exactly when it overflows. Other bases
-        take the plain route.
+        reduce each product in turn.
         """
         if not left or not right:
             return ()
-        ring = self.ring
-        if any(f.ring is not ring and f.ring != ring for f in itertools.chain(left, right)):
-            raise RingMismatchError("polynomial from a different ring")
         if not self.is_monomial:
             return _dedup(self.reduce(u * v) for u in left for v in right)
-        p = ring.p
-        pack = ring.pack
-        # m lies in (x^lm) iff no field of (m | guard) - lm borrows its guard bit
-        guard = pack((MAX_EXPONENT + 1,) * ring.nvars)
-        lms = [pack(lm) for lm in self.leading_monomials]
-        # operands share most of their monomials, so each is packed once
-        packed = {m: pack(m) for m in {m for f in itertools.chain(left, right) for m in f.coeffs}}
-        rights = [[(packed[m], c) for m, c in v.coeffs.items()] for v in right]
+        p = self.ring.p
+        guard, lms = self._guard, self._lms
         dead = {}  # packed monomial -> whether it lies in the ideal
         found = {}
-        for u in left:
-            uterms = [(packed[m], c) for m, c in u.coeffs.items()]
-            for vterms in rights:
+        for umonos, ucoeffs in left:
+            for vmonos, vcoeffs in right:
                 acc = {}
-                for m1, c1 in uterms:
-                    for m2, c2 in vterms:
+                for m1, c1 in zip(umonos, ucoeffs):
+                    for m2, c2 in zip(vmonos, vcoeffs):
                         m = m1 + m2
                         if m in acc:
                             acc[m] += c1 * c2
@@ -257,18 +291,32 @@ class GroebnerBasis:
                         if inside is None:
                             if m & guard:
                                 raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
+                            # m lies in (x^lm) iff no field of (m | guard) - lm
+                            # borrows its guard bit
                             g = m | guard
                             inside = dead[m] = any((g - lm) & guard == guard for lm in lms)
                         if not inside:
                             acc[m] = c1 * c2
-                terms = {m: c % p for m, c in acc.items() if c % p}
+                terms = [(m, c % p) for m, c in acc.items() if c % p]
                 if terms:
-                    found.setdefault(frozenset(terms.items()), terms)
-        unpack = ring.unpack
-        names = {m: unpack(m) for m in {m for terms in found.values() for m in terms}}
-        return tuple(
-            Polynomial(ring, {names[m]: c for m, c in terms.items()}) for terms in found.values()
-        )
+                    found.setdefault(frozenset(terms), terms)
+        return tuple(tuple(zip(*terms)) for terms in found.values())
+
+    def frobenius_operands(self, operands, q: int) -> tuple:
+        """The image of `operands` under x_i -> x_i^q, as `Polynomial.frobenius`
+        gives it, raising `ExponentOverflowError` where it would."""
+        if not self.is_monomial:
+            return tuple(f.frobenius(q) for f in operands)
+        guard = self._guard
+        # every field of m is at most MAX_EXPONENT // q iff no field of
+        # (limit | guard) - m borrows its guard bit; then m * q carries nowhere
+        limit = self.ring.pack((MAX_EXPONENT // q,) * self.ring.nvars) | guard
+        out = []
+        for monos, coeffs in operands:
+            if any((limit - m) & guard != guard for m in monos):
+                raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
+            out.append((tuple(m * q for m in monos), coeffs))
+        return tuple(out)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero
@@ -471,9 +519,10 @@ def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) 
 class PowerTable:
     """Normal forms generating the powers I^k modulo the ideal of `basis`.
 
-    `pows` maps k to the deduplicated nonzero normal forms of I^k, with
-    `pows[0]` from NF(1) and `pows[1]` from the generators; an empty tuple
-    means the power lies in the ideal (and every higher one does too).
+    `pows` maps k to the deduplicated nonzero normal forms of I^k, held in
+    the basis's operand form (`GroebnerBasis.operands`), with `pows[0]` from
+    NF(1) and `pows[1]` from the generators; an empty tuple means the power
+    lies in the ideal (and every higher one does too).
     """
 
     __slots__ = ("ideal", "basis", "pows")
@@ -482,12 +531,16 @@ class PowerTable:
         self.ideal = I
         self.basis = basis
         self.pows = {
-            0: _dedup([basis.reduce(I.ring.one())]),
-            1: _dedup(basis.reduce(g) for g in I.gens),
+            0: basis.operands(_dedup([basis.reduce(I.ring.one())])),
+            1: basis.operands(_dedup(basis.reduce(g) for g in I.gens)),
         }
 
     def power(self, k: int) -> tuple:
-        """Normal forms generating I^k modulo the ideal L of the basis.
+        """Normal forms generating I^k modulo the ideal of the basis."""
+        return self.basis.polynomials(self.operands(k))
+
+    def operands(self, k: int) -> tuple:
+        """`power(k)` in the basis's operand form, for `GroebnerBasis.products`.
 
         A one-generator ideal (f) with k >= p is built from its base-p
         digits: NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in
@@ -503,15 +556,25 @@ class PowerTable:
         basis = self.basis
         p = basis.ring.p
         if k >= p and self.ideal.num_gens == 1:
-            high = tuple(g.frobenius(p) for g in self.power(k // p))
-            pows[k] = basis.reduce_products(high, self.power(k % p))
+            high = basis.frobenius_operands(self.operands(k // p), p)
+            pows[k] = self._settled(basis.products(high, self.operands(k % p)))
             return pows[k]
         j = k - 1
         while j not in pows:
             j -= 1
         for j in range(j + 1, k + 1):
-            pows[j] = basis.reduce_products(pows[j - 1], pows[1])
+            pows[j] = self._settled(basis.products(pows[j - 1], pows[1]))
         return pows[k]
+
+    def _settled(self, operands) -> tuple:
+        """Operands to keep in the table. On a monomial basis each distinct
+        packed monomial becomes one int allocated here: the kernel's ints
+        sit among its short-lived garbage, and a table that kept them would
+        pin that memory for the life of the process."""
+        if not self.basis.is_monomial:
+            return operands
+        fresh = {m: m + 0 for m in {m for monos, _ in operands for m in monos}}
+        return tuple((tuple(fresh[m] for m in monos), coeffs) for monos, coeffs in operands)
 
 
 @functools.cache
@@ -625,7 +688,7 @@ def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | Non
     """Least k >= 1 with I^k contained in J, by incremental search up to `cap`."""
     table = power_table(I, groebner_basis(J, pres))
     for k in range(1, cap + 1):
-        if not table.power(k):
+        if not table.operands(k):
             return k
     raise SearchLimitError(
         f"no power of {I!r} landed in {J!r} within cap {cap}; raise the cap or fix the input"

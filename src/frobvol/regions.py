@@ -263,11 +263,12 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     counter.charge()
-    acc = power_table(seq.entries[0], basis).power(point[0])
+    # prefix products stay in the kernel's operand form between calls
+    acc = power_table(seq.entries[0], basis).operands(point[0])
     for I, a in zip(seq.entries[1:], point[1:]):
         if not acc:
             return False
-        acc = basis.reduce_products(acc, power_table(I, basis).power(a))
+        acc = basis.products(acc, power_table(I, basis).operands(a))
     return bool(acc)
 
 
@@ -348,7 +349,12 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
 
     Depth-first sweep over prefixes; on the last axis the feasible values form
     an interval [0, m] located by binary search, so the work scales with the
-    staircase surface rather than its volume.
+    staircase surface rather than its volume. The escape set is a down-set,
+    so m is at most the row of every prefix one step lower on some axis, and
+    the sweep has found those rows already: each search runs up to the least
+    of them (the axis bound for the first row), testing that top first.
+    Prefix products stay in the kernel's operand form
+    (`GroebnerBasis.operands`) from one call to the next.
     """
     check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
@@ -358,12 +364,15 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     bounds = axis_bounds(seq, fam, e, pres)
     rows: dict = {}
 
-    def last_max(prefix_polys) -> int:
+    def last_max(prefix: tuple, prefix_ops) -> int:
         hi = bounds[t - 1] - 1
+        for i, a in enumerate(prefix):
+            if a:
+                hi = min(hi, rows[prefix[:i] + (a - 1,) + prefix[i + 1:]])
 
         def member(m: int) -> bool:
             counter.charge()
-            return bool(basis.reduce_products(prefix_polys, powers[t - 1].power(m)))
+            return bool(basis.products(prefix_ops, powers[t - 1].operands(m)))
 
         if hi <= 0:
             return 0
@@ -378,20 +387,20 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
                 hi = mid
         return lo
 
-    def sweep(i: int, prefix: tuple, prefix_polys):
+    def sweep(i: int, prefix: tuple, prefix_ops):
         if i == t - 1:
-            rows[prefix] = last_max(prefix_polys)
+            rows[prefix] = last_max(prefix, prefix_ops)
             return
         a = 0
         while a < bounds[i]:
             counter.charge()
-            polys = basis.reduce_products(prefix_polys, powers[i].power(a))
-            if not polys:
+            ops = basis.products(prefix_ops, powers[i].operands(a))
+            if not ops:
                 break
-            sweep(i + 1, prefix + (a,), polys)
+            sweep(i + 1, prefix + (a,), ops)
             a += 1
 
-    sweep(0, (), powers[0].power(0))
+    sweep(0, (), powers[0].operands(0))
 
     size = sum(m + 1 for m in rows.values())
     positive = sum(

@@ -189,3 +189,56 @@ def random_poly(ring, rng, max_degree=3, max_terms=3, no_constant=False):
         f = ring.from_dict(raw)
         if not f.is_zero and not (no_constant and any(not any(m) for m in f.coeffs)):
             return f
+
+
+def monomial_escape_rows(alphas, betas, q: int) -> dict:
+    """Closed-form escape set of monomial principal entries x^alpha_n
+    against a monomial ideal J = (x^beta, ...) of a polynomial ring, at
+    q = p^e, in integer arithmetic only.
+
+    x^(sum a_n alpha_n) escapes J^[q] exactly when no generator x^beta of J
+    has q*beta <= sum a_n alpha_n coordinatewise. Returns the rows: each
+    prefix (a_1, ..., a_{t-1}) of the escape set mapped to its largest a_t.
+    """
+
+    def last_escaping(start, step) -> int:
+        """Largest a >= 0 with x^(start + a*step) outside J^[q]; -1 if none."""
+        enter = None  # least a that puts the monomial inside J^[q]
+        for beta in betas:
+            need = 0
+            for s, d, b in zip(start, step, beta):
+                gap = q * b - s
+                if gap <= 0:
+                    continue
+                if d == 0:
+                    break  # this coordinate never reaches q*b
+                need = max(need, -(-gap // d))
+            else:
+                enter = need if enter is None else min(enter, need)
+        if enter is None:
+            raise AssertionError("escape set is infinite")
+        return enter - 1
+
+    nvars = len(betas[0])
+    *heads, last = alphas
+    origin = (0,) * nvars
+    rows = {}
+    for prefix in itertools.product(*(range(last_escaping(origin, a) + 1) for a in heads)):
+        start = tuple(sum(a * alpha[i] for a, alpha in zip(prefix, heads)) for i in range(nvars))
+        top = last_escaping(start, last)
+        if top >= 0:
+            rows[prefix] = top
+    return rows
+
+
+def rows_summary(rows: dict) -> tuple:
+    """(size, positive size, sorted maximal points) of a down-set given by
+    its rows, as `monomial_escape_rows` returns them."""
+    size = sum(top + 1 for top in rows.values())
+    positive = sum(top for prefix, top in rows.items() if all(prefix))
+    maximal = []
+    for prefix, top in rows.items():
+        steps = (prefix[:i] + (a + 1,) + prefix[i + 1:] for i, a in enumerate(prefix))
+        if all(rows.get(step, -1) < top for step in steps):
+            maximal.append(prefix + (top,))
+    return size, positive, sorted(maximal)

@@ -25,6 +25,7 @@ from frobvol.groebner import (
     ideal_sum,
     krull_dimension,
     power_containment_index,
+    power_table,
     radical_membership,
     standard_monomial_count,
 )
@@ -396,3 +397,21 @@ def test_reduce_products_rejects_other_rings_and_passes_empty_operands(R2, R5):
     assert basis.reduce_products([], [here]) == ()
     assert basis.reduce_products([here], []) == ()
     assert basis.reduce_products([here], [here]) == (R2.poly("x^2+y^2"),)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_digit_step_exponent_boundary(p):
+    """The digit step raises the p-th power of a packed power exactly where
+    `Polynomial.frobenius` overflows, in either exponent field. At p > 2 the
+    power x^MAX_EXPONENT scaled by p would carry into the next field."""
+    R = PolynomialRing(p, ["x", "y"])
+    c = MAX_EXPONENT // p
+    for var in (0, 1):
+        def mono(k):
+            return R.monomial((k, 0) if var == 0 else (0, k))
+
+        other = groebner_basis(Ideal(R, [R.gens()[1 - var]]))
+        assert power_table(Ideal(R, [mono(c)]), other).power(p) == (mono(c * p),)
+        for over in (c + 1, MAX_EXPONENT):
+            with pytest.raises(ExponentOverflowError):
+                power_table(Ideal(R, [mono(over)]), other).power(p)

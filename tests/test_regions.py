@@ -46,8 +46,14 @@ from frobvol.regions import (
     staircase_svg,
     verify_cover,
 )
+from frobvol.invariants import nu
 from frobvol.ring import PolynomialRing
-from oracles import brute_force_escape_points, downset_size_inclusion_exclusion
+from oracles import (
+    brute_force_escape_points,
+    downset_size_inclusion_exclusion,
+    monomial_escape_rows,
+    rows_summary,
+)
 
 
 @pytest.fixture
@@ -510,3 +516,67 @@ def test_escape_set_matches_bruteforce_on_random_specs(case):
     seq, fam, e, pres = case
     got = set(escape_set(seq, fam, e, pres).points())
     assert got == brute_force_escape_points(seq, fam, e, pres)
+
+
+@st.composite
+def escape_point_cases(draw):
+    """An `escape_cases` spec and a point in its finiteness box, or one step
+    past it on some axis."""
+    seq, fam, e, pres = draw(escape_cases())
+    bounds = axis_bounds(seq, fam, e, pres)
+    point = tuple(draw(st.integers(0, b)) for b in bounds)
+    return seq, fam, e, pres, point
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(escape_point_cases())
+def test_escapes_agrees_with_escape_set(case):
+    seq, fam, e, pres, point = case
+    assert escapes(point, seq, fam, e, pres) == (point in escape_set(seq, fam, e, pres))
+
+
+# -- escape sets at high levels against the closed form -----------------------
+
+# (p, e, monomial principal entries, monomial J) over F_p[x, y]
+_MONOMIAL_CASES = [
+    (2, 8, ["x", "y"], ["x", "y"]),
+    (3, 5, ["x^2*y", "x*y^3"], ["x^2", "y^3"]),
+    (2, 6, ["x", "y", "x*y"], ["x", "y"]),
+    (2, 9, ["x*y", "x^3"], ["x", "y^2"]),
+    (2, 10, ["x^3*y", "x*y^2"], ["x^2", "y^2"]),
+    (3, 6, ["x^2", "x*y"], ["x", "y^2"]),
+    (5, 6, ["x^25*y^5", "x^5*y^25"], ["x", "y"]),
+    (2, 7, ["x^2", "y^3", "x*y"], ["x^2", "y"]),
+    (3, 6, ["x^9*y^3", "x^3*y^9", "x*y"], ["x", "y"]),
+]
+
+
+@pytest.mark.parametrize("p, e, entries, J", _MONOMIAL_CASES)
+def test_escape_set_matches_closed_form_at_high_levels(p, e, entries, J):
+    R = PolynomialRing(p, ["x", "y"])
+    seq = seq_of(R, *([g] for g in entries))
+    fam = PFamily.frobenius(Ideal(R, [R.poly(g) for g in J]))
+    ds = escape_set(seq, fam, e)
+
+    def exponent(text):
+        (mono,) = R.poly(text).coeffs
+        return mono
+
+    rows = monomial_escape_rows([exponent(g) for g in entries], [exponent(g) for g in J], p ** e)
+    assert (ds.size, ds.positive_size, list(ds.max_points)) == rows_summary(rows)
+
+
+# -- probe counts --------------------------------------------------------------
+
+def test_row_bounds_cut_the_probes_of_a_sweep(worked):
+    _, fam, _, seq_g = worked
+    counter = BudgetCounter(10**6)
+    escape_set(seq_g, fam, 8, budget=counter)
+    assert counter.used <= 768  # a binary search from the axis bound per row takes 1,536
+
+
+def test_a_one_entry_sweep_keeps_its_probe_sequence():
+    R = PolynomialRing(3, ["x", "y"])
+    counter = BudgetCounter(10**6)
+    assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter).nu == 4373
+    assert counter.used == 14

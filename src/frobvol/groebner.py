@@ -5,16 +5,22 @@ Frobenius powers, sums/products/powers/intersections, radical membership,
 staircase counting and combinatorial Krull dimension. Completed bases are
 immutable; reduction against a shared basis is pure.
 
+Division works on monomials packed by `PolynomialRing.pack` (Monagan and
+Pearce, CASC 2007). Every basis keeps its leading monomials and tails packed,
+and `_divide` is the one division loop: it serves `GroebnerBasis.reduce`,
+the S-polynomials and tail reduction of `buchberger`, and the product
+kernel. Divisibility and overflow are read off the guard bits of the packed
+fields, and the largest remaining term comes off a heap of order keys.
+
 `GroebnerBasis.products` is the product kernel of every membership probe
 and every power: the distinct nonzero normal forms of all pairwise products
-of two operand lists. On a monomial basis an operand holds its monomials
-packed by `PolynomialRing.pack` (Monagan and Pearce, CASC 2007), and the
-kernel multiplies and truncates in one pass, so no term inside the ideal is
-ever stored; other bases take polynomials and reduce each product in turn.
-Operands stay packed from one kernel call to the next: `PowerTable` stores
-its powers packed, and escape-set probes chain prefix products without
-unpacking. Only `GroebnerBasis.reduce_products` (the kernel on polynomial
-lists) and `PowerTable.power` hand out `Polynomial`s.
+of two packed operand lists. On a monomial basis it multiplies and
+truncates in one pass, so no term inside the ideal is ever stored; on any
+other basis it forms each full product and hands it to `_divide`. Operands
+stay packed from one kernel call to the next: `PowerTable` stores its powers
+packed, and escape-set probes chain prefix products without unpacking. Only
+`GroebnerBasis.reduce`, `reduce_products` (the kernel on polynomial lists)
+and `PowerTable.power` hand out `Polynomial`s.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -40,7 +46,6 @@ from .ring import (
     Polynomial,
     PolynomialRing,
     _fresh_aux_name,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -179,9 +184,12 @@ INFINITE_LENGTH = LengthValue(None)
 # ---------------------------------------------------------------------------
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis, sorted by leading monomial (ascending)."""
+    """A reduced, monic Groebner basis, sorted by leading monomial (ascending).
 
-    __slots__ = ("ring", "polys", "leading_monomials", "_tails", "is_monomial", "_guard", "_lms")
+    Alongside the polynomials it keeps their leading monomials and tails
+    packed by `PolynomialRing.pack`, the form `_divide` works on."""
+
+    __slots__ = ("ring", "polys", "leading_monomials", "is_monomial", "_lms", "_tails")
 
     def __init__(self, ring: PolynomialRing, polys):
         self.ring = ring
@@ -189,12 +197,13 @@ class GroebnerBasis:
         polys = sorted(polys, key=lambda f: key(f.leading()[0]))
         self.polys = tuple(polys)
         self.leading_monomials = tuple(f.leading()[0] for f in polys)
-        self._tails = tuple(_tail(f, lm) for f, lm in zip(polys, self.leading_monomials))
         self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
-        if self.is_monomial:
-            # the guard bit of every packed field, and the packed generators
-            self._guard = ring.pack((MAX_EXPONENT + 1,) * ring.nvars)
-            self._lms = tuple(ring.pack(lm) for lm in self.leading_monomials)
+        pack = ring.pack
+        self._lms = tuple(pack(lm) for lm in self.leading_monomials)
+        self._tails = tuple(
+            tuple((pack(m), c) for m, c in f.coeffs.items() if m != lm)
+            for f, lm in zip(polys, self.leading_monomials)
+        )
 
     @property
     def contains_one(self) -> bool:
@@ -213,15 +222,10 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if f.is_zero or not self.polys:
             return f
-        lms = self.leading_monomials
-        if self.is_monomial:
-            out = {
-                m: c
-                for m, c in f.coeffs.items()
-                if not any(mono_divides(lm, m) for lm in lms)
-            }
-            return Polynomial(self.ring, out)
-        return _divide(f.coeffs, lms, self._tails, self.ring)
+        ring = self.ring
+        pack, unpack = ring.pack, ring.unpack
+        rem = _divide({pack(m): c for m, c in f.coeffs.items()}, self._lms, self._tails, ring)
+        return Polynomial(ring, {unpack(m): c for m, c in rem})
 
     def reduce_products(self, left, right) -> tuple:
         """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
@@ -231,17 +235,14 @@ class GroebnerBasis:
         return self.polynomials(self.products(self.operands(left), self.operands(right)))
 
     def operands(self, polys) -> tuple:
-        """The polynomials in the form `products` takes. On a monomial basis
-        each one is a pair of tuples, its monomials packed by
-        `PolynomialRing.pack` and its coefficients; on any other basis the
-        operands are the polynomials themselves. Operands share most of their
-        monomials, so each is packed once, into one shared int."""
+        """The polynomials in the form `products` takes: each one a pair of
+        tuples, its monomials packed by `PolynomialRing.pack` and its
+        coefficients. Operands share most of their monomials, so each is
+        packed once, into one shared int."""
         ring = self.ring
         polys = tuple(polys)
         if any(f.ring is not ring and f.ring != ring for f in polys):
             raise RingMismatchError("polynomial from a different ring")
-        if not self.is_monomial:
-            return polys
         pack = ring.pack
         packed = {m: pack(m) for m in {m for f in polys for m in f.coeffs}}
         return tuple(
@@ -250,8 +251,6 @@ class GroebnerBasis:
 
     def polynomials(self, operands) -> tuple:
         """Inverse of `operands`; each distinct packed monomial is unpacked once."""
-        if not self.is_monomial:
-            return tuple(operands)
         ring = self.ring
         unpack = ring.unpack
         names = {m: unpack(m) for m in {m for monos, _ in operands for m in monos}}
@@ -264,19 +263,25 @@ class GroebnerBasis:
         """`reduce_products` on operands in the form `operands` gives, with
         the result in that form too, so products chain without repacking.
 
-        On a monomial basis the product and the reduction are fused on packed
-        exponents: a term inside the ideal is dropped as soon as it is formed.
         Every operand field holds at most MAX_EXPONENT, so a field of a packed
-        product sets its guard bit exactly when it overflows. Other bases
-        reduce each product in turn.
+        product sets its guard bit exactly when it overflows. On a monomial
+        basis the product and the reduction are fused: a term inside the
+        ideal is dropped as soon as it is formed. On any other basis the full
+        product goes to `_divide`.
         """
         if not left or not right:
             return ()
-        if not self.is_monomial:
-            return _dedup(self.reduce(u * v) for u in left for v in right)
-        p = self.ring.p
-        guard, lms = self._guard, self._lms
-        dead = {}  # packed monomial -> whether it lies in the ideal
+        ring = self.ring
+        p, guard = ring.p, ring.guard
+        if self.is_monomial:
+            cut = self._lms
+            def finish(acc):
+                return [(m, c % p) for m, c in acc.items() if c % p]
+        else:
+            cut = ()
+            def finish(acc):
+                return _divide(acc, self._lms, self._tails, ring)
+        dead = {}  # packed monomial -> whether it lies in the ideal of `cut`
         found = {}
         for umonos, ucoeffs in left:
             for vmonos, vcoeffs in right:
@@ -291,13 +296,11 @@ class GroebnerBasis:
                         if inside is None:
                             if m & guard:
                                 raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
-                            # m lies in (x^lm) iff no field of (m | guard) - lm
-                            # borrows its guard bit
                             g = m | guard
-                            inside = dead[m] = any((g - lm) & guard == guard for lm in lms)
+                            inside = dead[m] = any((g - lm) & guard == guard for lm in cut)
                         if not inside:
                             acc[m] = c1 * c2
-                terms = [(m, c % p) for m, c in acc.items() if c % p]
+                terms = finish(acc)
                 if terms:
                     found.setdefault(frozenset(terms), terms)
         return tuple(tuple(zip(*terms)) for terms in found.values())
@@ -305,9 +308,7 @@ class GroebnerBasis:
     def frobenius_operands(self, operands, q: int) -> tuple:
         """The image of `operands` under x_i -> x_i^q, as `Polynomial.frobenius`
         gives it, raising `ExponentOverflowError` where it would."""
-        if not self.is_monomial:
-            return tuple(f.frobenius(q) for f in operands)
-        guard = self._guard
+        guard = self.ring.guard
         # every field of m is at most MAX_EXPONENT // q iff no field of
         # (limit | guard) - m borrows its guard bit; then m * q carries nowhere
         limit = self.ring.pack((MAX_EXPONENT // q,) * self.ring.nvars) | guard
@@ -317,9 +318,6 @@ class GroebnerBasis:
                 raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
             out.append((tuple(m * q for m in monos), coeffs))
         return tuple(out)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero
 
     def __iter__(self):
         return iter(self.polys)
@@ -331,40 +329,52 @@ class GroebnerBasis:
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
 
 
-def _tail(f: Polynomial, lm: tuple) -> tuple:
-    """The terms of f other than its leading monomial lm."""
-    return tuple((m, c) for m, c in f.coeffs.items() if m != lm)
-
-
-def _divide(coeffs: dict, lms, tails, ring: PolynomialRing) -> Polynomial:
-    """Remainder of the terms `coeffs` on division by monic divisors, given by
-    their leading monomials `lms` and the matching `tails`.
+def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
+    """Remainder of the packed terms `terms` (packed monomial -> coefficient,
+    not yet reduced mod p) on division by monic divisors, given by their
+    packed leading monomials `lms` and the matching packed `tails`, as
+    (packed monomial, coefficient) pairs in descending order.
 
     Each step cancels the largest remaining term with the first listed
-    divisor whose leading monomial divides it.
+    divisor whose leading monomial divides it. The terms wait in a heap of
+    negated order keys, one entry per monomial (Monagan and Pearce, CASC
+    2007): a step only adds monomials below the one it cancels, so a
+    monomial never returns once it leaves the heap.
     """
-    p = ring.p
-    okey = ring.order.key
-    work = dict(coeffs)
-    rem = {}
-    while work:
-        m = max(work, key=okey)
-        c = work.pop(m)
-        for i, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
+    p, guard = ring.p, ring.guard
+    okey, unpack = ring.order.key, ring.unpack
+
+    def entry(m):
+        return tuple([-k for k in okey(unpack(m))]), m
+
+    work = dict(terms)
+    heap = [entry(m) for m in work]
+    heapq.heapify(heap)
+    rem = []
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m) % p
+        if not c:
+            continue
+        g = m | guard
+        for lm, tail in zip(lms, tails):
+            if (g - lm) & guard == guard:
+                shift = m - lm
                 # the divisor is monic: subtract c * x^shift * tail
-                for tm, tc in tails[i]:
-                    key2 = mono_mul(tm, shift)
-                    v = (work.get(key2, 0) - c * tc) % p
-                    if v:
-                        work[key2] = v
-                    elif key2 in work:
-                        del work[key2]
+                for tm, tc in tail:
+                    n = tm + shift
+                    v = work.get(n)
+                    if v is None:
+                        if n & guard:
+                            raise ExponentOverflowError("exponent beyond 2^63-1 in a division step")
+                        heapq.heappush(heap, entry(n))
+                        work[n] = -c * tc
+                    else:
+                        work[n] = v - c * tc
                 break
         else:
-            rem[m] = c
-    return Polynomial(ring, rem)
+            rem.append((m, c))
+    return rem
 
 
 def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
@@ -372,7 +382,8 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
 
     Deterministic: pairs are selected by smallest lcm in the ring order with
     ties broken by insertion index (normal strategy); coprime leading
-    monomials are skipped.
+    monomials are skipped. The basis under construction is held packed, and
+    each S-polynomial is built from the packed tails of its pair.
     """
     if isinstance(gens, Ideal):
         ring = gens.ring
@@ -384,68 +395,65 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
-    okey = ring.order.key
-    p = ring.p
+    okey, pack, unpack = ring.order.key, ring.pack, ring.unpack
+    p, guard = ring.p, ring.guard
 
-    basis: list[Polynomial] = []
-    lms: list[tuple] = []
+    lms: list[int] = []
     tails: list[tuple] = []
     pairs: list[tuple] = []
 
-    def push(f: Polynomial):
-        f = f.monic()
-        j = len(basis)
-        lm_j = f.leading()[0]
-        for i, lm_i in enumerate(lms):
+    def push(terms):
+        """Add the polynomial of packed `terms`, leading term first."""
+        (lm, lc), *tail = terms
+        inv = ring.field.inv(lc)
+        lm_j = unpack(lm)
+        for i, lm_i in enumerate(map(unpack, lms)):
             lcm = mono_lcm(lm_i, lm_j)
             if lcm == mono_mul(lm_i, lm_j):
                 continue  # coprime leading terms: S-pair reduces to zero
-            heapq.heappush(pairs, (okey(lcm), i, j, lcm))
-        basis.append(f)
-        lms.append(lm_j)
-        tails.append(_tail(f, lm_j))
+            heapq.heappush(pairs, (okey(lcm), i, len(lms), pack(lcm)))
+        lms.append(lm)
+        tails.append(tuple((m, c * inv % p) for m, c in tail))
 
     for g in gens:
-        push(g)
+        lm, lc = g.leading()
+        push([(pack(lm), lc)] + [(pack(m), c) for m, c in g.coeffs.items() if m != lm])
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        # s-poly of the monic basis[i] and basis[j]
-        si = mono_div(lcm, lms[i])
-        sj = mono_div(lcm, lms[j])
+        # the S-polynomial of monic f_i and f_j: their leading terms cancel
         s = {}
-        for m, c in basis[i].coeffs.items():
-            key2 = mono_mul(m, si)
-            s[key2] = (s.get(key2, 0) + c) % p
-        for m, c in basis[j].coeffs.items():
-            key2 = mono_mul(m, sj)
-            s[key2] = (s.get(key2, 0) - c) % p
-        s = {m: c for m, c in s.items() if c}
+        for k, sign in ((i, 1), (j, -1)):
+            shift = lcm - lms[k]
+            for m, c in tails[k]:
+                m += shift
+                if m & guard:
+                    raise ExponentOverflowError("exponent beyond 2^63-1 in an S-polynomial")
+                s[m] = s.get(m, 0) + sign * c
         r = _divide(s, lms, tails, ring)
-        if not r.is_zero:
+        if r:
             push(r)
 
-    return GroebnerBasis(ring, _autoreduce(basis, ring))
+    return GroebnerBasis(ring, _autoreduce(lms, tails, ring))
 
 
-def _autoreduce(basis: list, ring: PolynomialRing) -> list:
-    """Minimalize and tail-reduce a monic Groebner generating set."""
-    okey = ring.order.key
-    basis = sorted(basis, key=lambda f: okey(f.leading()[0]))
-    minimal: list[Polynomial] = []
-    for f in basis:
-        lm = f.leading()[0]
-        if not any(mono_divides(g.leading()[0], lm) for g in minimal):
-            minimal.append(f)
+def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
+    """Minimalize and tail-reduce a monic Groebner generating set, given by
+    packed leading monomials and tails; returns the polynomials."""
+    okey, unpack, guard = ring.order.key, ring.unpack, ring.guard
+    minimal = []
+    for lm, tail in sorted(zip(lms, tails), key=lambda f: okey(unpack(f[0]))):
+        if not any(((lm | guard) - g) & guard == guard for g, _ in minimal):
+            minimal.append((lm, tail))
     # tail reduction keeps every leading monomial, since none divides another
-    lms = [f.leading()[0] for f in minimal]
-    tails = [_tail(f, lm) for f, lm in zip(minimal, lms)]
-    reduced = list(minimal)
-    for i, f in enumerate(minimal):
-        r = _divide(f.coeffs, lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:], ring).monic()
-        reduced[i] = r
-        tails[i] = _tail(r, lms[i])
-    return reduced
+    lms, tails = map(list, zip(*minimal))
+    for i in range(len(minimal)):
+        others = lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:]
+        tails[i] = tuple(_divide(dict(tails[i]), *others, ring))
+    return [
+        Polynomial(ring, {unpack(lm): 1, **{unpack(m): c for m, c in tail}})
+        for lm, tail in zip(lms, tails)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +575,10 @@ class PowerTable:
         return pows[k]
 
     def _settled(self, operands) -> tuple:
-        """Operands to keep in the table. On a monomial basis each distinct
-        packed monomial becomes one int allocated here: the kernel's ints
-        sit among its short-lived garbage, and a table that kept them would
-        pin that memory for the life of the process."""
-        if not self.basis.is_monomial:
-            return operands
+        """Operands to keep in the table. Each distinct packed monomial
+        becomes one int allocated here: the kernel's ints sit among its
+        short-lived garbage, and a table that kept them would pin that
+        memory for the life of the process."""
         fresh = {m: m + 0 for m in {m for monos, _ in operands for m in monos}}
         return tuple((tuple(fresh[m] for m in monos), coeffs) for monos, coeffs in operands)
 

@@ -289,13 +289,6 @@ class DownSet:
         self.size = size
         self.positive_size = positive_size
 
-    @classmethod
-    def from_max_points(cls, dimension, level, p, max_points) -> "DownSet":
-        """Build from an antichain, counting by explicit expansion (small sets)."""
-        pts = _expand_down_set(max_points)
-        pos = sum(1 for a in pts if all(x >= 1 for x in a))
-        return cls(dimension, level, p, _antichain(max_points), len(pts), pos)
-
     def __contains__(self, point) -> bool:
         point = tuple(point)
         return any(
@@ -414,11 +407,6 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
         ):
             max_points.append(prefix + (m,))
     return DownSet(t, e, fam.p, max_points, size, positive)
-
-
-def positive_point_count(ds: DownSet) -> int:
-    """Number of escape-set points with every coordinate >= 1."""
-    return ds.positive_size
 
 
 # ---------------------------------------------------------------------------

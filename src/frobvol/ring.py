@@ -4,7 +4,8 @@ Monomials are plain tuples of nonnegative ints, one entry per ring variable;
 a polynomial is an immutable sparse map from monomial to nonzero coefficient
 in F_p. All values are hashable and safe to share once constructed.
 `PolynomialRing.pack`/`unpack` convert a monomial to and from one int with
-64 bits per variable, for kernels that work on packed exponents.
+64 bits per variable, for kernels that work on packed exponents; order keys
+are flat int tuples, so a kernel can negate them for a min-heap.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b: tuple, a: tuple) -> tuple:
-    """Quotient exponent b - a; requires divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -146,7 +142,7 @@ class EliminationOrder(MonomialOrder):
 
     def key(self, mono: tuple):
         aux = mono[: self.naux]
-        return (sum(aux),) + tuple(-e for e in reversed(aux)) + (self.inner.key(mono[self.naux:]),)
+        return (sum(aux),) + tuple(-e for e in reversed(aux)) + self.inner.key(mono[self.naux:])
 
     def _signature(self):
         return (self.name, self.naux, self.inner._signature())
@@ -170,7 +166,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order."""
 
-    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer")
+    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard")
 
     def __init__(self, p, variables, order="grevlex"):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -192,6 +188,7 @@ class PolynomialRing:
         self._zero = None
         self._one = None
         self._packer = struct.Struct(f"<{len(variables)}Q")
+        self.guard = self.pack((MAX_EXPONENT + 1,) * len(variables))
 
     @property
     def p(self) -> int:
@@ -251,7 +248,10 @@ class PolynomialRing:
         """The monomial as one int: variable i in bits 64i..64i+63.
 
         Every exponent is at most MAX_EXPONENT, so the top bit of each field
-        is clear and can serve as a guard bit.
+        is clear and can serve as a guard bit; `guard` has all of them set.
+        A sum of two packed monomials sets a guard bit exactly where its
+        exponent overflows, and x^a divides x^b exactly when every field of
+        (b | guard) - a keeps its guard bit.
         """
         return int.from_bytes(self._packer.pack(*mono), "little")
 
@@ -450,14 +450,6 @@ class Polynomial:
             if k:
                 sq = sq * sq
         return result
-
-    def monic(self) -> "Polynomial":
-        if not self.coeffs:
-            return self
-        _, lc = self.leading()
-        if lc == 1:
-            return self
-        return self * self.ring.field.inv(lc)
 
     # -- comparisons / printing ---------------------------------------------
 

@@ -5,6 +5,10 @@ Each entry is spec text (single source of truth for API and CLI tests) plus
 per-instance knobs for the heavier checks.
 """
 
+import os
+from pathlib import Path
+
+import frobvol
 from frobvol.cli import parse_spec
 
 CORPUS = {
@@ -82,3 +86,11 @@ def load(name: str):
 
 def all_specs():
     return {name: load(name) for name in sorted(CORPUS)}
+
+
+def child_env(**extra) -> dict:
+    """Environment for a `python -m frobvol` child process that imports the
+    same package as the tests, installed or not."""
+    src = str(Path(frobvol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

@@ -5,7 +5,6 @@ lines. All comparisons are exact (integers / fractions), zero tolerance.
 """
 
 import functools
-import os
 import random
 import subprocess
 import sys
@@ -283,7 +282,7 @@ def test_criterion_7_determinism():
             spec_file.write_text(corpus.CORPUS[name])
             runs = []
             for seed in ("0", "1"):
-                env = dict(os.environ, PYTHONHASHSEED=seed)
+                env = corpus.child_env(PYTHONHASHSEED=seed)
                 proc = subprocess.run(
                     [sys.executable, "-m", "frobvol.cli", *args, str(spec_file)],
                     capture_output=True, env=env, timeout=120,

@@ -230,7 +230,7 @@ def test_cli_module_entry_point(tmp_path):
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; e: 1..2")
     proc = subprocess.run(
         [sys.executable, "-m", "frobvol", "volume", str(spec_file)],
-        capture_output=True, timeout=60,
+        capture_output=True, timeout=60, env=corpus.child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "volume"

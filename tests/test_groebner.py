@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobvol.errors import (
     BadInputError,
@@ -29,7 +29,7 @@ from frobvol.groebner import (
     radical_membership,
     standard_monomial_count,
 )
-from frobvol.ring import MAX_EXPONENT, PolynomialRing
+from frobvol.ring import MAX_EXPONENT, PolynomialRing, mono_divides
 from oracles import brute_force_ell, la_membership, random_poly, staircase_count_brute
 
 
@@ -62,14 +62,14 @@ def test_buchberger_is_deterministic(R5):
 
 
 def _spoly(f, g):
-    from frobvol.ring import mono_div, mono_lcm
+    from frobvol.ring import mono_lcm
 
     lm_f, lc_f = f.leading()
     lm_g, lc_g = g.leading()
     lcm = mono_lcm(lm_f, lm_g)
     ring = f.ring
-    mf = ring.monomial(mono_div(lcm, lm_f), ring.field.inv(lc_f))
-    mg = ring.monomial(mono_div(lcm, lm_g), ring.field.inv(lc_g))
+    mf = ring.monomial([a - b for a, b in zip(lcm, lm_f)], ring.field.inv(lc_f))
+    mg = ring.monomial([a - b for a, b in zip(lcm, lm_g)], ring.field.inv(lc_g))
     return mf * f - mg * g
 
 
@@ -115,6 +115,73 @@ def test_normal_form_idempotent():
         f = random_poly(ring, rng, max_degree=5)
         r = gb.reduce(f)
         assert gb.reduce(r) == r
+
+
+@st.composite
+def division_cases(draw):
+    """(basis, f) over F_p, p in {2,3,5,7}, in 2 or 3 variables under grevlex:
+    a non-monomial reduced basis, either a bracket power of a monomial ideal
+    modulo y^2-x^3 or the basis of random polynomials, and f of total degree
+    at most 6, so that the linear-algebra oracle stays small."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    mono = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 6)
+
+    def poly(max_size):
+        terms = draw(st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=max_size))
+        return R.from_dict(terms)
+
+    if draw(st.booleans()):
+        J = Ideal(R, [R.monomial(m) for m in draw(st.lists(mono, min_size=1, max_size=3))])
+        pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")]))
+        basis = frobenius_basis(J, p ** draw(st.integers(0, 1)), pres)
+    else:
+        basis = groebner_basis(Ideal(R, [poly(3) for _ in range(draw(st.integers(1, 3)))]))
+    assume(not basis.is_monomial)
+    return basis, poly(6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(division_cases())
+def test_reduce_gives_the_normal_form(case):
+    """The remainder has no term in the leading ideal, and f - r lies in the
+    ideal by a degree-bounded linear-algebra certificate."""
+    basis, f = case
+    r = basis.reduce(f)
+    assert not any(mono_divides(lm, m) for lm in basis.leading_monomials for m in r.coeffs)
+    assert la_membership(f - r, basis.polys, f.total_degree())
+
+
+def test_reduce_large_power_modulo_quotient_bracket_power():
+    """A 2,988-term power over F_7 modulo (x,y)^[49] + (y^2-x^3). The value
+    agrees with sympy's `reduced`, which takes seconds on it."""
+    R = PolynomialRing(7, ["x", "y"])
+    pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")]))
+    basis = frobenius_basis(Ideal(R, list(R.gens())), 49, pres)
+    g = R.poly("x+2*y+x^2+3*x*y+y^2")
+    f = g ** 48
+    assert len(f.coeffs) == 2988
+    expected = R.poly("y^32+5*x^2*y^31")
+    assert basis.reduce(f) == expected
+    assert basis.reduce_products([g ** 47], [g]) == (expected,)
+
+
+def test_division_and_s_polynomial_exponent_overflow():
+    """Over F_3 with M = 2^63-1, packed sums that pass M raise instead of
+    setting a guard bit that later steps would misread: a division step that
+    shifts the tail x^2 of y^5-x^2 by x^(M-1), and S-polynomials whose
+    shifted tails pass M."""
+    R = PolynomialRing(3, ["x", "y"])
+    M = MAX_EXPONENT
+    y5 = R.poly("y^5-x^2")
+    with pytest.raises(ExponentOverflowError, match="division step"):
+        groebner_basis(Ideal(R, [y5])).reduce(R.monomial((M - 1, 5)))
+    with pytest.raises(ExponentOverflowError):
+        buchberger([R.monomial((M - 1, 0)) + R.poly("y"), R.poly("x*y^3+x^3")])
+    # the pair (y^5-x^2, x^(M-1)*y) has lcm x^(M-1)*y^5, so the tail x^2 lands on x^(M+1)
+    with pytest.raises(ExponentOverflowError, match="S-polynomial"):
+        buchberger([y5, R.monomial((M - 1, 1))])
 
 
 def test_ideal_contains_examples(R2):

@@ -15,24 +15,30 @@ from frobvol.ring import PolynomialRing
 from oracles import random_poly
 
 
-def _sympy_reduced_basis(polys, ring, order):
+def _symbols(ring):
     xs = sympy.symbols(" ".join(ring.variables))
-    if ring.nvars == 1:
-        xs = (xs,)
-    exprs = []
-    for f in polys:
-        expr = 0
-        for mono, c in f.coeffs.items():
-            term = sympy.Integer(c)
-            for v, e in zip(xs, mono):
-                term *= v**e
-            expr += term
-        exprs.append(expr)
-    gb = sympy.groebner(exprs, *xs, modulus=ring.p, order=order)
-    out = set()
-    for g in gb.polys:
-        out.add(frozenset((m, int(c) % ring.p) for m, c in g.terms()))
-    return out
+    return (xs,) if ring.nvars == 1 else xs
+
+
+def _to_sympy(f, xs):
+    expr = 0
+    for mono, c in f.coeffs.items():
+        term = sympy.Integer(c)
+        for v, e in zip(xs, mono):
+            term *= v**e
+        expr += term
+    return expr
+
+
+def _terms(g, ring):
+    """The terms of a sympy Poly over F_p, with coefficients in [0, p)."""
+    return frozenset((m, int(c) % ring.p) for m, c in g.terms() if int(c) % ring.p)
+
+
+def _sympy_reduced_basis(polys, ring, order):
+    xs = _symbols(ring)
+    gb = sympy.groebner([_to_sympy(f, xs) for f in polys], *xs, modulus=ring.p, order=order)
+    return {_terms(g, ring) for g in gb.polys}
 
 
 def _frobvol_basis_set(polys, ring):
@@ -48,6 +54,26 @@ def test_reduced_basis_matches_sympy(p, order):
         for _ in range(6):
             gens = [random_poly(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
             assert _frobvol_basis_set(gens, ring) == _sympy_reduced_basis(gens, ring, order)
+
+
+@pytest.mark.parametrize("p,order", [(2, "grevlex"), (5, "grevlex"), (3, "lex"), (7, "lex")])
+def test_remainders_match_sympy(p, order):
+    """The remainder on division by a reduced basis is unique, so `reduce`
+    must match sympy's `reduced` against sympy's own basis term for term."""
+    rng = random.Random(2000 + p + len(order))
+    for nvars in (2, 3):
+        ring = PolynomialRing(p, ["x", "y", "z"][:nvars], order)
+        xs = _symbols(ring)
+        for _ in range(6):
+            gens = [random_poly(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
+            gb = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, modulus=ring.p, order=order)
+            ours = buchberger(gens, ring)
+            for _ in range(3):
+                f = random_poly(ring, rng, 6, 6)
+                _, r = sympy.reduced(_to_sympy(f, xs), list(gb.exprs), *xs,
+                                     modulus=ring.p, order=order)
+                expected = _terms(sympy.Poly(r, *xs, modulus=ring.p), ring)
+                assert frozenset(ours.reduce(f).coeffs.items()) == expected
 
 
 def test_named_cases_match_sympy():

@@ -24,7 +24,6 @@ from frobvol.groebner import (
 from frobvol.regions import (
     BoxRegion,
     BudgetCounter,
-    DownSet,
     IdealSequence,
     PFamily,
     ScaledPointSet,
@@ -40,7 +39,6 @@ from frobvol.regions import (
     escape_set,
     escapes,
     fill_refinement,
-    positive_point_count,
     region_volume,
     scaled_points,
     staircase_svg,
@@ -94,9 +92,9 @@ def test_escape_set_counts(worked, R2):
 
 def test_positive_counts(worked):
     _, fam, seq_f, seq_g = worked
-    assert positive_point_count(escape_set(seq_g, fam, 1)) == 0
-    assert positive_point_count(escape_set(seq_g, fam, 2)) == 5
-    assert positive_point_count(escape_set(seq_f, fam, 2)) == 3
+    assert escape_set(seq_g, fam, 1).positive_size == 0
+    assert escape_set(seq_g, fam, 2).positive_size == 5
+    assert escape_set(seq_f, fam, 2).positive_size == 3
 
 
 def test_escape_set_matches_bruteforce(worked):
@@ -264,8 +262,10 @@ def test_box_region_volumes(worked, R2):
     assert region_volume(empty) == 0
 
 
-def test_downset_from_max_points():
-    ds = DownSet.from_max_points(2, 1, 2, [(1, 3), (3, 1)])
+def test_downset_from_max_points(worked):
+    _, fam, _, seq_g = worked
+    ds = escape_set(seq_g, fam, 2)
+    assert ds.max_points == ((1, 3), (3, 1))
     assert ds.size == 12
     assert ds.positive_size == 5
     assert (0, 3) in ds and (2, 2) not in ds

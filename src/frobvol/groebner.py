@@ -5,22 +5,18 @@ Frobenius powers, sums/products/powers/intersections, radical membership,
 staircase counting and combinatorial Krull dimension. Completed bases are
 immutable; reduction against a shared basis is pure.
 
-Division works on monomials packed by `PolynomialRing.pack` (Monagan and
-Pearce, CASC 2007). Every basis keeps its leading monomials and tails packed,
-and `_divide` is the one division loop: it serves `GroebnerBasis.reduce`,
+Polynomials key their terms on monomials packed by `PolynomialRing.pack`
+(Monagan and Pearce, CASC 2007), so every routine here works on them as they
+are. `_divide` is the one division loop: it serves `GroebnerBasis.reduce`,
 the S-polynomials and tail reduction of `buchberger`, and the product
 kernel. Divisibility and overflow are read off the guard bits of the packed
 fields, and the largest remaining term comes off a heap of order keys.
 
-`GroebnerBasis.products` is the product kernel of every membership probe
-and every power: the distinct nonzero normal forms of all pairwise products
-of two packed operand lists. On a monomial basis it multiplies and
+`GroebnerBasis.reduce_products` is the product kernel of every membership
+probe and every power: the distinct nonzero normal forms of all pairwise
+products of two polynomial lists. On a monomial basis it multiplies and
 truncates in one pass, so no term inside the ideal is ever stored; on any
-other basis it forms each full product and hands it to `_divide`. Operands
-stay packed from one kernel call to the next: `PowerTable` stores its powers
-packed, and escape-set probes chain prefix products without unpacking. Only
-`GroebnerBasis.reduce`, `reduce_products` (the kernel on polynomial lists)
-and `PowerTable.power` hand out `Polynomial`s.
+other basis it forms each full product and hands it to `_divide`.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -42,13 +38,11 @@ import itertools
 
 from .errors import BadInputError, ExponentOverflowError, RingMismatchError, SearchLimitError
 from .ring import (
-    MAX_EXPONENT,
     Polynomial,
     PolynomialRing,
     _fresh_aux_name,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -73,12 +67,6 @@ class Ideal:
                 kept.append(g)
         self.gens = tuple(kept)
         self._key = None
-
-    @classmethod
-    def of(cls, *gens):
-        if not gens:
-            raise BadInputError("need at least one generator expression")
-        return cls(gens[0].ring, gens)
 
     @property
     def is_zero(self) -> bool:
@@ -186,22 +174,19 @@ INFINITE_LENGTH = LengthValue(None)
 class GroebnerBasis:
     """A reduced, monic Groebner basis, sorted by leading monomial (ascending).
 
-    Alongside the polynomials it keeps their leading monomials and tails
-    packed by `PolynomialRing.pack`, the form `_divide` works on."""
+    Alongside the polynomials it keeps their packed leading monomials and
+    tails, the form `_divide` works on."""
 
-    __slots__ = ("ring", "polys", "leading_monomials", "is_monomial", "_lms", "_tails")
+    __slots__ = ("ring", "polys", "leading_monomials", "is_monomial", "_tails")
 
     def __init__(self, ring: PolynomialRing, polys):
         self.ring = ring
-        key = ring.order.key
-        polys = sorted(polys, key=lambda f: key(f.leading()[0]))
+        polys = sorted(polys, key=lambda f: ring.key(f.leading()[0]))
         self.polys = tuple(polys)
         self.leading_monomials = tuple(f.leading()[0] for f in polys)
         self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
-        pack = ring.pack
-        self._lms = tuple(pack(lm) for lm in self.leading_monomials)
         self._tails = tuple(
-            tuple((pack(m), c) for m, c in f.coeffs.items() if m != lm)
+            tuple((m, c) for m, c in f.coeffs.items() if m != lm)
             for f, lm in zip(polys, self.leading_monomials)
         )
 
@@ -222,72 +207,40 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if f.is_zero or not self.polys:
             return f
-        ring = self.ring
-        pack, unpack = ring.pack, ring.unpack
-        rem = _divide({pack(m): c for m, c in f.coeffs.items()}, self._lms, self._tails, ring)
-        return Polynomial(ring, {unpack(m): c for m, c in rem})
+        rem = _divide(f.coeffs, self.leading_monomials, self._tails, self.ring)
+        return Polynomial(self.ring, dict(rem))
 
     def reduce_products(self, left, right) -> tuple:
         """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
-        first-seen order: `_dedup(self.reduce(u * v) ...)`."""
-        if not left or not right:
-            return ()
-        return self.polynomials(self.products(self.operands(left), self.operands(right)))
+        first-seen order: `_dedup(self.reduce(u * v) ...)`.
 
-    def operands(self, polys) -> tuple:
-        """The polynomials in the form `products` takes: each one a pair of
-        tuples, its monomials packed by `PolynomialRing.pack` and its
-        coefficients. Operands share most of their monomials, so each is
-        packed once, into one shared int."""
-        ring = self.ring
-        polys = tuple(polys)
-        if any(f.ring is not ring and f.ring != ring for f in polys):
-            raise RingMismatchError("polynomial from a different ring")
-        pack = ring.pack
-        packed = {m: pack(m) for m in {m for f in polys for m in f.coeffs}}
-        return tuple(
-            (tuple(packed[m] for m in f.coeffs), tuple(f.coeffs.values())) for f in polys
-        )
-
-    def polynomials(self, operands) -> tuple:
-        """Inverse of `operands`; each distinct packed monomial is unpacked once."""
-        ring = self.ring
-        unpack = ring.unpack
-        names = {m: unpack(m) for m in {m for monos, _ in operands for m in monos}}
-        return tuple(
-            Polynomial(ring, {names[m]: c for m, c in zip(monos, coeffs)})
-            for monos, coeffs in operands
-        )
-
-    def products(self, left, right) -> tuple:
-        """`reduce_products` on operands in the form `operands` gives, with
-        the result in that form too, so products chain without repacking.
-
-        Every operand field holds at most MAX_EXPONENT, so a field of a packed
-        product sets its guard bit exactly when it overflows. On a monomial
-        basis the product and the reduction are fused: a term inside the
-        ideal is dropped as soon as it is formed. On any other basis the full
-        product goes to `_divide`.
+        Every monomial field holds at most MAX_EXPONENT, so a field of a
+        packed product sets its guard bit exactly when it overflows. On a
+        monomial basis the product and the reduction are fused: a term inside
+        the ideal is dropped as soon as it is formed. On any other basis the
+        full product goes to `_divide`.
         """
         if not left or not right:
             return ()
         ring = self.ring
+        if any(f.ring is not ring and f.ring != ring for f in (*left, *right)):
+            raise RingMismatchError("polynomial from a different ring")
         p, guard = ring.p, ring.guard
         if self.is_monomial:
-            cut = self._lms
+            cut = self.leading_monomials
             def finish(acc):
                 return [(m, c % p) for m, c in acc.items() if c % p]
         else:
             cut = ()
             def finish(acc):
-                return _divide(acc, self._lms, self._tails, ring)
+                return _divide(acc, self.leading_monomials, self._tails, ring)
         dead = {}  # packed monomial -> whether it lies in the ideal of `cut`
         found = {}
-        for umonos, ucoeffs in left:
-            for vmonos, vcoeffs in right:
+        for u in left:
+            for v in right:
                 acc = {}
-                for m1, c1 in zip(umonos, ucoeffs):
-                    for m2, c2 in zip(vmonos, vcoeffs):
+                for m1, c1 in u.coeffs.items():
+                    for m2, c2 in v.coeffs.items():
                         m = m1 + m2
                         if m in acc:
                             acc[m] += c1 * c2
@@ -303,21 +256,7 @@ class GroebnerBasis:
                 terms = finish(acc)
                 if terms:
                     found.setdefault(frozenset(terms), terms)
-        return tuple(tuple(zip(*terms)) for terms in found.values())
-
-    def frobenius_operands(self, operands, q: int) -> tuple:
-        """The image of `operands` under x_i -> x_i^q, as `Polynomial.frobenius`
-        gives it, raising `ExponentOverflowError` where it would."""
-        guard = self.ring.guard
-        # every field of m is at most MAX_EXPONENT // q iff no field of
-        # (limit | guard) - m borrows its guard bit; then m * q carries nowhere
-        limit = self.ring.pack((MAX_EXPONENT // q,) * self.ring.nvars) | guard
-        out = []
-        for monos, coeffs in operands:
-            if any((limit - m) & guard != guard for m in monos):
-                raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
-            out.append((tuple(m * q for m in monos), coeffs))
-        return tuple(out)
+        return tuple(Polynomial(ring, dict(terms)) for terms in found.values())
 
     def __iter__(self):
         return iter(self.polys)
@@ -341,11 +280,10 @@ def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
     2007): a step only adds monomials below the one it cancels, so a
     monomial never returns once it leaves the heap.
     """
-    p, guard = ring.p, ring.guard
-    okey, unpack = ring.order.key, ring.unpack
+    p, guard, key = ring.p, ring.guard, ring.key
 
     def entry(m):
-        return tuple([-k for k in okey(unpack(m))]), m
+        return tuple([-k for k in key(m)]), m
 
     work = dict(terms)
     heap = [entry(m) for m in work]
@@ -382,8 +320,8 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
 
     Deterministic: pairs are selected by smallest lcm in the ring order with
     ties broken by insertion index (normal strategy); coprime leading
-    monomials are skipped. The basis under construction is held packed, and
-    each S-polynomial is built from the packed tails of its pair.
+    monomials are skipped. Each S-polynomial is built from the tails of its
+    pair.
     """
     if isinstance(gens, Ideal):
         ring = gens.ring
@@ -395,7 +333,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
-    okey, pack, unpack = ring.order.key, ring.pack, ring.unpack
+    key, pack, unpack = ring.key, ring.pack, ring.unpack
     p, guard = ring.p, ring.guard
 
     lms: list[int] = []
@@ -403,21 +341,20 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     pairs: list[tuple] = []
 
     def push(terms):
-        """Add the polynomial of packed `terms`, leading term first."""
+        """Add the polynomial of `terms`, leading term first."""
         (lm, lc), *tail = terms
         inv = ring.field.inv(lc)
         lm_j = unpack(lm)
-        for i, lm_i in enumerate(map(unpack, lms)):
-            lcm = mono_lcm(lm_i, lm_j)
-            if lcm == mono_mul(lm_i, lm_j):
+        for i, lm_i in enumerate(lms):
+            lcm = pack(mono_lcm(unpack(lm_i), lm_j))
+            if lcm == lm_i + lm:
                 continue  # coprime leading terms: S-pair reduces to zero
-            heapq.heappush(pairs, (okey(lcm), i, len(lms), pack(lcm)))
+            heapq.heappush(pairs, (key(lcm), i, len(lms), lcm))
         lms.append(lm)
         tails.append(tuple((m, c * inv % p) for m, c in tail))
 
     for g in gens:
-        lm, lc = g.leading()
-        push([(pack(lm), lc)] + [(pack(m), c) for m, c in g.coeffs.items() if m != lm])
+        push(g.terms_desc())
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
@@ -439,10 +376,10 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
 
 def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
     """Minimalize and tail-reduce a monic Groebner generating set, given by
-    packed leading monomials and tails; returns the polynomials."""
-    okey, unpack, guard = ring.order.key, ring.unpack, ring.guard
+    leading monomials and tails; returns the polynomials."""
+    key, guard = ring.key, ring.guard
     minimal = []
-    for lm, tail in sorted(zip(lms, tails), key=lambda f: okey(unpack(f[0]))):
+    for lm, tail in sorted(zip(lms, tails), key=lambda f: key(f[0])):
         if not any(((lm | guard) - g) & guard == guard for g, _ in minimal):
             minimal.append((lm, tail))
     # tail reduction keeps every leading monomial, since none divides another
@@ -450,10 +387,7 @@ def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
     for i in range(len(minimal)):
         others = lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:]
         tails[i] = tuple(_divide(dict(tails[i]), *others, ring))
-    return [
-        Polynomial(ring, {unpack(lm): 1, **{unpack(m): c for m, c in tail}})
-        for lm, tail in zip(lms, tails)
-    ]
+    return [Polynomial(ring, dict([(lm, 1), *tail])) for lm, tail in zip(lms, tails)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +461,9 @@ def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) 
 class PowerTable:
     """Normal forms generating the powers I^k modulo the ideal of `basis`.
 
-    `pows` maps k to the deduplicated nonzero normal forms of I^k, held in
-    the basis's operand form (`GroebnerBasis.operands`), with `pows[0]` from
-    NF(1) and `pows[1]` from the generators; an empty tuple means the power
-    lies in the ideal (and every higher one does too).
+    `pows` maps k to the deduplicated nonzero normal forms of I^k, with
+    `pows[0]` from NF(1) and `pows[1]` from the generators; an empty tuple
+    means the power lies in the ideal (and every higher one does too).
     """
 
     __slots__ = ("ideal", "basis", "pows")
@@ -539,16 +472,12 @@ class PowerTable:
         self.ideal = I
         self.basis = basis
         self.pows = {
-            0: basis.operands(_dedup([basis.reduce(I.ring.one())])),
-            1: basis.operands(_dedup(basis.reduce(g) for g in I.gens)),
+            0: _dedup([basis.reduce(I.ring.one())]),
+            1: _dedup(basis.reduce(g) for g in I.gens),
         }
 
     def power(self, k: int) -> tuple:
-        """Normal forms generating I^k modulo the ideal of the basis."""
-        return self.basis.polynomials(self.operands(k))
-
-    def operands(self, k: int) -> tuple:
-        """`power(k)` in the basis's operand form, for `GroebnerBasis.products`.
+        """Normal forms generating I^k modulo the ideal of the basis.
 
         A one-generator ideal (f) with k >= p is built from its base-p
         digits: NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in
@@ -564,23 +493,24 @@ class PowerTable:
         basis = self.basis
         p = basis.ring.p
         if k >= p and self.ideal.num_gens == 1:
-            high = basis.frobenius_operands(self.operands(k // p), p)
-            pows[k] = self._settled(basis.products(high, self.operands(k % p)))
+            high = [f.frobenius(p) for f in self.power(k // p)]
+            pows[k] = self._settled(basis.reduce_products(high, self.power(k % p)))
             return pows[k]
         j = k - 1
         while j not in pows:
             j -= 1
         for j in range(j + 1, k + 1):
-            pows[j] = self._settled(basis.products(pows[j - 1], pows[1]))
+            pows[j] = self._settled(basis.reduce_products(pows[j - 1], pows[1]))
         return pows[k]
 
-    def _settled(self, operands) -> tuple:
-        """Operands to keep in the table. Each distinct packed monomial
+    def _settled(self, polys) -> tuple:
+        """Polynomials to keep in the table. Each distinct packed monomial
         becomes one int allocated here: the kernel's ints sit among its
         short-lived garbage, and a table that kept them would pin that
         memory for the life of the process."""
-        fresh = {m: m + 0 for m in {m for monos, _ in operands for m in monos}}
-        return tuple((tuple(fresh[m] for m in monos), coeffs) for monos, coeffs in operands)
+        fresh = {m: m + 0 for m in {m for f in polys for m in f.coeffs}}
+        ring = self.basis.ring
+        return tuple(Polynomial(ring, {fresh[m]: c for m, c in f.coeffs.items()}) for f in polys)
 
 
 @functools.cache
@@ -664,7 +594,9 @@ def ideal_intersection(A: Ideal, B: Ideal) -> Ideal:
     gens = [w * ring.inject(g, ext) for g in A.gens]
     gens += [(one - w) * ring.inject(g, ext) for g in B.gens]
     gb = buchberger(gens, ext)
-    kept = [ring.project(g, ext) for g in gb.polys if not any(m[0] for m in g.coeffs)]
+    kept = [
+        ring.project(g, ext) for g in gb.polys if not any(ext.unpack(m)[0] for m in g.coeffs)
+    ]
     return Ideal(ring, _dedup(kept))
 
 
@@ -694,7 +626,7 @@ def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | Non
     """Least k >= 1 with I^k contained in J, by incremental search up to `cap`."""
     table = power_table(I, groebner_basis(J, pres))
     for k in range(1, cap + 1):
-        if not table.operands(k):
+        if not table.power(k):
             return k
     raise SearchLimitError(
         f"no power of {I!r} landed in {J!r} within cap {cap}; raise the cap or fix the input"
@@ -745,7 +677,7 @@ def staircase_count_of(gb: GroebnerBasis) -> LengthValue:
     if gb.contains_one:
         return LengthValue(0)
     nvars = gb.ring.nvars
-    exps = _minimalize_monomials(list(gb.leading_monomials))
+    exps = _minimalize_monomials([gb.ring.unpack(m) for m in gb.leading_monomials])
     if not _staircase_is_finite(exps, nvars):
         return INFINITE_LENGTH
     return LengthValue(_staircase_count(exps, nvars))
@@ -760,7 +692,9 @@ def krull_dimension(J: Ideal, pres: QuotientPresentation | None = None) -> int:
     """dim R/(J + presentation): largest variable subset meeting no leading support."""
     gb = groebner_basis(J, pres)
     nvars = J.ring.nvars
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gb.leading_monomials]
+    supports = [
+        frozenset(i for i, e in enumerate(J.ring.unpack(m)) if e) for m in gb.leading_monomials
+    ]
     if any(not s for s in supports):
         return -1  # unit ideal: empty spectrum
     for size in range(nvars, -1, -1):

@@ -155,7 +155,7 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
 
     For a principal I = (f) each probed power is built from f's base-p
     digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal
-    (see `groebner.PowerTable.operands`), so a probe costs O(log_p k) products.
+    (see `groebner.PowerTable.power`), so a probe costs O(log_p k) products.
     """
     ds = escape_set(IdealSequence([I]), PFamily.frobenius(J), e, pres, budget)
     return NuValue(e, ds.max_points[0][0])
@@ -309,7 +309,7 @@ def fedder_criterion(f_seq, e: int) -> bool:
         prod = prod * f
     q = ring.p ** e
     m = Ideal(ring, ring.gens())
-    return bool(power_table(Ideal(ring, (prod,)), frobenius_basis(m, q)).operands(q - 1))
+    return bool(power_table(Ideal(ring, (prod,)), frobenius_basis(m, q)).power(q - 1))
 
 
 def is_parameter_sequence(f_seq, pres=None) -> bool:

@@ -263,12 +263,11 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     counter.charge()
-    # prefix products stay in the kernel's operand form between calls
-    acc = power_table(seq.entries[0], basis).operands(point[0])
+    acc = power_table(seq.entries[0], basis).power(point[0])
     for I, a in zip(seq.entries[1:], point[1:]):
         if not acc:
             return False
-        acc = basis.products(acc, power_table(I, basis).operands(a))
+        acc = basis.reduce_products(acc, power_table(I, basis).power(a))
     return bool(acc)
 
 
@@ -297,7 +296,7 @@ class DownSet:
 
     def points(self) -> list:
         """All points, sorted; intended for export and small-instance oracles."""
-        return sorted(_expand_down_set(self.max_points))
+        return list(_down_set_points(self.max_points))
 
     def is_empty(self) -> bool:
         return self.size == 0
@@ -319,11 +318,19 @@ class DownSet:
         )
 
 
-def _expand_down_set(max_points) -> set:
-    pts = set()
-    for mp in max_points:
-        pts.update(itertools.product(*(range(m + 1) for m in mp)))
-    return pts
+def _down_set_points(boxes, prefix=()):
+    """The points of the union of the boxes [0, m], one per corner m, in
+    sorted order, each after `prefix`. The points with first coordinate a
+    are a followed by the points of the boxes with m[0] >= a, less their
+    first coordinate, so no point is generated twice."""
+    if not boxes:
+        return
+    top = max(m[0] for m in boxes)
+    if len(boxes[0]) == 1:
+        yield from (prefix + (a,) for a in range(top + 1))
+        return
+    for a in range(top + 1):
+        yield from _down_set_points([m[1:] for m in boxes if m[0] >= a], prefix + (a,))
 
 
 def _antichain(points) -> tuple:
@@ -346,8 +353,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     so m is at most the row of every prefix one step lower on some axis, and
     the sweep has found those rows already: each search runs up to the least
     of them (the axis bound for the first row), testing that top first.
-    Prefix products stay in the kernel's operand form
-    (`GroebnerBasis.operands`) from one call to the next.
+    Each prefix product is formed once and reused by every probe below it.
     """
     check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
@@ -357,7 +363,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     bounds = axis_bounds(seq, fam, e, pres)
     rows: dict = {}
 
-    def last_max(prefix: tuple, prefix_ops) -> int:
+    def last_max(prefix: tuple, prefix_polys) -> int:
         hi = bounds[t - 1] - 1
         for i, a in enumerate(prefix):
             if a:
@@ -365,7 +371,7 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
 
         def member(m: int) -> bool:
             counter.charge()
-            return bool(basis.products(prefix_ops, powers[t - 1].operands(m)))
+            return bool(basis.reduce_products(prefix_polys, powers[t - 1].power(m)))
 
         if hi <= 0:
             return 0
@@ -380,20 +386,20 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
                 hi = mid
         return lo
 
-    def sweep(i: int, prefix: tuple, prefix_ops):
+    def sweep(i: int, prefix: tuple, prefix_polys):
         if i == t - 1:
-            rows[prefix] = last_max(prefix, prefix_ops)
+            rows[prefix] = last_max(prefix, prefix_polys)
             return
         a = 0
         while a < bounds[i]:
             counter.charge()
-            ops = basis.products(prefix_ops, powers[i].operands(a))
-            if not ops:
+            polys = basis.reduce_products(prefix_polys, powers[i].power(a))
+            if not polys:
                 break
-            sweep(i + 1, prefix + (a,), ops)
+            sweep(i + 1, prefix + (a,), polys)
             a += 1
 
-    sweep(0, (), powers[0].operands(0))
+    sweep(0, (), powers[0].power(0))
 
     size = sum(m + 1 for m in rows.values())
     positive = sum(
@@ -579,7 +585,7 @@ class BoxRegion:
     def positive_cube_count(self) -> int:
         """Number of unit cells with strictly positive upper corner inside the region."""
         if self._positive is None:
-            pts = _expand_down_set(self.corners)
+            pts = _down_set_points(self.corners)
             self._positive = sum(1 for a in pts if all(x >= 1 for x in a))
         return self._positive
 
@@ -602,20 +608,25 @@ def region_volume(region: BoxRegion) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def downset_csv(downsets) -> str:
-    """CSV with one lattice point per row. Columns: e, a1..at (exact integers)."""
+    """CSV with one lattice point per row. Columns: e, a1..at (exact integers).
+
+    The points of each level stream from its maximal points into one
+    string; no set of points is built."""
     if isinstance(downsets, DownSet):
         downsets = [downsets]
     downsets = list(downsets)
     if not downsets:
         raise BadInputError("nothing to export")
     t = downsets[0].dimension
-    lines = ["e," + ",".join(f"a{i + 1}" for i in range(t))]
+    parts = ["e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"]
     for ds in downsets:
         if ds.dimension != t:
             raise BadInputError("mixed dimensions in one CSV export")
-        for pt in ds.points():
-            lines.append(f"{ds.level}," + ",".join(str(x) for x in pt))
-    return "\n".join(lines) + "\n"
+        head = f"{ds.level},"
+        parts.append("".join(
+            head + ",".join(map(str, pt)) + "\n" for pt in _down_set_points(ds.max_points)
+        ))
+    return "".join(parts)
 
 
 def box_region_csv(regions) -> str:

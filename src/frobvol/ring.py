@@ -1,11 +1,15 @@
 """Exact arithmetic layer: prime fields, monomial orders, sparse polynomials.
 
-Monomials are plain tuples of nonnegative ints, one entry per ring variable;
-a polynomial is an immutable sparse map from monomial to nonzero coefficient
-in F_p. All values are hashable and safe to share once constructed.
-`PolynomialRing.pack`/`unpack` convert a monomial to and from one int with
-64 bits per variable, for kernels that work on packed exponents; order keys
-are flat int tuples, so a kernel can negate them for a min-heap.
+A polynomial is an immutable sparse map from monomial to nonzero coefficient
+in F_p. Each monomial is one int packed by `PolynomialRing.pack`, 64 bits per
+variable (Monagan and Pearce, CASC 2007): a product of monomials is a sum of
+ints, and overflow and divisibility are read off the guard bits of the
+fields. Exponent tuples appear only at the edges: `from_dict`, `monomial` and
+the parser take them, and printing goes through `PolynomialRing.unpack`.
+Monomial orders rank exponent tuples; `PolynomialRing.key` ranks a packed
+monomial by them. Order keys are flat int tuples, so a kernel can negate
+them for a min-heap. All values are hashable and safe to share once
+constructed.
 """
 
 from __future__ import annotations
@@ -205,16 +209,11 @@ class PolynomialRing:
 
     def one(self) -> "Polynomial":
         if self._one is None:
-            self._one = Polynomial(self, {(0,) * self.nvars: 1})
+            self._one = Polynomial(self, {0: 1})
         return self._one
 
     def gens(self) -> tuple:
-        out = []
-        for i in range(self.nvars):
-            exps = [0] * self.nvars
-            exps[i] = 1
-            out.append(Polynomial(self, {tuple(exps): 1}))
-        return tuple(out)
+        return tuple(Polynomial(self, {1 << 64 * i: 1}) for i in range(self.nvars))
 
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
         return self.from_dict({tuple(exps): coeff})
@@ -223,7 +222,8 @@ class PolynomialRing:
         return self.from_dict({(0,) * self.nvars: c})
 
     def from_dict(self, raw: dict) -> "Polynomial":
-        """Canonicalize a raw exponent->int map: reduce mod p, drop zeros."""
+        """Canonicalize a raw exponent-tuple -> int map: pack the monomials,
+        reduce mod p, drop zeros."""
         p = self.p
         out = {}
         for mono, c in raw.items():
@@ -234,6 +234,7 @@ class PolynomialRing:
                 raise ValueError(f"negative exponent in {mono}")
             if mono and max(mono) > MAX_EXPONENT:
                 raise ExponentOverflowError(f"exponent beyond 2^63-1 in {mono}")
+            mono = self.pack(mono)
             c %= p
             if c:
                 cur = out.get(mono, 0)
@@ -259,6 +260,10 @@ class PolynomialRing:
         """Inverse of `pack`."""
         return self._packer.unpack(packed.to_bytes(self._packer.size, "little"))
 
+    def key(self, packed: int) -> tuple:
+        """Order key of a packed monomial; larger key means larger monomial."""
+        return self.order.key(self.unpack(packed))
+
     def poly(self, text: str, line: int = 1, column: int = 1) -> "Polynomial":
         return parse_polynomial(text, self, line=line, column=column)
 
@@ -275,19 +280,20 @@ class PolynomialRing:
         )
 
     def inject(self, f: "Polynomial", extended: "PolynomialRing") -> "Polynomial":
-        """Image of f in `extended` (extra leading variables set to exponent 0)."""
-        pad = extended.nvars - self.nvars
-        return Polynomial(extended, {(0,) * pad + m: c for m, c in f.coeffs.items()})
+        """Image of f in `extended` (extra leading variables set to exponent 0).
+
+        The auxiliary variables come first, so they take the low fields and
+        every monomial of f shifts up by 64 bits per auxiliary variable."""
+        shift = 64 * (extended.nvars - self.nvars)
+        return Polynomial(extended, {m << shift: c for m, c in f.coeffs.items()})
 
     def project(self, f: "Polynomial", extended: "PolynomialRing") -> "Polynomial":
         """Preimage of an auxiliary-free polynomial of `extended` in this ring."""
-        pad = extended.nvars - self.nvars
-        out = {}
-        for m, c in f.coeffs.items():
-            if any(m[:pad]):
-                raise ValueError("polynomial involves auxiliary variables")
-            out[m[pad:]] = c
-        return Polynomial(self, out)
+        shift = 64 * (extended.nvars - self.nvars)
+        aux = (1 << shift) - 1
+        if any(m & aux for m in f.coeffs):
+            raise ValueError("polynomial involves auxiliary variables")
+        return Polynomial(self, {m >> shift: c for m, c in f.coeffs.items()})
 
     def __eq__(self, other):
         return (
@@ -316,9 +322,9 @@ def _fresh_aux_name(ring: PolynomialRing, base: str = "w") -> str:
 class Polynomial:
     """Immutable sparse polynomial over a PolynomialRing.
 
-    `coeffs` maps exponent tuples to nonzero ints in [1, p); construction via
-    `PolynomialRing.from_dict` canonicalizes, the constructor itself trusts
-    its input.
+    `coeffs` maps monomials packed by `PolynomialRing.pack` to nonzero ints
+    in [1, p); construction via `PolynomialRing.from_dict` canonicalizes, the
+    constructor itself trusts its input.
     """
 
     __slots__ = ("ring", "coeffs", "_hash")
@@ -335,25 +341,21 @@ class Polynomial:
         return not self.coeffs
 
     def terms_desc(self) -> list:
-        """Terms as (monomial, coeff), descending in the ring's order."""
-        key = self.ring.order.key
+        """Terms as (packed monomial, coeff), descending in the ring's order."""
+        key = self.ring.key
         return sorted(self.coeffs.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading(self) -> tuple:
-        """(monomial, coeff) of the leading term; undefined on zero."""
+        """(packed monomial, coeff) of the leading term; undefined on zero."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading term")
-        key = self.ring.order.key
-        m = max(self.coeffs, key=key)
+        m = max(self.coeffs, key=self.ring.key)
         return m, self.coeffs[m]
-
-    def _max_exponent(self) -> int:
-        return max((max(m) for m in self.coeffs), default=0)
 
     def total_degree(self) -> int:
         if not self.coeffs:
             return -1
-        return max(sum(m) for m in self.coeffs)
+        return max(sum(self.ring.unpack(m)) for m in self.coeffs)
 
     def key(self) -> tuple:
         """Canonical hashable content key (monomials sorted ascending)."""
@@ -408,15 +410,16 @@ class Polynomial:
         self._check_ring(other)
         if not self.coeffs or not other.coeffs:
             return self.ring.zero()
-        p = self.ring.p
-        checked = self._max_exponent() + other._max_exponent() > MAX_EXPONENT
+        p, guard = self.ring.p, self.ring.guard
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                if checked and max(m) > MAX_EXPONENT:
-                    raise ExponentOverflowError(f"exponent beyond 2^63-1 in {m}")
+                m = m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
+        # fields hold at most MAX_EXPONENT, so a sum sets a guard bit exactly
+        # where it overflows and never carries into the next field
+        if any(m & guard for m in out):
+            raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
         return Polynomial(self.ring, {m: v % p for m, v in out.items() if v % p})
 
     __rmul__ = __mul__
@@ -425,9 +428,13 @@ class Polynomial:
         """Image under x_i -> x_i^q; equals self**q when q is a power of p."""
         if q == 1:
             return self
-        if self._max_exponent() * q > MAX_EXPONENT:
+        ring = self.ring
+        # every field of m is at most MAX_EXPONENT // q iff no field of
+        # (limit | guard) - m borrows its guard bit; then m * q carries nowhere
+        limit = ring.pack((MAX_EXPONENT // q,) * ring.nvars) | ring.guard
+        if any((limit - m) & ring.guard != ring.guard for m in self.coeffs):
             raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
-        return Polynomial(self.ring, {tuple(e * q for e in m): c for m, c in self.coeffs.items()})
+        return Polynomial(ring, {m * q: c for m, c in self.coeffs.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -471,9 +478,10 @@ class Polynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        names = self.ring.variables
+        names, unpack = self.ring.variables, self.ring.unpack
         parts = []
         for mono, c in self.terms_desc():
+            mono = unpack(mono)
             factors = []
             if c != 1 or not any(mono):
                 factors.append(str(c))

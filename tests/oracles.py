@@ -20,6 +20,11 @@ from frobvol.groebner import (
 from frobvol.ring import mono_divides
 
 
+def exponents(f) -> dict:
+    """The terms of f keyed on exponent tuples instead of packed monomials."""
+    return {f.ring.unpack(m): c for m, c in f.coeffs.items()}
+
+
 def monomials_up_to(nvars: int, degree: int):
     """All exponent tuples with total degree <= degree, sorted."""
 
@@ -48,7 +53,7 @@ def la_membership(f, gens, degree_bound: int) -> bool:
         gdeg = g.total_degree()
         for shift in monomials_up_to(ring.nvars, degree_bound - gdeg):
             col = {}
-            for m, c in g.coeffs.items():
+            for m, c in exponents(g).items():
                 mm = tuple(a + b for a, b in zip(m, shift))
                 if sum(mm) > degree_bound:
                     col = None
@@ -57,7 +62,7 @@ def la_membership(f, gens, degree_bound: int) -> bool:
             if col:
                 columns.append(col)
     target = {}
-    for m, c in f.coeffs.items():
+    for m, c in exponents(f).items():
         if sum(m) > degree_bound:
             return False
         target[row_index[m]] = c
@@ -138,7 +143,7 @@ def staircase_count_brute(J: Ideal, pres=None):
     if gb.contains_one:
         return 0
     nvars = J.ring.nvars
-    lms = list(gb.leading_monomials)
+    lms = [J.ring.unpack(m) for m in gb.leading_monomials]
     box = []
     for i in range(nvars):
         pures = [
@@ -187,7 +192,7 @@ def random_poly(ring, rng, max_degree=3, max_terms=3, no_constant=False):
                 exps[rng.randrange(ring.nvars)] += 1
             raw[tuple(exps)] = rng.randint(1, ring.p - 1)
         f = ring.from_dict(raw)
-        if not f.is_zero and not (no_constant and any(not any(m) for m in f.coeffs)):
+        if not f.is_zero and not (no_constant and any(not any(m) for m in exponents(f))):
             return f
 
 

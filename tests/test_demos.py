@@ -1,0 +1,27 @@
+"""Every demo script runs to completion in a fresh interpreter."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from corpus import child_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_four_demos_are_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script):
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

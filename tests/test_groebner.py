@@ -30,7 +30,13 @@ from frobvol.groebner import (
     standard_monomial_count,
 )
 from frobvol.ring import MAX_EXPONENT, PolynomialRing, mono_divides
-from oracles import brute_force_ell, la_membership, random_poly, staircase_count_brute
+from oracles import (
+    brute_force_ell,
+    exponents,
+    la_membership,
+    random_poly,
+    staircase_count_brute,
+)
 
 
 @pytest.fixture
@@ -64,10 +70,11 @@ def test_buchberger_is_deterministic(R5):
 def _spoly(f, g):
     from frobvol.ring import mono_lcm
 
+    ring = f.ring
     lm_f, lc_f = f.leading()
     lm_g, lc_g = g.leading()
+    lm_f, lm_g = ring.unpack(lm_f), ring.unpack(lm_g)
     lcm = mono_lcm(lm_f, lm_g)
-    ring = f.ring
     mf = ring.monomial([a - b for a, b in zip(lcm, lm_f)], ring.field.inv(lc_f))
     mg = ring.monomial([a - b for a, b in zip(lcm, lm_g)], ring.field.inv(lc_g))
     return mf * f - mg * g
@@ -83,10 +90,10 @@ def test_buchberger_reduced_invariants():
             # monic, pairwise reduced, gens contained
             for i, g in enumerate(gb.polys):
                 assert g.leading()[1] == 1
-                for m in g.coeffs:
+                for m in exponents(g):
                     divisors = [
                         h for j, h in enumerate(gb.polys)
-                        if j != i and all(a <= b for a, b in zip(h.leading()[0], m))
+                        if j != i and all(a <= b for a, b in zip(ring.unpack(h.leading()[0]), m))
                     ]
                     assert not divisors
             for g in gens:
@@ -149,7 +156,8 @@ def test_reduce_gives_the_normal_form(case):
     ideal by a degree-bounded linear-algebra certificate."""
     basis, f = case
     r = basis.reduce(f)
-    assert not any(mono_divides(lm, m) for lm in basis.leading_monomials for m in r.coeffs)
+    lms = [basis.ring.unpack(lm) for lm in basis.leading_monomials]
+    assert not any(mono_divides(lm, m) for lm in lms for m in exponents(r))
     assert la_membership(f - r, basis.polys, f.total_degree())
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from frobvol.groebner import (
 from frobvol.regions import (
     BoxRegion,
     BudgetCounter,
+    DownSet,
     IdealSequence,
     PFamily,
     ScaledPointSet,
@@ -49,6 +51,7 @@ from frobvol.ring import PolynomialRing
 from oracles import (
     brute_force_escape_points,
     downset_size_inclusion_exclusion,
+    exponents,
     monomial_escape_rows,
     rows_summary,
 )
@@ -269,6 +272,21 @@ def test_downset_from_max_points(worked):
     assert ds.size == 12
     assert ds.positive_size == 5
     assert (0, 3) in ds and (2, 2) not in ds
+
+
+def test_down_set_points_are_the_sorted_union_of_boxes():
+    """Points stream from the maximal points in sorted order, each once,
+    also where one box contains another."""
+    rng = random.Random(23)
+    for t in (1, 2, 3):
+        for _ in range(20):
+            corners = [tuple(rng.randint(0, 4) for _ in range(t)) for _ in range(rng.randint(1, 4))]
+            union = set()
+            for m in corners:
+                union.update(itertools.product(*(range(v + 1) for v in m)))
+            assert DownSet(t, 1, 2, corners, len(union), 0).points() == sorted(union)
+            positive = sum(1 for pt in union if min(pt) >= 1)
+            assert BoxRegion(t, 1, 2, corners).positive_cube_count() == positive
 
 
 def test_axis_bounds(worked, R2):
@@ -559,7 +577,7 @@ def test_escape_set_matches_closed_form_at_high_levels(p, e, entries, J):
     ds = escape_set(seq, fam, e)
 
     def exponent(text):
-        (mono,) = R.poly(text).coeffs
+        (mono,) = exponents(R.poly(text))
         return mono
 
     rows = monomial_escape_rows([exponent(g) for g in entries], [exponent(g) for g in J], p ** e)

@@ -9,6 +9,7 @@ from frobvol.errors import (
     RingMismatchError,
 )
 from frobvol.ring import (
+    MAX_EXPONENT,
     EliminationOrder,
     GRevLex,
     Lex,
@@ -121,8 +122,8 @@ def test_grevlex_vs_lex_disagree():
     ring_l = PolynomialRing(2, ["x", "y"], "lex")
     f_g = ring_g.poly("x + y^2")
     f_l = ring_l.poly("x + y^2")
-    assert f_g.leading()[0] == (0, 2)  # degree wins
-    assert f_l.leading()[0] == (1, 0)  # x block wins
+    assert ring_g.unpack(f_g.leading()[0]) == (0, 2)  # degree wins
+    assert ring_l.unpack(f_l.leading()[0]) == (1, 0)  # x block wins
 
 
 def test_elimination_order_dominates():
@@ -172,6 +173,28 @@ def test_exponent_overflow(R2):
     with pytest.raises(ExponentOverflowError):
         _ = big.frobenius(4)
     assert (big * x).coeffs  # one step below the limit still fine
+    # over F_3, y^c cubed fits exactly when 3c <= MAX_EXPONENT, by
+    # multiplication and by Frobenius; past it both raise instead of
+    # carrying out of the packed y field
+    R3 = PolynomialRing(3, ["x", "y"])
+    c = MAX_EXPONENT // 3
+    f = R3.monomial((1, c))
+    assert f * f * f == f.frobenius(3) == R3.monomial((3, 3 * c))
+    g = R3.monomial((1, c + 1))
+    with pytest.raises(ExponentOverflowError):
+        _ = g * g * g
+    with pytest.raises(ExponentOverflowError):
+        _ = g.frobenius(3)
+
+
+def test_inject_project_round_trip(R5):
+    ext = R5.extended(("w",))
+    f = R5.poly("3*x^2*y + 4*y + 2")
+    g = R5.inject(f, ext)
+    assert g == ext.poly("3*x^2*y + 4*y + 2")
+    assert R5.project(g, ext) == f
+    with pytest.raises(ValueError, match="auxiliary"):
+        R5.project(g + ext.poly("w*x"), ext)
 
 
 def test_ring_mismatch(R2, R5):
@@ -181,4 +204,4 @@ def test_ring_mismatch(R2, R5):
 
 def test_monomial_order_default_is_grevlex(R2):
     f = R2.poly("x*y + x^2 + y^3")
-    assert [m for m, _ in f.terms_desc()] == [(0, 3), (2, 0), (1, 1)]
+    assert [R2.unpack(m) for m, _ in f.terms_desc()] == [(0, 3), (2, 0), (1, 1)]

@@ -15,7 +15,6 @@ from frobvol import (
     PFamily,
     PolynomialRing,
     border_points,
-    box_region,
     covering_sets,
     escape_set,
     scaled_points,
@@ -49,6 +48,5 @@ outside_interior = [pt for pt in fine.points() if pt not in R_set.points]
 print(f"{len(outside_interior)} of {fine.size} refined points need the border cover")
 
 out = Path(__file__).with_name("staircases.svg")
-regions = [box_region(escape_set(seq, fam, e)) for e in (1, 2, 3)]
-out.write_text(staircase_svg(regions))
+out.write_text(staircase_svg([escape_set(seq, fam, e) for e in (1, 2, 3)]))
 print(f"wrote overlaid staircase outlines for e = 1, 2, 3 to {out.name}")

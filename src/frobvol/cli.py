@@ -62,7 +62,6 @@ from .regions import (
     DEFAULT_BUDGET,
     IdealSequence,
     PFamily,
-    box_region,
     check_hypothesis,
     downset_csv,
     escape_set,
@@ -475,10 +474,8 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         seq = spec.sequence()
         fam = spec.family()
         counter = BudgetCounter(spec.budget)
-        regions = [
-            box_region(escape_set(seq, fam, e, pres, counter)) for e in spec.levels()
-        ]
-        return staircase_svg(regions), 0
+        downsets = [escape_set(seq, fam, e, pres, counter) for e in spec.levels()]
+        return staircase_svg(downsets), 0
 
     raise BadInputError(f"unknown command {command!r}")
 

@@ -4,8 +4,11 @@ For a sequence of ideals I_1, ..., I_t and a p-family of reference ideals,
 the level-e escape set is the set of exponent tuples a in N^t whose product
 ideal I_1^{a_1} * ... * I_t^{a_t} is NOT contained in the level ideal. It is
 a finite down-set; everything here (enumeration, borders, refinement fills,
-covering sets, box regions) manipulates such sets exactly, with integer
+covering sets, volumes, exports) manipulates such sets exactly, with integer
 numerators over a power-of-p denominator. No floating point anywhere.
+
+A `DownSet` holds a down-set by its maximal points a; scaled by 1/p^e it is
+the paper's box region, the union of the boxes [0, a/p^e].
 """
 
 from __future__ import annotations
@@ -234,7 +237,6 @@ def check_hypothesis(seq: IdealSequence, fam: PFamily, pres=None):
                 )
 
 
-@functools.cache
 def containment_exponents(seq: IdealSequence, fam: PFamily, pres=None) -> tuple:
     """Per-entry least l with I_n^l inside J_{p^0}; drives all finiteness bounds."""
     J0 = fam.base_level()
@@ -570,58 +572,47 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
 # Box regions and volumes
 # ---------------------------------------------------------------------------
 
-class BoxRegion:
-    """Union of boxes [0, a_1/p^e] x ... x [0, a_t/p^e] over corner points a."""
-
-    __slots__ = ("dimension", "level", "p", "corners", "_positive")
-
-    def __init__(self, dimension, level, p, corners, positive=None):
-        self.dimension = dimension
-        self.level = level
-        self.p = p
-        self.corners = tuple(sorted(_antichain(corners)))
-        self._positive = positive
-
-    def positive_cube_count(self) -> int:
-        """Number of unit cells with strictly positive upper corner inside the region."""
-        if self._positive is None:
-            pts = _down_set_points(self.corners)
-            self._positive = sum(1 for a in pts if all(x >= 1 for x in a))
-        return self._positive
-
-    def __repr__(self):
-        return f"BoxRegion(t={self.dimension}, e={self.level}, corners={list(self.corners)})"
+def box_region(dimension, level, p, corners) -> DownSet:
+    """The down-set the corners generate: the union of the boxes [0, a] over
+    the corners a, counted by streaming its points (no set is built)."""
+    max_points = _antichain(corners)
+    size = positive = 0
+    for a in _down_set_points(max_points):
+        size += 1
+        positive += 0 not in a
+    return DownSet(dimension, level, p, max_points, size, positive)
 
 
-def box_region(ds: DownSet) -> BoxRegion:
-    return BoxRegion(ds.dimension, ds.level, ds.p, ds.max_points, ds.positive_size)
-
-
-def region_volume(region: BoxRegion) -> Fraction:
-    """Exact volume by cube counting: cells/(p^e)^t, never floating point."""
-    denom = (region.p ** region.level) ** region.dimension
-    return Fraction(region.positive_cube_count(), denom)
+def region_volume(ds: DownSet) -> Fraction:
+    """Exact volume of the box region by cube counting: positive_size/(p^e)^t,
+    never floating point."""
+    denom = (ds.p ** ds.level) ** ds.dimension
+    return Fraction(ds.positive_size, denom)
 
 
 # ---------------------------------------------------------------------------
 # Exports: CSV and SVG staircases
 # ---------------------------------------------------------------------------
 
+def _export_list(downsets) -> list:
+    """One down-set or several, as a nonempty list of one dimension."""
+    downsets = [downsets] if isinstance(downsets, DownSet) else list(downsets)
+    if not downsets:
+        raise BadInputError("nothing to export")
+    if any(ds.dimension != downsets[0].dimension for ds in downsets):
+        raise BadInputError("mixed dimensions in one export")
+    return downsets
+
+
 def downset_csv(downsets) -> str:
     """CSV with one lattice point per row. Columns: e, a1..at (exact integers).
 
     The points of each level stream from its maximal points into one
     string; no set of points is built."""
-    if isinstance(downsets, DownSet):
-        downsets = [downsets]
-    downsets = list(downsets)
-    if not downsets:
-        raise BadInputError("nothing to export")
+    downsets = _export_list(downsets)
     t = downsets[0].dimension
     parts = ["e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"]
     for ds in downsets:
-        if ds.dimension != t:
-            raise BadInputError("mixed dimensions in one CSV export")
         head = f"{ds.level},"
         parts.append("".join(
             head + ",".join(map(str, pt)) + "\n" for pt in _down_set_points(ds.max_points)
@@ -629,28 +620,25 @@ def downset_csv(downsets) -> str:
     return "".join(parts)
 
 
-def box_region_csv(regions) -> str:
-    """CSV of box-region corner points. Columns: e, a1..at."""
-    if isinstance(regions, BoxRegion):
-        regions = [regions]
-    regions = list(regions)
-    if not regions:
-        raise BadInputError("nothing to export")
-    t = regions[0].dimension
+def box_region_csv(downsets) -> str:
+    """CSV of the maximal points, the box-region corners. Columns: e, a1..at."""
+    downsets = _export_list(downsets)
+    t = downsets[0].dimension
     lines = ["e," + ",".join(f"a{i + 1}" for i in range(t))]
-    for br in regions:
-        for pt in br.corners:
-            lines.append(f"{br.level}," + ",".join(str(x) for x in pt))
+    for ds in downsets:
+        for pt in ds.max_points:
+            lines.append(f"{ds.level}," + ",".join(str(x) for x in pt))
     return "\n".join(lines) + "\n"
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+_PX_PER_UNIT = 240
 
 
-def _staircase_path(region: BoxRegion) -> list:
+def _staircase_path(ds: DownSet) -> list:
     """Vertices of the upper-right boundary polyline, as exact fractions."""
-    q = region.p ** region.level
-    corners = sorted(region.corners)  # ascending first coordinate, descending second
+    q = ds.p ** ds.level
+    corners = ds.max_points  # ascending first coordinate, descending second
     if not corners:
         return [(Fraction(0), Fraction(0))]
     path = [(Fraction(0), Fraction(corners[0][1], q))]
@@ -665,33 +653,29 @@ def _staircase_path(region: BoxRegion) -> list:
     return [pt for i, pt in enumerate(path) if i == 0 or pt != path[i - 1]]
 
 
-def staircase_svg(regions, px_per_unit: int = 240) -> str:
+def staircase_svg(downsets) -> str:
     """SVG overlay of staircase outlines, one color per level (2d only).
 
-    Coordinates are exact fractions scaled by `px_per_unit` and emitted with
-    three decimals; output is byte-stable across runs.
+    Coordinates are exact fractions scaled by `_PX_PER_UNIT` pixels and
+    emitted with three decimals; output is byte-stable across runs.
     """
-    if isinstance(regions, BoxRegion):
-        regions = [regions]
-    regions = sorted(regions, key=lambda r: r.level)
-    if not regions:
-        raise BadInputError("nothing to draw")
-    if any(r.dimension != 2 for r in regions):
+    downsets = sorted(_export_list(downsets), key=lambda ds: ds.level)
+    if downsets[0].dimension != 2:
         raise BadInputError("staircase SVG export is two-dimensional only")
     extent = Fraction(0)
-    for r in regions:
-        q = r.p ** r.level
-        for a, b in r.corners:
+    for ds in downsets:
+        q = ds.p ** ds.level
+        for a, b in ds.max_points:
             extent = max(extent, Fraction(a, q), Fraction(b, q))
     extent = max(extent + Fraction(1, 4), Fraction(1))
     margin = 20
-    side = int(extent * px_per_unit) + 2 * margin
+    side = int(extent * _PX_PER_UNIT) + 2 * margin
 
     def px(v: Fraction) -> str:
-        return f"{float(v * px_per_unit + margin):.3f}"
+        return f"{float(v * _PX_PER_UNIT + margin):.3f}"
 
     def py(v: Fraction) -> str:
-        return f"{float((extent - v) * px_per_unit + margin):.3f}"
+        return f"{float((extent - v) * _PX_PER_UNIT + margin):.3f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
@@ -701,12 +685,12 @@ def staircase_svg(regions, px_per_unit: int = 240) -> str:
         f'<line x1="{px(Fraction(0))}" y1="{py(Fraction(0))}" x2="{px(Fraction(0))}" '
         f'y2="{py(extent)}" stroke="#444444" stroke-width="1"/>',
     ]
-    for idx, region in enumerate(regions):
+    for idx, ds in enumerate(downsets):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(f"{px(x)},{py(y)}" for x, y in _staircase_path(region))
+        pts = " ".join(f"{px(x)},{py(y)}" for x, y in _staircase_path(ds))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2"><title>e={region.level}</title></polyline>'
+            f'stroke-width="2"><title>e={ds.level}</title></polyline>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobvol.invariants as invariants
 from frobvol.errors import BudgetExceededError, HypothesisViolatedError, NotPrimaryError
 from frobvol.groebner import (
     Ideal,
@@ -216,6 +217,35 @@ def test_fedder_matches_direct_power(case):
     assert fedder_criterion(f_seq, e) is direct
 
 
+@st.composite
+def fpure_cases(draw):
+    """(f_seq, e): one or two nonzero polynomials with no constant term, in
+    two or three variables over F_p, p in {2,3,5}; e in 1..2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    mono = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    terms = st.dictionaries(mono.filter(any), st.integers(1, p - 1), min_size=1, max_size=2)
+    f_seq = [R.from_dict(draw(terms)) for _ in range(draw(st.integers(1, 2)))]
+    return f_seq, draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fpure_cases())
+def test_volume_row_is_one_exactly_when_fedder_holds(case):
+    """Against the ideal of all variables, the escape set of (f_1, ..., f_t)
+    lies in the box [0, q-1]^t, and fills it exactly when its corner
+    (q-1, ..., q-1) escapes: the level-e volume row is at most 1, with
+    equality exactly when Fedder's test holds at level e."""
+    f_seq, e = case
+    ring = f_seq[0].ring
+    seq = IdealSequence([Ideal(ring, [f]) for f in f_seq])
+    fam = PFamily.frobenius(Ideal(ring, list(ring.gens())))
+    row = volume_table(seq, fam, [e]).value(e)
+    assert row <= 1
+    assert (row == 1) is fedder_criterion(f_seq, e)
+
+
 def test_parameter_sequence_examples(R2):
     x, y = R2.gens()
     assert is_parameter_sequence([x]) is True
@@ -253,6 +283,17 @@ def test_check_union_example(R2, m2):
     parts = [Ideal(R2, [R2.poly("x^2"), R2.gens()[1]]), Ideal(R2, [R2.gens()[0], R2.poly("y^2")])]
     report = check_union_decomposition(seq_of(R2, ["x"], ["y"]), parts, 1)
     assert report.ok and report.left == "12" and report.right == "12"
+
+
+def test_check_union_names_a_witness_when_the_sets_differ(R2, monkeypatch):
+    """A wrong intersection (the first part alone) makes the check fail, and
+    the witness is the least point in only one of the two sets."""
+    monkeypatch.setattr(invariants, "ideal_intersection", lambda a, b: a)
+    parts = [Ideal(R2, [R2.poly("x^2"), R2.gens()[1]]), Ideal(R2, [R2.gens()[0], R2.poly("y^2")])]
+    report = check_union_decomposition(seq_of(R2, ["x"], ["y"]), parts, 1)
+    assert not report.ok
+    assert report.left == "8" and report.right == "12"
+    assert report.witness == (0, 2)
 
 
 def test_check_sup_identity_example(R2, m2):

@@ -23,7 +23,6 @@ from frobvol.groebner import (
     power_table,
 )
 from frobvol.regions import (
-    BoxRegion,
     BudgetCounter,
     DownSet,
     IdealSequence,
@@ -140,10 +139,9 @@ def test_floor_membership(worked):
     rng = random.Random(23)
     e = 2
     ds = escape_set(seq_g, fam, e)
-    region = box_region(ds)
     q = 2**e
     for _ in range(30):
-        corner = rng.choice(region.corners)
+        corner = rng.choice(ds.max_points)
         alpha = tuple(
             Fraction(rng.randint(0, 8 * c), 8 * q) if c else Fraction(0) for c in corner
         )
@@ -257,12 +255,11 @@ def test_downset_cardinality_inclusion_exclusion(worked):
 def test_box_region_volumes(worked, R2):
     _, fam, seq_f, _ = worked
     ds = escape_set(seq_f, fam, 2)
-    assert region_volume(box_region(ds)) == Fraction(3, 16)
+    assert region_volume(ds) == Fraction(3, 16)
     seq_xy = seq_of(R2, ["x"], ["y"])
     ds3 = escape_set(seq_xy, fam, 3)
-    assert region_volume(box_region(ds3)) == Fraction(49, 64)
-    empty = BoxRegion(2, 1, 2, [(0, 0)])
-    assert region_volume(empty) == 0
+    assert region_volume(ds3) == Fraction(49, 64)
+    assert region_volume(box_region(2, 1, 2, [(0, 0)])) == 0
 
 
 def test_downset_from_max_points(worked):
@@ -276,7 +273,8 @@ def test_downset_from_max_points(worked):
 
 def test_down_set_points_are_the_sorted_union_of_boxes():
     """Points stream from the maximal points in sorted order, each once,
-    also where one box contains another."""
+    also where one box contains another; `box_region` counts them and keeps
+    the maximal corners."""
     rng = random.Random(23)
     for t in (1, 2, 3):
         for _ in range(20):
@@ -286,7 +284,14 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
                 union.update(itertools.product(*(range(v + 1) for v in m)))
             assert DownSet(t, 1, 2, corners, len(union), 0).points() == sorted(union)
             positive = sum(1 for pt in union if min(pt) >= 1)
-            assert BoxRegion(t, 1, 2, corners).positive_cube_count() == positive
+            maximal = sorted(
+                a for a in union
+                if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in union)
+            )
+            region = box_region(t, 1, 2, corners)
+            assert region.size == len(union)
+            assert region.positive_size == positive
+            assert list(region.max_points) == maximal
 
 
 def test_axis_bounds(worked, R2):
@@ -304,15 +309,20 @@ def test_csv_export(worked):
     assert text == "e,a1,a2\n1,0,0\n1,1,0\n"
     multi = downset_csv([escape_set(seq_f, fam, e) for e in (1, 2)])
     assert multi.startswith("e,a1,a2\n1,0,0\n1,1,0\n2,0,0\n")
-    assert box_region_csv(box_region(ds)) == "e,a1,a2\n1,1,0\n"
+    assert box_region_csv(ds) == "e,a1,a2\n1,1,0\n"
+    both = box_region_csv([escape_set(seq_f, fam, e) for e in (1, 2)])
+    assert both == "e,a1,a2\n1,1,0\n2,3,1\n"
+    mixed = [ds, box_region(3, 1, 2, [(1, 0, 1)])]
+    for export in (downset_csv, box_region_csv):
+        with pytest.raises(BadInputError, match="mixed dimensions"):
+            export(mixed)
 
 
 def test_staircase_outline_matches_region(worked):
     from frobvol.regions import _staircase_path
 
     _, fam, _, seq_g = worked
-    region = box_region(escape_set(seq_g, fam, 2))
-    path = _staircase_path(region)
+    path = _staircase_path(escape_set(seq_g, fam, 2))
     F = Fraction
     assert path == [
         (F(0), F(3, 4)), (F(1, 4), F(3, 4)), (F(1, 4), F(1, 4)),
@@ -322,14 +332,14 @@ def test_staircase_outline_matches_region(worked):
 
 def test_svg_export(worked):
     _, fam, seq_f, seq_g = worked
-    regions = [box_region(escape_set(seq_g, fam, e)) for e in (1, 2)]
-    svg = staircase_svg(regions)
+    downsets = [escape_set(seq_g, fam, e) for e in (1, 2)]
+    svg = staircase_svg(downsets)
     assert svg.startswith("<svg ")
     assert svg.count("<polyline") == 2
     assert "e=1" in svg and "e=2" in svg
-    assert svg == staircase_svg(regions)  # stable
+    assert svg == staircase_svg(downsets)  # stable
     with pytest.raises(BadInputError):
-        staircase_svg([BoxRegion(3, 1, 2, [(1, 1, 1)])])
+        staircase_svg([box_region(3, 1, 2, [(1, 1, 1)])])
 
 
 def test_budget_guard(worked):

@@ -485,7 +485,9 @@ class PowerTable:
         characteristic p, g^p = f^(ap) + h^p and h^p lies in L. Every other
         power takes the step I^k = I^(k-1) * I; for several generators
         (I^a)^[p] is only contained in I^(ap), so the digit step does not
-        apply.
+        apply. `regions.escape_set` splits its entries into their
+        generators, so only `regions.escapes` and `power_containment_index`
+        read powers of several generators.
         """
         pows = self.pows
         if k in pows:

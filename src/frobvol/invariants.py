@@ -157,6 +157,8 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
     For a principal I = (f) each probed power is built from f's base-p
     digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal
     (see `groebner.PowerTable.power`), so a probe costs O(log_p k) products.
+    An I with several generators is split into them (the sup identity, see
+    `regions.escape_set`), so its probes are built from digits too.
     """
     ds = escape_set(IdealSequence([I]), PFamily.frobenius(J), e, pres, budget)
     return NuValue(e, ds.max_points[0][0])
@@ -435,7 +437,11 @@ def check_simplex_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=
 
 
 def check_sup_identity(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=None) -> CheckReport:
-    """nu of the entry sum equals the largest coordinate sum in the escape set."""
+    """nu of the entry sum equals the largest coordinate sum in the escape set.
+
+    `regions.escape_set` computes `nu` of the sum by this identity, so the
+    check is not independent: for principal entries both sides are read
+    off one escape set."""
     counter = _as_budget(budget)
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
     total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter).nu

@@ -336,18 +336,45 @@ def _down_set_points(boxes, prefix=()):
 
 
 def _antichain(points) -> tuple:
-    pts = sorted(set(tuple(p) for p in points))
+    """The maximal points among `points`. In reverse lexicographic order a
+    point comes after every point above it, so it is compared only with the
+    maximal points kept so far."""
     out = []
-    for a in pts:
-        if not any(
-            b != a and all(x <= y for x, y in zip(a, b)) for b in pts
-        ):
+    for a in sorted(set(map(tuple, points)), reverse=True):
+        if not any(all(x <= y for x, y in zip(a, b)) for b in out):
             out.append(a)
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> DownSet:
     """Enumerate the level-e escape set exactly.
+
+    Every entry I = (f_1, ..., f_mu) is split into its generators (the
+    paper's sup identity): I^k is the sum of the f^b with |b| = k, in any
+    ring, so a product of powers of the entries escapes exactly when some
+    product of powers of their generators does. The escape set is therefore
+    the image of the principal sequence's under the sums over each entry's
+    block of coordinates, and its maximal points are among the images of
+    that set's maximal points. Only principal sequences are swept, so every
+    power a probe reads is built from base-p digits.
+    """
+    check_hypothesis(seq, fam, pres)
+    counter = _as_budget(budget)
+    if seq.principal:
+        return _principal_escape_set(seq, fam, e, pres, counter)
+    split = IdealSequence(Ideal(seq.ring, (g,)) for I in seq.entries for g in I.gens)
+    ends = list(itertools.accumulate(seq.generator_counts()))
+    blocks = list(zip([0] + ends, ends))
+    corners = [
+        tuple(sum(m[a:b]) for a, b in blocks)
+        for m in _principal_escape_set(split, fam, e, pres, counter).max_points
+    ]
+    return box_region(seq.t, e, fam.p, corners)
+
+
+def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
+                          counter: BudgetCounter) -> DownSet:
+    """The escape set of a principal sequence.
 
     Depth-first sweep over prefixes; on the last axis the feasible values form
     an interval [0, m] located by binary search, so the work scales with the
@@ -357,8 +384,6 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     of them (the axis bound for the first row), testing that top first.
     Each prefix product is formed once and reused by every probe below it.
     """
-    check_hypothesis(seq, fam, pres)
-    counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     powers = [power_table(I, basis) for I in seq.entries]
     t = seq.t

@@ -12,6 +12,7 @@ import itertools
 
 from frobvol.groebner import (
     Ideal,
+    frobenius_power,
     groebner_basis,
     ideal_contains,
     ideal_power,
@@ -111,6 +112,17 @@ def brute_force_ell(I: Ideal, J: Ideal, pres=None, cap: int = 64) -> int:
         if ideal_contains(ideal_power(I, k), J, pres):
             return k
     raise AssertionError("oracle ell search exhausted")
+
+
+def brute_force_nu(I: Ideal, J: Ideal, e: int, pres=None) -> int:
+    """Largest k with I^k outside J^[p^e], from raw generator-set powers
+    tested for k = 0, 1, ... until one lies inside (containment is
+    monotone in k)."""
+    Jq = frobenius_power(J, I.ring.p ** e)
+    k = 0
+    while not ideal_contains(ideal_power(I, k), Jq, pres):
+        k += 1
+    return k - 1
 
 
 def brute_force_escape_points(seq, fam, e: int, pres=None) -> set:

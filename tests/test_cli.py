@@ -115,8 +115,9 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_threshold_partial_table_on_budget_exit(tmp_path):
     spec_file = tmp_path / "budget.spec"
-    # levels 1 and 2 take 3 + 4 probes; level 3 needs 5 more
-    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=10")
+    # the entry (x, y^2+x) splits into its generators: levels 1 and 2 take
+    # 4 + 10 probes; level 3 needs 19 more
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=20")
     out = tmp_path / "partial.json"
     assert main(["threshold", "--json", str(out), str(spec_file)]) == 3
     payload = json.loads(out.read_text())

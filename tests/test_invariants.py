@@ -34,7 +34,7 @@ from frobvol.invariants import (
 )
 from frobvol.regions import BudgetCounter, IdealSequence, PFamily
 from frobvol.ring import PolynomialRing
-from oracles import exponents
+from oracles import brute_force_nu, exponents
 
 
 @pytest.fixture
@@ -89,6 +89,75 @@ def test_nu_charges_the_budget():
     counter = BudgetCounter()
     assert nu(Ideal(R5, [x + y]), Ideal(R5, [x, y]), 6, budget=counter).nu == 15624
     assert counter.used >= 1
+
+
+def test_nu_of_a_split_entry_charges_the_budget():
+    """(x, y+z^2) is split into its generators, so each probe builds its
+    powers from base-p digits and the second probe trips the budget.
+    Building each I^k by the step ran about 195 s here for two probes."""
+    R = PolynomialRing(3, ["x", "y", "z"])
+    I = Ideal(R, [R.poly("x"), R.poly("y+z^2")])
+    with pytest.raises(BudgetExceededError):
+        nu(I, Ideal(R, list(R.gens())), 6, budget=1)
+
+
+@pytest.mark.parametrize("e", [5, 6])
+def test_nu_of_a_two_generator_entry_at_high_levels(e):
+    R = PolynomialRing(3, ["x", "y", "z"])
+    I = Ideal(R, [R.poly("x"), R.poly("y+z^2")])
+    assert nu(I, Ideal(R, list(R.gens())), e).nu == 2 * 3**e - 2
+
+
+# (variables n, power d, p, level e): nu(m^d, m) = floor(n(q-1)/d). Each
+# level is the highest that takes about a second or less. m^2 in three
+# variables has six generators, so its sweep has six axes and stops lowest.
+_POWER_OF_M_CASES = [
+    (2, 1, 2, 6), (2, 1, 3, 6), (2, 1, 5, 5),
+    (2, 2, 2, 6), (2, 2, 3, 4), (2, 2, 5, 3),
+    (3, 1, 2, 6), (3, 1, 3, 4), (3, 1, 5, 3),
+    (3, 2, 2, 4), (3, 2, 3, 2), (3, 2, 5, 1),
+]
+
+
+@pytest.mark.parametrize("n, d, p, e", _POWER_OF_M_CASES)
+def test_nu_of_a_power_of_the_maximal_ideal(n, d, p, e):
+    R = PolynomialRing(p, ["x", "y", "z"][:n])
+    m = Ideal(R, list(R.gens()))
+    assert nu(ideal_power(m, d), m, e).nu == n * (p**e - 1) // d
+
+
+@st.composite
+def multi_generator_cases(draw):
+    """(I, J, e, pres): an entry of two or three generators with no constant
+    term, against the ideal J of all variables, over F_p[x,y], F_p[x,y,z] or
+    F_p[x,y,z]/(xy - z^2), p in {2, 3}, e in 1..3 for p = 2 and 1..2
+    otherwise. Each case is one of four kinds: three generators in two
+    variables, two in two variables, or two or three in three variables or
+    in the quotient, whose dimension is two. Three generators outnumber the
+    dimension in the first kind and in the quotient."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars, relation, mu = draw(st.sampled_from([
+        (2, None, st.just(3)),
+        (2, None, st.just(2)),
+        (3, None, st.integers(2, 3)),
+        (3, "x*y-z^2", st.integers(2, 3)),
+    ]))
+    mu = draw(mu)
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    mono = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    terms = st.dictionaries(mono.filter(any), st.integers(1, p - 1), min_size=1, max_size=2)
+    I = Ideal(R, [R.from_dict(draw(terms)) for _ in range(mu)])
+    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    return I, Ideal(R, list(R.gens())), draw(st.integers(1, 3 if p == 2 else 2)), pres
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(multi_generator_cases())
+def test_nu_of_a_multi_generator_entry_matches_direct_powers(case):
+    """The sup identity, checked against directly built powers:
+    `check_sup_identity` computes both of its sides by it."""
+    I, J, e, pres = case
+    assert nu(I, J, e, pres).nu == brute_force_nu(I, J, e, pres)
 
 
 def test_nu_hypothesis(R2):

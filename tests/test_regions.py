@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobvol.regions as regions
 from frobvol.errors import (
     BadInputError,
     BadLevelError,
@@ -45,7 +46,7 @@ from frobvol.regions import (
     staircase_svg,
     verify_cover,
 )
-from frobvol.invariants import nu
+from frobvol.invariants import nu, volume_table
 from frobvol.ring import PolynomialRing
 from oracles import (
     brute_force_escape_points,
@@ -608,3 +609,41 @@ def test_a_one_entry_sweep_keeps_its_probe_sequence():
     counter = BudgetCounter(10**6)
     assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter).nu == 4373
     assert counter.used == 14
+
+
+# -- every entry is split into its generators ---------------------------------
+
+def _swept_generator_counts(monkeypatch, run) -> set:
+    """The generator counts of the entries whose power tables `run` reads in
+    escape-set sweeps."""
+    counts = set()
+    real = regions.power_table
+
+    def spy(I, basis):
+        counts.add(I.num_gens)
+        return real(I, basis)
+
+    monkeypatch.setattr(regions, "power_table", spy)
+    run()
+    return counts
+
+
+def test_escape_sets_sweep_only_principal_sequences(monkeypatch):
+    R2 = PolynomialRing(2, ["x", "y"])
+    m2 = Ideal(R2, list(R2.gens()))
+    I = Ideal(R2, [R2.poly("x"), R2.poly("y^2+x")])
+    R3 = PolynomialRing(3, ["x", "y", "z"])
+    m3 = Ideal(R3, list(R3.gens()))
+    pres = QuotientPresentation(R3, Ideal(R3, [R3.poly("x*y-z^2")]))
+    R4 = PolynomialRing(2, ["x", "y", "z", "w"])
+    seq = seq_of(R4, ["x", "y"], ["z", "w"])
+    fam = PFamily.frobenius(Ideal(R4, list(R4.gens())))
+    runs = [
+        lambda: nu(I, m2, 3),
+        lambda: nu(ideal_power(m3, 2), m3, 1),  # six generators in three variables
+        lambda: nu(m3, m3, 2, pres),  # three generators, dimension two
+        lambda: escape_set(seq, fam, 2),
+        lambda: volume_table(seq, fam, [2]),
+    ]
+    for run in runs:
+        assert _swept_generator_counts(monkeypatch, run) == {1}

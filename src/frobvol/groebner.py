@@ -12,11 +12,14 @@ the S-polynomials and tail reduction of `buchberger`, and the product
 kernel. Divisibility and overflow are read off the guard bits of the packed
 fields, and the largest remaining term comes off a heap of order keys.
 
-`GroebnerBasis.reduce_products` is the product kernel of every membership
-probe and every power: the distinct nonzero normal forms of all pairwise
-products of two polynomial lists. On a monomial basis it multiplies and
-truncates in one pass, so no term inside the ideal is ever stored; on any
-other basis it forms each full product and hands it to `_divide`.
+`GroebnerBasis.reduce_products` is the product kernel of every power and
+every prefix product of an escape-set sweep: the distinct nonzero normal
+forms of all pairwise products of two polynomial lists. On a monomial basis
+it multiplies and truncates in one pass, so no term inside the ideal is ever
+stored; on any other basis it forms each full product and hands it to
+`_divide`. `GroebnerBasis.meets` is the membership probe: whether some such
+product lies outside the ideal, answered at the first term that settles it,
+with no normal form kept.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -250,13 +253,70 @@ class GroebnerBasis:
                             if m & guard:
                                 raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
                             g = m | guard
-                            inside = dead[m] = any((g - lm) & guard == guard for lm in cut)
+                            inside = False
+                            for lm in cut:
+                                if (g - lm) & guard == guard:
+                                    inside = True
+                                    break
+                            dead[m] = inside
                         if not inside:
                             acc[m] = c1 * c2
                 terms = finish(acc)
                 if terms:
                     found.setdefault(frozenset(terms), terms)
         return tuple(Polynomial(ring, dict(terms)) for terms in found.values())
+
+    def meets(self, left, right) -> bool:
+        """Whether some product u*v, u in `left` and v in `right`, lies
+        outside the ideal: `bool(self.reduce_products(left, right))`,
+        answered as soon as it is known, with no normal form kept.
+
+        On a monomial basis a product with a one-term factor is a shift of
+        the other factor, and its coefficients are nonzero because p is
+        prime, so its first term outside the ideal answers yes. A product of
+        two longer factors is truncated in full and answers yes at its first
+        coefficient that is nonzero mod p. On any other basis each full
+        product is divided, and the first nonzero remainder answers yes. A
+        product formed before the answer is known raises
+        `ExponentOverflowError` as `reduce_products` does.
+        """
+        ring = self.ring
+        if any(f.ring is not ring and f.ring != ring for f in (*left, *right)):
+            raise RingMismatchError("polynomial from a different ring")
+        p, guard = ring.p, ring.guard
+        cut = self.leading_monomials if self.is_monomial else ()
+        dead = {}  # packed monomial -> whether it lies in the ideal of `cut`
+        for u in left:
+            for v in right:
+                shift = cut and (len(u.coeffs) == 1 or len(v.coeffs) == 1)
+                acc = {}
+                for m1, c1 in u.coeffs.items():
+                    for m2, c2 in v.coeffs.items():
+                        m = m1 + m2
+                        if m in acc:
+                            acc[m] += c1 * c2
+                            continue
+                        inside = dead.get(m)
+                        if inside is None:
+                            if m & guard:
+                                raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
+                            g = m | guard
+                            inside = False
+                            for lm in cut:
+                                if (g - lm) & guard == guard:
+                                    inside = True
+                                    break
+                            dead[m] = inside
+                        if not inside:
+                            if shift:
+                                return True
+                            acc[m] = c1 * c2
+                if cut:
+                    if any(c % p for c in acc.values()):
+                        return True
+                elif _divide(acc, self.leading_monomials, self._tails, ring):
+                    return True
+        return False
 
     def __iter__(self):
         return iter(self.polys)

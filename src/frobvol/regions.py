@@ -255,7 +255,10 @@ def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> bool:
-    """True iff the product ideal at `point` is NOT contained in the level ideal."""
+    """True iff the product ideal at `point` is NOT contained in the level ideal.
+
+    The normal forms of the product of all entries but the last are formed,
+    and `GroebnerBasis.meets` tests their products with the last power."""
     point = tuple(point)
     if len(point) != seq.t:
         raise BadInputError(f"point arity {len(point)} != sequence length {seq.t}")
@@ -266,11 +269,13 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     basis = fam.level_basis(e, pres)
     counter.charge()
     acc = power_table(seq.entries[0], basis).power(point[0])
-    for I, a in zip(seq.entries[1:], point[1:]):
+    if seq.t == 1:
+        return bool(acc)
+    for I, a in zip(seq.entries[1:-1], point[1:-1]):
         if not acc:
             return False
         acc = basis.reduce_products(acc, power_table(I, basis).power(a))
-    return bool(acc)
+    return bool(acc) and basis.meets(acc, power_table(seq.entries[-1], basis).power(point[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +303,9 @@ class DownSet:
 
     def points(self) -> list:
         """All points, sorted; intended for export and small-instance oracles."""
-        return list(_down_set_points(self.max_points))
+        return [
+            prefix + (a,) for prefix, top in _down_set_rows(self.max_points) for a in range(top + 1)
+        ]
 
     def is_empty(self) -> bool:
         return self.size == 0
@@ -320,19 +327,20 @@ class DownSet:
         )
 
 
-def _down_set_points(boxes, prefix=()):
-    """The points of the union of the boxes [0, m], one per corner m, in
-    sorted order, each after `prefix`. The points with first coordinate a
-    are a followed by the points of the boxes with m[0] >= a, less their
-    first coordinate, so no point is generated twice."""
+def _down_set_rows(boxes, prefix=()):
+    """The rows of the union of the boxes [0, m], one per corner m, in
+    sorted order, each after `prefix`: a row is (prefix, top), the points
+    prefix + (a,) for a = 0..top. The rows with first coordinate a are a
+    followed by the rows of the boxes with m[0] >= a, less their first
+    coordinate, so no point is generated twice."""
     if not boxes:
         return
     top = max(m[0] for m in boxes)
     if len(boxes[0]) == 1:
-        yield from (prefix + (a,) for a in range(top + 1))
+        yield prefix, top
         return
     for a in range(top + 1):
-        yield from _down_set_points([m[1:] for m in boxes if m[0] >= a], prefix + (a,))
+        yield from _down_set_rows([m[1:] for m in boxes if m[0] >= a], prefix + (a,))
 
 
 def _antichain(points) -> tuple:
@@ -382,7 +390,11 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     so m is at most the row of every prefix one step lower on some axis, and
     the sweep has found those rows already: each search runs up to the least
     of them (the axis bound for the first row), testing that top first.
-    Each prefix product is formed once and reused by every probe below it.
+    Each prefix product is formed once and reused by every probe below it;
+    the empty prefix is the unit (None), so a probe on the first axis reads
+    the power table as it is. A probe on the last axis only asks whether
+    the prefix meets the power outside the level ideal
+    (`GroebnerBasis.meets`), which stops at the first surviving term.
     """
     basis = fam.level_basis(e, pres)
     powers = [power_table(I, basis) for I in seq.entries]
@@ -398,7 +410,8 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
 
         def member(m: int) -> bool:
             counter.charge()
-            return bool(basis.reduce_products(prefix_polys, powers[t - 1].power(m)))
+            polys = powers[t - 1].power(m)
+            return bool(polys) if prefix_polys is None else basis.meets(prefix_polys, polys)
 
         if hi <= 0:
             return 0
@@ -420,13 +433,15 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
         a = 0
         while a < bounds[i]:
             counter.charge()
-            polys = basis.reduce_products(prefix_polys, powers[i].power(a))
+            polys = powers[i].power(a)
+            if prefix_polys is not None:
+                polys = basis.reduce_products(prefix_polys, polys)
             if not polys:
                 break
             sweep(i + 1, prefix + (a,), polys)
             a += 1
 
-    sweep(0, (), powers[0].power(0))
+    sweep(0, (), None)
 
     size = sum(m + 1 for m in rows.values())
     positive = sum(
@@ -599,12 +614,13 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
 
 def box_region(dimension, level, p, corners) -> DownSet:
     """The down-set the corners generate: the union of the boxes [0, a] over
-    the corners a, counted by streaming its points (no set is built)."""
+    the corners a, counted row by row (no set is built)."""
     max_points = _antichain(corners)
     size = positive = 0
-    for a in _down_set_points(max_points):
-        size += 1
-        positive += 0 not in a
+    for prefix, top in _down_set_rows(max_points):
+        size += top + 1
+        if 0 not in prefix:
+            positive += top
     return DownSet(dimension, level, p, max_points, size, positive)
 
 
@@ -630,18 +646,23 @@ def _export_list(downsets) -> list:
 
 
 def downset_csv(downsets) -> str:
-    """CSV with one lattice point per row. Columns: e, a1..at (exact integers).
+    """CSV with one lattice point per line. Columns: e, a1..at (exact integers).
 
-    The points of each level stream from its maximal points into one
-    string; no set of points is built."""
+    The rows of each level stream from its maximal points (`_down_set_rows`).
+    A row (prefix, top) is written as one join of its head "e,a1,...,a(t-1),"
+    over the cached lines of the last coordinate, 0 to top. No set of points
+    is built."""
     downsets = _export_list(downsets)
     t = downsets[0].dimension
+    width = 1 + max((m[-1] for ds in downsets for m in ds.max_points), default=-1)
+    cells = [f"{a}\n" for a in range(width)]
     parts = ["e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"]
     for ds in downsets:
-        head = f"{ds.level},"
-        parts.append("".join(
-            head + ",".join(map(str, pt)) + "\n" for pt in _down_set_points(ds.max_points)
-        ))
+        level = f"{ds.level},"
+        for prefix, top in _down_set_rows(ds.max_points):
+            head = level + "".join(f"{a}," for a in prefix)
+            parts.append(head)
+            parts.append(head.join(cells[:top + 1]))
     return "".join(parts)
 
 

@@ -449,6 +449,30 @@ def test_reduce_products_matches_reducing_each_product(case):
     assert basis.reduce_products(left, right) == expected
 
 
+@st.composite
+def probe_cases(draw):
+    """`product_cases`, or one product (x + c*y)(x - c*y) whose cross terms
+    cancel mod p, against a basis that may hold both squares. Over F_2 it is
+    (x + y)(x + y)."""
+    if draw(st.booleans()):
+        return draw(product_cases())
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = PolynomialRing(p, ["x", "y"])
+    c = draw(st.integers(1, p - 1))
+    gens = draw(st.sampled_from([["x^2", "y^2"], ["x^2", "y^3"], ["x*y"], ["y^2-x^3", "x^2"]]))
+    basis = groebner_basis(Ideal(R, [R.poly(g) for g in gens]))
+    left = R.from_dict({(1, 0): 1, (0, 1): c})
+    right = R.from_dict({(1, 0): 1, (0, 1): p - c})
+    return basis, [left], [right]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(probe_cases())
+def test_meets_is_whether_some_product_survives(case):
+    basis, left, right = case
+    assert basis.meets(left, right) == bool(basis.reduce_products(left, right))
+
+
 def test_reduce_products_exponent_boundary(R2):
     def x_to(k):
         return R2.monomial((k, 0))
@@ -460,6 +484,11 @@ def test_reduce_products_exponent_boundary(R2):
     assert at_max.reduce_products(left, right) == (x_to(MAX_EXPONENT - 1),)
     with pytest.raises(ExponentOverflowError):
         along_y.reduce_products([x_to(MAX_EXPONENT - 4)], right)
+    assert along_y.meets(left, right) and not at_max.meets(left, [x_to(5)])
+    general = groebner_basis(Ideal(R2, [R2.poly("y^2-x^3")]))
+    for basis in (along_y, general):
+        with pytest.raises(ExponentOverflowError):
+            basis.meets([x_to(MAX_EXPONENT - 4)], [x_to(5)])
 
 
 def test_reduce_products_rejects_other_rings_and_passes_empty_operands(R2, R5):
@@ -472,6 +501,9 @@ def test_reduce_products_rejects_other_rings_and_passes_empty_operands(R2, R5):
     assert basis.reduce_products([], [here]) == ()
     assert basis.reduce_products([here], []) == ()
     assert basis.reduce_products([here], [here]) == (R2.poly("x^2+y^2"),)
+    with pytest.raises(RingMismatchError):
+        basis.meets([here], [there])
+    assert not basis.meets([], [here]) and not basis.meets([here], [])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -275,7 +275,7 @@ def test_downset_from_max_points(worked):
 def test_down_set_points_are_the_sorted_union_of_boxes():
     """Points stream from the maximal points in sorted order, each once,
     also where one box contains another; `box_region` counts them and keeps
-    the maximal corners."""
+    the maximal corners, and `downset_csv` writes them row by row."""
     rng = random.Random(23)
     for t in (1, 2, 3):
         for _ in range(20):
@@ -293,6 +293,11 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
             assert region.size == len(union)
             assert region.positive_size == positive
             assert list(region.max_points) == maximal
+            lines = [f"{e}," + ",".join(map(str, pt)) for e in (1, 3) for pt in sorted(union)]
+            header = ",".join(["e"] + [f"a{i + 1}" for i in range(t)])
+            both = downset_csv([region, box_region(t, 3, 2, corners)])
+            assert both == "\n".join([header] + lines) + "\n"
+    assert downset_csv(box_region(2, 1, 2, [])) == "e,a1,a2\n"
 
 
 def test_axis_bounds(worked, R2):
@@ -602,6 +607,16 @@ def test_row_bounds_cut_the_probes_of_a_sweep(worked):
     counter = BudgetCounter(10**6)
     escape_set(seq_g, fam, 8, budget=counter)
     assert counter.used <= 768  # a binary search from the axis bound per row takes 1,536
+
+
+def test_a_sweep_charges_every_probe(worked, R2):
+    """The first axis reads the power table without a product by the unit,
+    and the last axis asks `meets`; each probe is charged all the same."""
+    _, fam, _, seq_g = worked
+    for seq, e, probes in ((seq_g, 8, 520), (seq_of(R2, ["x"], ["y"], ["x+y"]), 5, 2626)):
+        counter = BudgetCounter(10**6)
+        escape_set(seq, fam, e, budget=counter)
+        assert counter.used == probes
 
 
 def test_a_one_entry_sweep_keeps_its_probe_sequence():

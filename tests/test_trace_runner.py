@@ -1,8 +1,8 @@
 """The benchmark's tracer still wraps every function it names.
 
 `bench/trace_runner.py` looks each traced function up by name, so renaming
-or deleting one breaks tracing; this runs one small job through it in a
-child process and checks its spans."""
+or deleting one breaks tracing; this runs small jobs through it in child
+processes and checks their spans."""
 
 import json
 import subprocess
@@ -14,14 +14,11 @@ from corpus import child_env
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_trace_runner_spans_one_check_job(tmp_path):
+def traced_spans(tmp_path, *args) -> set:
+    """Run one CLI job under the tracer, from `tmp_path`; the names of its spans."""
     out = tmp_path / "trace.json"
     proc = subprocess.run(
-        [
-            sys.executable, str(BENCH / "trace_runner.py"), str(out), "smoke",
-            "check", "union_decomposition", "--e", "2",
-            str(BENCH / "specs" / "ex_g_union.e1-6.spec"),
-        ],
+        [sys.executable, str(BENCH / "trace_runner.py"), str(out), "smoke", *args],
         env=child_env(),
         cwd=tmp_path,
         capture_output=True,
@@ -30,6 +27,16 @@ def test_trace_runner_spans_one_check_job(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(out.read_text())
-    names = {row[0] for row in trace["spans"]}
-    assert {"cli.main", "regions.escape_set", "invariants.checks"} <= names
     assert trace["job"] == "smoke"
+    return {row[0] for row in trace["spans"]}
+
+
+def test_trace_runner_spans_one_check_job(tmp_path):
+    names = traced_spans(tmp_path, "check", "union_decomposition", "--e", "2",
+                         str(BENCH / "specs" / "ex_g_union.e1-6.spec"))
+    assert {"cli.main", "regions.escape_set", "invariants.checks"} <= names
+
+
+def test_trace_runner_spans_the_csv_export(tmp_path):
+    names = traced_spans(tmp_path, "vset", str(BENCH / "specs" / "ex_g.e1-4.spec"))
+    assert {"cli.main", "regions.escape_set", "regions.export"} <= names

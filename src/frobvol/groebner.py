@@ -1,9 +1,10 @@
 """Ideal arithmetic and membership oracles.
 
-Buchberger's algorithm with the normal selection strategy, normal forms,
-Frobenius powers, sums/products/powers/intersections, radical membership,
-staircase counting and combinatorial Krull dimension. Completed bases are
-immutable; reduction against a shared basis is pure.
+Buchberger's algorithm with the normal selection strategy and the
+Gebauer-Moeller pair criteria, normal forms, Frobenius powers and their bases
+(built level by level in a quotient ring), sums/products/powers/intersections,
+radical membership, staircase counting and combinatorial Krull dimension.
+Completed bases are immutable; reduction against a shared basis is pure.
 
 Polynomials key their terms on monomials packed by `PolynomialRing.pack`
 (Monagan and Pearce, CASC 2007), so every routine here works on them as they
@@ -40,13 +41,7 @@ import heapq
 import itertools
 
 from .errors import BadInputError, ExponentOverflowError, RingMismatchError, SearchLimitError
-from .ring import (
-    Polynomial,
-    PolynomialRing,
-    _fresh_aux_name,
-    mono_divides,
-    mono_lcm,
-)
+from .ring import Polynomial, PolynomialRing, _fresh_aux_name
 
 
 class Ideal:
@@ -379,9 +374,18 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Deterministic: pairs are selected by smallest lcm in the ring order with
-    ties broken by insertion index (normal strategy); coprime leading
-    monomials are skipped. Each S-polynomial is built from the tails of its
-    pair.
+    ties broken by insertion index (normal strategy). Each polynomial joins
+    by the Gebauer-Moeller update (J. Symbolic Comput. 6, 1988). A waiting
+    pair goes when the new leading monomial divides its lcm and the new
+    polynomial's lcms with both of its members differ from it (criterion
+    B). The new pairs are taken by ascending lcm, and one goes when the lcm
+    of one kept before divides its own (criteria M and F; a proper divisor
+    of a packed monomial is a smaller int); at one lcm a pair with coprime
+    leading monomials comes first, so it drops the others, and then itself.
+    A polynomial whose leading monomial the new one divides is retired: it
+    forms no more pairs and no longer divides. Pair lcms are field-wise
+    maxima of packed monomials, read off the guard bits. Each S-polynomial
+    is built from the tails of its pair.
     """
     if isinstance(gens, Ideal):
         ring = gens.ring
@@ -393,45 +397,67 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
-    key, pack, unpack = ring.key, ring.pack, ring.unpack
-    p, guard = ring.p, ring.guard
+    key, p, guard = ring.key, ring.p, ring.guard
 
     lms: list[int] = []
     tails: list[tuple] = []
+    live: list[int] = []  # the indices not retired
+    live_lms: list[int] = []
+    live_tails: list[tuple] = []
     pairs: list[tuple] = []
+
+    def lcm(a, b):
+        d = ((a | guard) - b) & guard  # the guard bits of the fields where a >= b
+        mask = d - (d >> 63)
+        return a & mask | b & ~mask
+
+    def divides(a, b):
+        return ((b | guard) - a) & guard == guard
 
     def push(terms):
         """Add the polynomial of `terms`, leading term first."""
         (lm, lc), *tail = terms
         inv = ring.field.inv(lc)
-        lm_j = unpack(lm)
-        for i, lm_i in enumerate(lms):
-            lcm = pack(mono_lcm(unpack(lm_i), lm_j))
-            if lcm == lm_i + lm:
-                continue  # coprime leading terms: S-pair reduces to zero
-            heapq.heappush(pairs, (key(lcm), i, len(lms), lcm))
+        j = len(lms)
+        pairs[:] = [pair for pair in pairs if not (
+            divides(lm, pair[3]) and lcm(lms[pair[1]], lm) != pair[3] != lcm(lms[pair[2]], lm))]
+        heapq.heapify(pairs)
+        new = []
+        for i in live:
+            m = lcm(lms[i], lm)
+            new.append((m, m != lms[i] + lm, i))
+        kept = []
+        for pair in sorted(new):
+            if not any(divides(k[0], pair[0]) for k in kept):
+                kept.append(pair)
+        for m, shared, i in kept:
+            if shared:
+                heapq.heappush(pairs, (key(m), i, j, m))
         lms.append(lm)
         tails.append(tuple((m, c * inv % p) for m, c in tail))
+        live[:] = [i for i in live if not divides(lm, lms[i])] + [j]
+        live_lms[:] = [lms[i] for i in live]
+        live_tails[:] = [tails[i] for i in live]
 
     for g in gens:
         push(g.terms_desc())
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm_ij = heapq.heappop(pairs)
         # the S-polynomial of monic f_i and f_j: their leading terms cancel
         s = {}
         for k, sign in ((i, 1), (j, -1)):
-            shift = lcm - lms[k]
+            shift = lcm_ij - lms[k]
             for m, c in tails[k]:
                 m += shift
                 if m & guard:
                     raise ExponentOverflowError("exponent beyond 2^63-1 in an S-polynomial")
                 s[m] = s.get(m, 0) + sign * c
-        r = _divide(s, lms, tails, ring)
+        r = _divide(s, live_lms, live_tails, ring)
         if r:
             push(r)
 
-    return GroebnerBasis(ring, _autoreduce(lms, tails, ring))
+    return GroebnerBasis(ring, _autoreduce(live_lms, live_tails, ring))
 
 
 def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
@@ -503,15 +529,20 @@ def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) 
     In the polynomial ring the reduced basis of J^[q] is the exponent-scaled
     reduced basis of J: scaling every exponent by q preserves the term order
     and S-pair reductions, and c^q = c on F_p coefficients. With a nontrivial
-    presentation the scaled basis only seeds Buchberger.
+    presentation a the basis is built level by level: a^[p] lies in a, so
+    (J^[q/p] + a)^[p] + a = J^[q] + a, and Buchberger runs on the p-th
+    powers of the cached basis at level q/p together with the relations. At
+    q = 1 it is `groebner_basis(J, pres)`.
     """
     _power_of(q, J.ring.p)
     extra = _presentation_gens(J.ring, pres)
-    base = groebner_basis(J, None)
-    scaled = [g.frobenius(q) for g in base.polys]
     if not extra:
-        return GroebnerBasis(J.ring, scaled)
-    return buchberger(scaled + list(extra), J.ring)
+        return GroebnerBasis(J.ring, [g.frobenius(q) for g in groebner_basis(J, None).polys])
+    if q == 1:
+        return groebner_basis(J, pres)
+    p = J.ring.p
+    below = frobenius_basis(J, q // p, pres)
+    return buchberger([g.frobenius(p) for g in below.polys] + list(extra), J.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -699,50 +730,50 @@ def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | Non
 # Staircase counting and dimension
 # ---------------------------------------------------------------------------
 
-def _minimalize_monomials(exps: list) -> list:
-    exps = sorted(set(exps))
+def _minimal(lms, guard: int) -> list:
+    """The packed monomials of `lms` that no other one divides, ascending.
+    A proper divisor of a packed monomial is a smaller int."""
     out = []
-    for m in exps:
-        if not any(mono_divides(k, m) for k in out):
+    for m in sorted(set(lms)):
+        g = m | guard
+        if not any((g - k) & guard == guard for k in out):
             out.append(m)
     return out
 
 
-def _staircase_is_finite(exps: list, nvars: int) -> bool:
-    for i in range(nvars):
-        if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in exps):
-            return False
-    return True
-
-
-def _staircase_count(exps: list, nvars: int) -> int:
-    """Number of monomials outside the monomial ideal; staircase must be finite."""
-    if any(not any(m) for m in exps):
+def _staircase_count(lms: list, nvars: int, guard: int) -> int:
+    """Number of monomials in the first `nvars` variables outside the
+    monomial ideal of the packed `lms`; the staircase must be finite. The
+    last variable is the top field: each slice below its pure power is
+    counted one variable down."""
+    if 0 in lms:
         return 0
     if nvars == 0:
         return 1
-    last = nvars - 1
-    pure = [m[last] for m in exps if m[last] > 0 and not any(m[:last])]
-    bound = min(pure)
-    cuts = sorted({m[last] for m in exps if m[last] < bound} | {0})
+    shift = 64 * (nvars - 1)
+    low = (1 << shift) - 1
+    bound = min(m >> shift for m in lms if not m & low)
+    cuts = sorted({m >> shift for m in lms if m >> shift < bound} | {0})
     total = 0
     for idx, v in enumerate(cuts):
         width = (cuts[idx + 1] if idx + 1 < len(cuts) else bound) - v
-        layer = [m[:last] for m in exps if m[last] <= v]
-        layer = _minimalize_monomials(layer)
-        total += width * _staircase_count(layer, last)
+        layer = _minimal([m & low for m in lms if m >> shift <= v], guard & low)
+        total += width * _staircase_count(layer, nvars - 1, guard & low)
     return total
 
 
 def staircase_count_of(gb: GroebnerBasis) -> LengthValue:
-    """Number of standard monomials of a completed basis."""
+    """Number of standard monomials of a completed basis: infinite unless
+    every variable has a pure power among the leading monomials, else
+    counted slice by slice on the packed leading monomials."""
     if gb.contains_one:
         return LengthValue(0)
-    nvars = gb.ring.nvars
-    exps = _minimalize_monomials([gb.ring.unpack(m) for m in gb.leading_monomials])
-    if not _staircase_is_finite(exps, nvars):
-        return INFINITE_LENGTH
-    return LengthValue(_staircase_count(exps, nvars))
+    ring, lms = gb.ring, gb.leading_monomials
+    field = (1 << 64) - 1
+    for i in range(ring.nvars):
+        if not any(m and not m & ~(field << 64 * i) for m in lms):
+            return INFINITE_LENGTH
+    return LengthValue(_staircase_count(lms, ring.nvars, ring.guard))
 
 
 def standard_monomial_count(J: Ideal, pres: QuotientPresentation | None = None) -> LengthValue:

@@ -531,15 +531,24 @@ def check_level_refinement_bound(seq: IdealSequence, fam: PFamily, e: int, e1: i
 def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_levels,
                      pres=None, budget=None) -> CheckReport:
     """Diagnostic grid: escape-set size against the fixed level-e ideal at
-    inner level e', normalized by p^{(e+e')t}. No verdict is implied."""
+    inner level e', normalized by p^{(e+e')t}. No verdict is implied.
+
+    For a Frobenius family of J the cell is the level-(e+e') escape set of
+    the family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so the
+    hypothesis is checked once, against J, whose radical every J^[q]
+    shares. An explicit family reads the Frobenius family of its level-e
+    ideal."""
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
     table = []
     for e in outer_levels:
-        fixed = PFamily.frobenius(fam.level_ideal(e))
+        if fam.kind == "frobenius":
+            fixed, shift = fam, e
+        else:
+            fixed, shift = PFamily.frobenius(fam.level_ideal(e)), 0
         for e2 in inner_levels:
-            ds = escape_set(seq, fixed, e2, pres, counter)
+            ds = escape_set(seq, fixed, shift + e2, pres, counter)
             v = Fraction(ds.size, p ** ((e + e2) * t))
             table.append({"e": e, "e_inner": e2, "num": str(v.numerator), "den": str(v.denominator)})
     return CheckReport("pfamily_truncation", {}, len(table), len(table), True, None, table)

@@ -81,10 +81,6 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ was also verified by hand from the definitions.
 
 from fractions import Fraction
 
-from frobvol.groebner import Ideal, QuotientPresentation
+from frobvol.groebner import Ideal, QuotientPresentation, frobenius_power, standard_monomial_count
 from frobvol.invariants import hilbert_kunz_table, threshold_table
 from frobvol.ring import PolynomialRing
 
@@ -63,3 +63,18 @@ def test_node_hilbert_kunz():
     assert [v for _, v in table.rows] == [
         Fraction(2 * 2**e - 1, 2**e) for e in range(1, 7)
     ]
+
+
+def test_a1_hilbert_kunz_lengths_match_the_closed_form():
+    # R = F_p[x,y,z]/(xy - z^2) is F_p[s^2, st, t^2] in every characteristic,
+    # and m^[q] R is spanned by s^a t^b with a + b even and a >= 2q, b >= 2q
+    # or both >= q; the rest of [0, 2q)^2 has (3q^2 - 1)/2 even-sum points
+    # for odd q and 3q^2/2 for even q
+    for p, e_max in ((2, 7), (3, 6), (5, 3), (7, 2)):
+        R = PolynomialRing(p, ["x", "y", "z"])
+        pres = QuotientPresentation(R, Ideal(R, [R.poly("x*y-z^2")]))
+        m = Ideal(R, list(R.gens()))
+        for e in range(e_max + 1):
+            q = p**e
+            expected = (3 * q * q - 1) // 2 if q % 2 else 3 * q * q // 2
+            assert standard_monomial_count(frobenius_power(m, q), pres) == expected

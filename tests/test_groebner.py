@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -68,13 +69,11 @@ def test_buchberger_is_deterministic(R5):
 
 
 def _spoly(f, g):
-    from frobvol.ring import mono_lcm
-
     ring = f.ring
     lm_f, lc_f = f.leading()
     lm_g, lc_g = g.leading()
     lm_f, lm_g = ring.unpack(lm_f), ring.unpack(lm_g)
-    lcm = mono_lcm(lm_f, lm_g)
+    lcm = [max(a, b) for a, b in zip(lm_f, lm_g)]
     mf = ring.monomial([a - b for a, b in zip(lcm, lm_f)], ring.field.inv(lc_f))
     mg = ring.monomial([a - b for a, b in zip(lcm, lm_g)], ring.field.inv(lc_g))
     return mf * f - mg * g
@@ -309,6 +308,14 @@ def test_radical_membership_examples(R2, R5):
     assert radical_membership(R5.poly("x+y"), Ideal(R5, [R5.poly("x^2"), R5.poly("y^2")]))
 
 
+def test_radical_membership_of_a_bracket_power():
+    # the hypothesis check of a level-3 family of (x, y) over F_3: Buchberger
+    # on (x^27, y^27, 1 - w(y^2 + x)) under the elimination order
+    R3 = PolynomialRing(3, ["x", "y"])
+    J = frobenius_power(Ideal(R3, list(R3.gens())), 27)
+    assert radical_membership(R3.poly("y^2+x"), J)
+
+
 def test_power_containment_index(R2):
     x, y = R2.gens()
     m = Ideal(R2, [x, y])
@@ -522,3 +529,34 @@ def test_packed_digit_step_exponent_boundary(p):
         for over in (c + 1, MAX_EXPONENT):
             with pytest.raises(ExponentOverflowError):
                 power_table(Ideal(R, [mono(over)]), other).power(p)
+
+
+@st.composite
+def presented_frobenius_cases(draw):
+    """(J, q, pres) over F_p, p in {2, 3, 5}, in 2 or 3 variables, q = p^e
+    with e <= 2. J has one to three generators of degree at most 2; the
+    relation is y^2 - x^3, xy - z^2 (in three variables) or a random one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    monos = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+
+    def poly():
+        terms = st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1), min_size=1, max_size=3)
+        return R.from_dict(draw(terms))
+
+    named = ["y^2-x^3"] + (["x*y-z^2"] if nvars == 3 else [])
+    relation = draw(st.sampled_from(named + [None]))
+    relation = R.poly(relation) if relation else poly()
+    J = Ideal(R, [poly() for _ in range(draw(st.integers(1, 3)))])
+    return J, p ** draw(st.integers(0, 2)), QuotientPresentation(R, Ideal(R, [relation]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(presented_frobenius_cases())
+def test_presented_frobenius_basis_matches_direct_buchberger(case):
+    """The level-by-level basis of J^[q] + a equals Buchberger's basis of the
+    bracket power's generators and the relations."""
+    J, q, pres = case
+    direct = buchberger(list(frobenius_power(J, q).gens) + list(pres.relations.gens), J.ring)
+    assert frobenius_basis(J, q, pres).polys == direct.polys

@@ -10,7 +10,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from frobvol.groebner import buchberger
+from frobvol.groebner import Ideal, QuotientPresentation, buchberger, frobenius_basis
 from frobvol.ring import PolynomialRing
 from oracles import exponents, random_poly
 
@@ -86,3 +86,18 @@ def test_named_cases_match_sympy():
     for gens_text in cases:
         gens = [ring.poly(t) for t in gens_text]
         assert _frobvol_basis_set(gens, ring) == _sympy_reduced_basis(gens, ring, "grevlex")
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("variables,q,relation", [("xyz", 9, "x*y-z^2"), ("xy", 27, "y^2-x^3")])
+def test_bracket_powers_in_quotients_match_sympy(variables, q, relation, order):
+    """m^[9] + (xy - z^2) and (x, y)^[27] + (y^2 - x^3) over F_3, where the
+    pair criteria drop most S-pairs, by direct Buchberger and level by
+    level."""
+    ring = PolynomialRing(3, list(variables), order)
+    m = Ideal(ring, list(ring.gens()))
+    pres = QuotientPresentation(ring, Ideal(ring, [ring.poly(relation)]))
+    gens = [g.frobenius(q) for g in m.gens] + [ring.poly(relation)]
+    expected = _sympy_reduced_basis(gens, ring, order)
+    assert _frobvol_basis_set(gens, ring) == expected
+    assert {frozenset(exponents(g).items()) for g in frobenius_basis(m, q, pres)} == expected

@@ -397,10 +397,14 @@ def test_check_level_refinement(R2, m2):
 
 def test_truncation_table_diagnostic(R2, m2):
     fam = PFamily.frobenius(m2)
-    report = truncation_table(seq_of(R2, ["x"], ["y^2+x"]), fam, range(1, 3), range(1, 3))
+    seq = seq_of(R2, ["x"], ["y^2+x"])
+    report = truncation_table(seq, fam, range(1, 3), range(1, 3))
     assert report.ok and len(report.table) == 4
     # against the bracket-power family the normalized grid is constant 3/4
     assert all(Fraction(int(r["num"]), int(r["den"])) == Fraction(3, 4) for r in report.table)
+    # an explicit family of the same levels reads the same grid cell by cell
+    explicit = PFamily.explicit([frobenius_power(m2, 2**e) for e in range(3)])
+    assert truncation_table(seq, explicit, range(1, 3), range(1, 3)).table == report.table
 
 
 def test_check_threshold_bounds(R2, m2):

@@ -64,7 +64,7 @@ from .regions import (
     PFamily,
     check_hypothesis,
     downset_csv,
-    escape_set,
+    escape_sets,
     staircase_svg,
     verify_cover,
 )
@@ -414,7 +414,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         seq = spec.sequence()
         fam = spec.family()
         counter = BudgetCounter(spec.budget)
-        sets = [escape_set(seq, fam, e, pres, counter) for e in spec.levels()]
+        sets = list(escape_sets(seq, fam, spec.levels(), pres, counter))
         return downset_csv(sets), 0
 
     if command == "volume":
@@ -474,7 +474,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         seq = spec.sequence()
         fam = spec.family()
         counter = BudgetCounter(spec.budget)
-        downsets = [escape_set(seq, fam, e, pres, counter) for e in spec.levels()]
+        downsets = list(escape_sets(seq, fam, spec.levels(), pres, counter))
         return staircase_svg(downsets), 0
 
     raise BadInputError(f"unknown command {command!r}")

@@ -24,7 +24,9 @@ with no normal form kept.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
-sets, containment exponents, the Fedder test) is read from it.
+sets, containment exponents, the Fedder test) is read from it. A sweep
+links each level's table to the table one level down, so a digit step
+reads its high digits from the smaller normal forms there.
 
 `groebner_basis`, `frobenius_basis` and `power_table` cache what they build
 for the life of the process (`functools.cache`, keyed on the arguments as
@@ -382,7 +384,9 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     of one kept before divides its own (criteria M and F; a proper divisor
     of a packed monomial is a smaller int); at one lcm a pair with coprime
     leading monomials comes first, so it drops the others, and then itself.
-    A polynomial whose leading monomial the new one divides is retired: it
+    Two monomials form no pair at all: their S-polynomial is 0, so a new
+    monomial pairs only with the polynomials that have a tail. A
+    polynomial whose leading monomial the new one divides is retired: it
     forms no more pairs and no longer divides. Pair lcms are field-wise
     maxima of packed monomials, read off the guard bits. Each S-polynomial
     is built from the tails of its pair.
@@ -424,8 +428,9 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         heapq.heapify(pairs)
         new = []
         for i in live:
-            m = lcm(lms[i], lm)
-            new.append((m, m != lms[i] + lm, i))
+            if tail or tails[i]:
+                m = lcm(lms[i], lm)
+                new.append((m, m != lms[i] + lm, i))
         kept = []
         for pair in sorted(new):
             if not any(divides(k[0], pair[0]) for k in kept):
@@ -555,28 +560,35 @@ class PowerTable:
     `pows` maps k to the deduplicated nonzero normal forms of I^k, with
     `pows[0]` from NF(1) and `pows[1]` from the generators; an empty tuple
     means the power lies in the ideal (and every higher one does too).
+    `below` is None or the table of the same I modulo an ideal L' whose
+    bracket power L'^[p] lies in this table's ideal, such as the level
+    below in a p-family; the digit step then reads its high digits there.
     """
 
-    __slots__ = ("ideal", "basis", "pows")
+    __slots__ = ("ideal", "basis", "pows", "below")
 
     def __init__(self, I: Ideal, basis: GroebnerBasis):
         self.ideal = I
         self.basis = basis
+        self.below = None
         self.pows = {
             0: _dedup([basis.reduce(I.ring.one())]),
             1: _dedup(basis.reduce(g) for g in I.gens),
         }
 
     def power(self, k: int) -> tuple:
-        """Normal forms generating I^k modulo the ideal of the basis.
+        """Normal forms generating I^k modulo the ideal L of the basis.
 
         A one-generator ideal (f) with k >= p is built from its base-p
-        digits: NF(f^k) = NF(NF(f^(k//p))^p * NF(f^(k%p))). This is exact in
-        any ideal L: if g = NF(f^a) = f^a + h with h in L, then in
-        characteristic p, g^p = f^(ap) + h^p and h^p lies in L. Every other
-        power takes the step I^k = I^(k-1) * I; for several generators
-        (I^a)^[p] is only contained in I^(ap), so the digit step does not
-        apply. `regions.escape_set` splits its entries into their
+        digits: NF(f^k) = NF(g^p * NF(f^(k%p))), where g = NF'(f^(k//p))
+        is read from `below` when it is set (NF' modulo its ideal L') and
+        from this table otherwise. This is exact: if g = f^a + h with h in
+        L', then in characteristic p, g^p = f^(ap) + h^p and h^p lies in
+        L'^[p], which lies in L (and L' = L is the case without `below`).
+        Normal forms are unique, so either route gives the same entry.
+        Every other power takes the step I^k = I^(k-1) * I; for several
+        generators (I^a)^[p] is only contained in I^(ap), so the digit step
+        does not apply. `regions.escape_set` splits its entries into their
         generators, so only `regions.escapes` and `power_containment_index`
         read powers of several generators.
         """
@@ -586,7 +598,8 @@ class PowerTable:
         basis = self.basis
         p = basis.ring.p
         if k >= p and self.ideal.num_gens == 1:
-            high = [f.frobenius(p) for f in self.power(k // p)]
+            source = self if self.below is None else self.below
+            high = [f.frobenius(p) for f in source.power(k // p)]
             pows[k] = self._settled(basis.reduce_products(high, self.power(k % p)))
             return pows[k]
         j = k - 1

@@ -36,8 +36,10 @@ from .regions import (
     PFamily,
     _as_budget,
     box_region,
+    _flat,
     containment_exponents,
     escape_set,
+    escape_sets,
 )
 
 
@@ -151,30 +153,52 @@ class CheckReport:
 
 def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
     """Largest k with I^k escaping J^[p^e]: the maximal point of the
-    one-entry escape set, found by binary search within the finiteness bound
-    (containment is monotone in k) and charged against the budget.
+    one-entry escape set, charged against the budget. Containment is
+    monotone in k, so each level is a binary search: within the finiteness
+    bound at a level swept cold, and within p*nu(e-1) .. p*nu(e-1) + p - 1
+    at a level walked from the one below (`regions.escape_sets`).
 
-    For a principal I = (f) each probed power is built from f's base-p
-    digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal
-    (see `groebner.PowerTable.power`), so a probe costs O(log_p k) products.
-    An I with several generators is split into them (the sup identity, see
-    `regions.escape_set`), so its probes are built from digits too.
+    A principal I = (f) in a polynomial ring goes digit by digit: the
+    levels 0..e are walked (`_nu_walk`), each in about log2(p) + 1 probes,
+    every probe charged to the same budget. Each probed power is built from
+    f's base-p digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any
+    level ideal, with f^a read one level down (see
+    `groebner.PowerTable.power`). An I with several generators is split
+    into them (the sup identity, see `regions.escape_set`) and swept at
+    level e alone.
     """
-    ds = escape_set(IdealSequence([I]), PFamily.frobenius(J), e, pres, budget)
+    fam = PFamily.frobenius(J)
+    *_, ds = escape_sets(IdealSequence([I]), fam, _nu_walk(I, fam, pres, [e]), pres, budget)
     return NuValue(e, ds.max_points[0][0])
 
 
+def _nu_walk(I: Ideal, fam: PFamily, pres, levels: list):
+    """The levels a `nu` table visits to reach `levels`, in order: 0 up to
+    the highest of them for a principal I where each level's search starts
+    from p times the one below (`regions._flat`), else `levels` as given."""
+    if I.num_gens == 1 and _flat(fam, pres) and min(levels, default=0) >= 0:
+        return range(max(levels, default=-1) + 1)
+    return levels
+
+
 def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
-    """Rows (e, nu/p^e); the finite sequence only, no extrapolation."""
+    """Rows (e, nu/p^e); the finite sequence only, no extrapolation. The
+    levels are walked in one pass (`_nu_walk`, `regions.escape_sets`), so
+    consecutive levels start from the one below."""
     counter = _as_budget(budget)
     p = I.ring.p
-    rows = []
+    fam = PFamily.frobenius(J)
+    levels = list(levels)
+    nus = {}
     try:
-        for e in levels:
-            rows.append((e, Fraction(nu(I, J, e, pres, counter).nu, p ** e)))
+        for ds in escape_sets(IdealSequence([I]), fam, _nu_walk(I, fam, pres, levels), pres,
+                              counter):
+            nus[ds.level] = ds.max_points[0][0]
     except BudgetExceededError as exc:
+        rows = [(e, Fraction(nus[e], p ** e)) for e in levels if e in nus]
         exc.partial = EstimateTable("threshold", p, 1, rows, flags={"budget_exceeded": True})
         raise
+    rows = [(e, Fraction(nus[e], p ** e)) for e in levels]
     vals = [v for _, v in rows]
     flags = {
         "nondecreasing": all(a <= b for a, b in zip(vals, vals[1:])),
@@ -193,25 +217,28 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                  budget=None) -> EstimateTable:
     """Rows (e, |escape set|/p^{et}) with companion strictly-positive rows.
 
-    Each row also records the exact gap bound between the two counts; over a
-    polynomial ring the positive-normalized rows must be nondecreasing, and a
-    violation is reported as a bug, not a result.
+    The levels are walked by `regions.escape_sets`, the sequence and (for
+    t >= 2) each entry alone, so consecutive levels start from the one
+    below. Each row also records the exact gap bound between the two
+    counts; over a polynomial ring the positive-normalized rows must be
+    nondecreasing, and a violation is reported as a bug, not a result.
     """
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
+    levels = list(levels)
+    singles_walks = [
+        escape_sets(IdealSequence([I]), fam, levels, pres, counter) for I in seq.entries
+    ] if t >= 2 else []
     rows, tilde_rows, gap_notes = [], [], []
     try:
-        for e in levels:
-            ds = escape_set(seq, fam, e, pres, counter)
+        for ds in escape_sets(seq, fam, levels, pres, counter):
+            e = ds.level
             denom = p ** (e * t)
             rows.append((e, Fraction(ds.size, denom)))
             tilde_rows.append((e, Fraction(ds.positive_size, denom)))
             if t >= 2:
-                singles = [
-                    escape_set(IdealSequence([I]), fam, e, pres, counter).size
-                    for I in seq.entries
-                ]
+                singles = [next(walk).size for walk in singles_walks]
                 bound = 0
                 for i in range(t):
                     term = 1
@@ -534,22 +561,29 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
     inner level e', normalized by p^{(e+e')t}. No verdict is implied.
 
     For a Frobenius family of J the cell is the level-(e+e') escape set of
-    the family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so the
-    hypothesis is checked once, against J, whose radical every J^[q]
-    shares. An explicit family reads the Frobenius family of its level-e
-    ideal."""
+    the family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so each
+    distinct level e+e' is swept once, walking them in order
+    (`regions.escape_sets`), and the hypothesis is checked once, against J,
+    whose radical every J^[q] shares. An explicit family walks the inner
+    levels of the Frobenius family of its level-e ideal."""
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
+    outer_levels, inner_levels = list(outer_levels), list(inner_levels)
+
+    def sizes(family, walk) -> dict:
+        return {ds.level: ds.size for ds in escape_sets(seq, family, walk, pres, counter)}
+
+    if fam.kind == "frobenius":
+        swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))
     table = []
     for e in outer_levels:
         if fam.kind == "frobenius":
-            fixed, shift = fam, e
+            cells, shift = swept, e
         else:
-            fixed, shift = PFamily.frobenius(fam.level_ideal(e)), 0
+            cells, shift = sizes(PFamily.frobenius(fam.level_ideal(e)), inner_levels), 0
         for e2 in inner_levels:
-            ds = escape_set(seq, fixed, shift + e2, pres, counter)
-            v = Fraction(ds.size, p ** ((e + e2) * t))
+            v = Fraction(cells[shift + e2], p ** ((e + e2) * t))
             table.append({"e": e, "e_inner": e2, "num": str(v.numerator), "den": str(v.denominator)})
     return CheckReport("pfamily_truncation", {}, len(table), len(table), True, None, table)
 

@@ -354,7 +354,8 @@ def _antichain(points) -> tuple:
     return tuple(sorted(out))
 
 
-def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> DownSet:
+def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
+               carry=None) -> DownSet:
     """Enumerate the level-e escape set exactly.
 
     Every entry I = (f_1, ..., f_mu) is split into its generators (the
@@ -365,23 +366,65 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None)
     block of coordinates, and its maximal points are among the images of
     that set's maximal points. Only principal sequences are swept, so every
     power a probe reads is built from base-p digits.
+
+    `carry` is None (a cold sweep) or a dict that hands the rows of the
+    swept sequence from one level to the next: the sweep starts from the
+    rows of level e - 1 if they are there (`_principal_escape_set`), and
+    leaves its own in their place. `escape_sets` passes one.
     """
     check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
     if seq.principal:
-        return _principal_escape_set(seq, fam, e, pres, counter)
+        return _principal_escape_set(seq, fam, e, pres, counter, carry)
     split = IdealSequence(Ideal(seq.ring, (g,)) for I in seq.entries for g in I.gens)
     ends = list(itertools.accumulate(seq.generator_counts()))
     blocks = list(zip([0] + ends, ends))
     corners = [
         tuple(sum(m[a:b]) for a, b in blocks)
-        for m in _principal_escape_set(split, fam, e, pres, counter).max_points
+        for m in _principal_escape_set(split, fam, e, pres, counter, carry).max_points
     ]
     return box_region(seq.t, e, fam.p, corners)
 
 
+def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None):
+    """Yield the escape set at each of `levels` in turn, all charged to one
+    budget. A level one above the level before it starts from that level's
+    rows: they lie within p times the rows below (see
+    `_principal_escape_set`). `escape_set` is the cold single level."""
+    counter = _as_budget(budget)
+    carry = {}
+    for e in levels:
+        yield escape_set(seq, fam, e, pres, counter, carry)
+
+
+def _flat(fam: PFamily, pres) -> bool:
+    """Whether p * V_(e-1) lies in V_e, the lower end of a warm row search.
+    Frobenius is flat over a regular ring (Kunz 1969), so x^p in K^[p]
+    gives x in K, and the levels of a Frobenius family are bracket powers;
+    neither holds in a quotient ring or for an explicit family."""
+    return fam.kind == "frobenius" and (pres is None or pres.trivial)
+
+
+def _power_tables(seq: IdealSequence, fam: PFamily, e: int, pres) -> list:
+    """The entries' power tables modulo the level-e ideal, each linked to
+    its table one level down, and so on to level 0 (`PowerTable.below`).
+    The link is exact in every ring and for both family kinds: the p-th
+    bracket power of a level lies in the next level, and a presentation's
+    relations contain their own p-th powers."""
+    tables = []
+    for I in seq.entries:
+        table = power_table(I, fam.level_basis(e, pres))
+        tables.append(table)
+        for lower in range(e - 1, -1, -1):
+            if table.below is not None:
+                break
+            table.below = power_table(I, fam.level_basis(lower, pres))
+            table = table.below
+    return tables
+
+
 def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
-                          counter: BudgetCounter) -> DownSet:
+                          counter: BudgetCounter, carry=None) -> DownSet:
     """The escape set of a principal sequence.
 
     Depth-first sweep over prefixes; on the last axis the feasible values form
@@ -395,29 +438,45 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     the power table as it is. A probe on the last axis only asks whether
     the prefix meets the power outside the level ideal
     (`GroebnerBasis.meets`), which stops at the first surviving term.
+
+    Given the rows at level e - 1 in `carry`, the row of a prefix b is
+    at most p * row_(e-1)(floor(b/p)) + p - 1 in every ring and family: if
+    the product at (b, a) escapes, so does its factor at p * floor((b, a)/p),
+    which is the p-th power of the product at floor((b, a)/p), so that
+    product escapes one level down. Where Frobenius is flat (`_flat`) the
+    row is also at least p * row_(e-1)(ceil(b/p)), and the search starts
+    there. For one entry the search then spans p values, so `nu` costs
+    about log2(p) + 1 probes per level (Mustata-Takagi-Watanabe 2005).
     """
     basis = fam.level_basis(e, pres)
-    powers = [power_table(I, basis) for I in seq.entries]
+    powers = _power_tables(seq, fam, e, pres)
     t = seq.t
+    p = fam.p
     bounds = axis_bounds(seq, fam, e, pres)
     rows: dict = {}
+    lower = None if carry is None else carry.pop(e - 1, None)
+    flat = _flat(fam, pres)
 
     def last_max(prefix: tuple, prefix_polys) -> int:
         hi = bounds[t - 1] - 1
+        lo = 0  # the prefix itself escapes, so m = 0 is always feasible
         for i, a in enumerate(prefix):
             if a:
                 hi = min(hi, rows[prefix[:i] + (a - 1,) + prefix[i + 1:]])
+        if lower is not None:
+            hi = min(hi, p * lower[tuple([a // p for a in prefix])] + p - 1)
+            if flat:
+                lo = p * lower.get(tuple([-(-a // p) for a in prefix]), 0)
 
         def member(m: int) -> bool:
             counter.charge()
             polys = powers[t - 1].power(m)
             return bool(polys) if prefix_polys is None else basis.meets(prefix_polys, polys)
 
-        if hi <= 0:
-            return 0
+        if hi <= lo:
+            return lo
         if member(hi):
             return hi
-        lo = 0  # the prefix itself escapes, so m = 0 is always feasible
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if member(mid):
@@ -442,6 +501,9 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
             a += 1
 
     sweep(0, (), None)
+    if carry is not None:
+        carry.clear()
+        carry[e] = rows
 
     size = sum(m + 1 for m in rows.values())
     positive = sum(

@@ -7,9 +7,10 @@ was also verified by hand from the definitions.
 """
 
 from fractions import Fraction
+from math import ceil
 
 from frobvol.groebner import Ideal, QuotientPresentation, frobenius_power, standard_monomial_count
-from frobvol.invariants import hilbert_kunz_table, threshold_table
+from frobvol.invariants import hilbert_kunz_table, nu, threshold_table
 from frobvol.ring import PolynomialRing
 
 
@@ -33,6 +34,33 @@ def test_cusp_thresholds():
     vals = _threshold_values(7, "y^2-x^3", 3)
     assert vals == [Fraction(5, 7), Fraction(40, 49), Fraction(285, 343)]
     assert all(abs(v - Fraction(5, 6)) < Fraction(1, 7**e) for e, v in enumerate(vals, start=1))
+
+
+def test_cusp_nu_follows_the_threshold_at_high_levels():
+    # nu(p^e) = ceil(c p^e) - 1 for a principal f in a polynomial ring with
+    # F-pure threshold c (Mustata-Takagi-Watanabe 2005; Blickle-Mustata-Smith
+    # 2008); the table walks the levels digit by digit. At p = 5 every
+    # base-5 digit of nu is 4 and f^nu keeps about 5^e terms, so p = 5 is
+    # left out here.
+    for p, c, e_max in ((7, Fraction(5, 6), 20), (13, Fraction(5, 6), 12),
+                        (3, Fraction(2, 3), 10), (2, Fraction(1, 2), 16)):
+        assert _threshold_values(p, "y^2-x^3", e_max) == [
+            Fraction(ceil(c * p**e) - 1, p**e) for e in range(1, e_max + 1)
+        ]
+
+
+def test_nu_of_a_power_of_one_variable():
+    # x^(dk) escapes (x^q) exactly when dk < q
+    for p, e_max in ((2, 12), (3, 8), (5, 6), (7, 5)):
+        R = PolynomialRing(p, ["x"])
+        (x,) = R.gens()
+        J = Ideal(R, [x])
+        for d in range(1, 8):
+            I = Ideal(R, [x**d])
+            table = threshold_table(I, J, range(e_max + 1))
+            expected = [ceil(Fraction(p**e, d)) - 1 for e in range(e_max + 1)]
+            assert [v * p**e for e, v in table.rows] == expected
+            assert nu(I, J, e_max).nu == ceil(Fraction(p**e_max, d)) - 1
 
 
 def test_diagonal_quartic_threshold():

@@ -16,6 +16,7 @@ from frobvol.errors import (
 from frobvol.cli import parse_spec
 from frobvol.groebner import (
     Ideal,
+    PowerTable,
     _dedup,
     QuotientPresentation,
     frobenius_basis,
@@ -39,6 +40,7 @@ from frobvol.regions import (
     covering_sets,
     downset_csv,
     escape_set,
+    escape_sets,
     escapes,
     fill_refinement,
     region_volume,
@@ -611,19 +613,29 @@ def test_row_bounds_cut_the_probes_of_a_sweep(worked):
 
 def test_a_sweep_charges_every_probe(worked, R2):
     """The first axis reads the power table without a product by the unit,
-    and the last axis asks `meets`; each probe is charged all the same."""
+    and the last axis asks `meets`; each probe is charged all the same.
+    Walked from level 0 (`escape_sets`), the top level starts each row from
+    the rows one level down and takes fewer probes."""
     _, fam, _, seq_g = worked
-    for seq, e, probes in ((seq_g, 8, 520), (seq_of(R2, ["x"], ["y"], ["x+y"]), 5, 2626)):
+    cases = ((seq_g, 8, 520, 512), (seq_of(R2, ["x"], ["y"], ["x+y"]), 5, 2626, 2376))
+    for seq, e, probes, warm in cases:
         counter = BudgetCounter(10**6)
         escape_set(seq, fam, e, budget=counter)
         assert counter.used == probes
+        counter = BudgetCounter(10**6)
+        used = [counter.used for _ in escape_sets(seq, fam, range(e + 1), budget=counter)]
+        assert used[-1] - used[-2] == warm
 
 
 def test_a_one_entry_sweep_keeps_its_probe_sequence():
+    """nu walks the levels 0..8 digit by digit: 4373 is 12222222 in base 3,
+    level 1 searches [0, 2] (two probes) and each later level finds its
+    top, 3 * nu + 2, at the first probe. A cold search from the axis bound
+    takes 14."""
     R = PolynomialRing(3, ["x", "y"])
     counter = BudgetCounter(10**6)
     assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter).nu == 4373
-    assert counter.used == 14
+    assert counter.used == 9
 
 
 # -- every entry is split into its generators ---------------------------------
@@ -662,3 +674,148 @@ def test_escape_sets_sweep_only_principal_sequences(monkeypatch):
     ]
     for run in runs:
         assert _swept_generator_counts(monkeypatch, run) == {1}
+
+
+# -- each level built from the one below --------------------------------------
+
+_RELATIONS = [None, "y^2-x^3", "x*y-z^2"]
+
+
+def _monomials(n) -> list:
+    """The exponent tuples of degree 1 or 2 in n variables."""
+    return [a for a in itertools.product(range(3), repeat=n) if 1 <= sum(a) <= 2]
+
+
+@st.composite
+def level_cases(draw, max_gens=1):
+    """(seq, fam, pres, top) over F_p[x,y] or F_p[x,y,z] with p in {2,3,5},
+    in the polynomial ring or modulo y^2 - x^3 or xy - z^2. The family is
+    the Frobenius family of the maximal ideal m or an explicit one whose
+    level i + 1 is the bracket p-th power of level i plus a monomial. Up to
+    two entries of up to `max_gens` generators, three generators in all;
+    levels 0..top, with top lowered until the box of the swept generators
+    is small at the top level."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    relation = draw(st.sampled_from(_RELATIONS))
+    three = relation == "x*y-z^2" or draw(st.booleans())
+    R = PolynomialRing(p, ["x", "y", "z"] if three else ["x", "y"])
+    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    monos = _monomials(len(R.variables))
+
+    def gen():
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        return R.from_dict({a: draw(st.integers(1, p - 1)) for a in chosen})
+
+    counts = draw(st.lists(st.integers(1, max_gens), min_size=1, max_size=2)
+                  .filter(lambda c: sum(c) <= 3))
+    seq = IdealSequence(Ideal(R, [gen() for _ in range(mu)]) for mu in counts)
+    # the sweep runs over the generators, one axis each
+    split = IdealSequence(Ideal(R, [g]) for I in seq.entries for g in I.gens)
+    top = draw(st.integers(1, 3))
+    m = Ideal(R, list(R.gens()))
+    if draw(st.booleans()):
+        fam = PFamily.frobenius(m)
+    else:
+        levels = [m]
+        for _ in range(top):
+            extra = R.from_dict({draw(st.sampled_from(monos)): 1})
+            levels.append(Ideal(R, [*frobenius_power(levels[-1], p).gens, extra]))
+        fam = PFamily.explicit(levels, pres)
+    while top > 1:
+        bounds = axis_bounds(split, fam, top, pres)
+        if math.prod(bounds[:-1]) <= 100 and bounds[-1] <= 200:
+            break
+        top -= 1
+    return seq, fam, pres, top
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(level_cases())
+def test_a_table_linked_one_level_down_matches_its_own_level(case):
+    """Digit steps that read their high digits one level down give the
+    same normal forms as digit steps within the level; fresh tables, so
+    no cached table is shared."""
+    seq, fam, pres, top = case
+    I = seq.entries[0]
+    linked = None
+    for e in range(top + 1):
+        below, linked = linked, PowerTable(I, fam.level_basis(e, pres))
+        linked.below = below
+    own = PowerTable(I, fam.level_basis(top, pres))
+    bound = axis_bounds(IdealSequence([I]), fam, top, pres)[0]
+    for k in reversed(range(bound + fam.p)):
+        assert linked.power(k) == own.power(k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(level_cases(max_gens=2), st.booleans())
+def test_every_walked_level_matches_the_cold_escape_set(case, skip_one):
+    """`escape_sets` starts each level from the rows of the level below; a
+    skipped level makes the next one start cold."""
+    seq, fam, pres, top = case
+    levels = [e for e in range(top + 1) if not (skip_one and e == top - 1)]
+    walked = list(escape_sets(seq, fam, levels, pres))
+    assert [ds.level for ds in walked] == levels
+    for ds in walked:
+        cold = escape_set(seq, fam, ds.level, pres)
+        assert (ds.max_points, ds.size, ds.positive_size) == (
+            cold.max_points, cold.size, cold.positive_size)
+
+
+# references with radical m in two and in three variables
+_NU_REFERENCES = {
+    2: [["x", "y"], ["x^2", "y"], ["x^2+y^2", "x*y"]],
+    3: [["x", "y", "z"], ["x^2", "y", "z+y^2"]],
+}
+
+
+@st.composite
+def nu_level_cases(draw):
+    """(seq, fam, top): one principal entry over F_p[x,y] or F_p[x,y,z] with
+    p in {2,3,5}, the Frobenius family of a reference with radical m, and
+    levels 0..top with the top level's bound at most 300."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:n])
+    chosen = draw(st.lists(st.sampled_from(_monomials(n)), min_size=1, max_size=3, unique=True))
+    seq = IdealSequence([Ideal(R, [R.from_dict({a: draw(st.integers(1, p - 1)) for a in chosen})])])
+    J = draw(st.sampled_from(_NU_REFERENCES[n]))
+    fam = PFamily.frobenius(Ideal(R, [R.poly(g) for g in J]))
+    top = draw(st.integers(1, 4))
+    while top > 1 and axis_bounds(seq, fam, top)[0] > 300:
+        top -= 1
+    return seq, fam, top
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nu_level_cases())
+def test_nu_of_the_next_level_lies_within_p_times_this_one(case):
+    """p nu_e <= nu_(e+1) <= p nu_e + p - 1 in a polynomial ring
+    (Mustata-Takagi-Watanabe 2005), each nu from a cold single level."""
+    seq, fam, top = case
+    p = fam.p
+    nus = [escape_set(seq, fam, e).max_points[0][0] for e in range(top + 1)]
+    for a, b in zip(nus, nus[1:]):
+        assert p * a <= b <= p * a + p - 1
+
+
+def test_the_lower_end_of_a_walked_row_needs_a_flat_frobenius():
+    """p * V_(e-1) lies in V_e for a Frobenius family over a polynomial
+    ring, and the walk starts each row there only then (`regions._flat`).
+    In F_2[x,y]/(x^2), nu of x against (y) is 1 at levels 0 and 1, since
+    x^2 = 0; against the explicit family (x^4), (x^2) it is 3, then 1.
+    A row started at 2 * nu would miss both."""
+    R = PolynomialRing(2, ["x", "y"])
+    x, y = R.gens()
+    m = Ideal(R, [x, y])
+    nilpotent = QuotientPresentation(R, Ideal(R, [x * x]))
+    explicit = PFamily.explicit([Ideal(R, [x ** 4]), Ideal(R, [x ** 2])])
+    assert regions._flat(PFamily.frobenius(m), None)
+    assert regions._flat(PFamily.frobenius(m), QuotientPresentation(R))
+    assert not regions._flat(PFamily.frobenius(m), nilpotent)
+    assert not regions._flat(explicit, None)
+    seq = IdealSequence([Ideal(R, [x])])
+    for fam, pres, nus in ((PFamily.frobenius(Ideal(R, [y])), nilpotent, [1, 1]),
+                           (explicit, None, [3, 1])):
+        assert [ds.max_points[0][0] for ds in escape_sets(seq, fam, [0, 1], pres)] == nus
+        assert [escape_set(seq, fam, e, pres).max_points[0][0] for e in (0, 1)] == nus

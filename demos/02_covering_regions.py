@@ -4,7 +4,7 @@ Refining the lattice from denominator p^e1 to p^(e1+e2) can only add escape
 points near the staircase boundary: the refined set is covered by (1) the
 refinement fill of the coarse set and (2) the fill of its diagonally padded
 border. This script rebuilds both covers, checks the containment, and writes
-the overlaid staircases to an SVG.
+the overlaid staircases to staircases.svg in the current directory.
 """
 
 from pathlib import Path
@@ -47,6 +47,6 @@ fine = escape_set(seq, fam, e1 + e2)
 outside_interior = [pt for pt in fine.points() if pt not in R_set.points]
 print(f"{len(outside_interior)} of {fine.size} refined points need the border cover")
 
-out = Path(__file__).with_name("staircases.svg")
+out = Path("staircases.svg")
 out.write_text(staircase_svg([escape_set(seq, fam, e) for e in (1, 2, 3)]))
-print(f"wrote overlaid staircase outlines for e = 1, 2, 3 to {out.name}")
+print(f"wrote overlaid staircase outlines for e = 1, 2, 3 to {out.resolve()}")

@@ -28,6 +28,7 @@ from .errors import (
     BadInputError,
     BadLevelError,
     BudgetExceededError,
+    ExponentOverflowError,
     HypothesisViolatedError,
     NonPrimeError,
     NotPrimaryError,
@@ -79,6 +80,7 @@ _USER_ERRORS = (
     BadLevelError,
     NotPrimaryError,
     SearchLimitError,
+    ExponentOverflowError,
 )
 
 
@@ -407,15 +409,15 @@ def _run_check(spec: ProblemSpec, name: str, args) -> tuple:
 
 
 def _dispatch(spec: ProblemSpec, args) -> tuple:
-    """Return (payload text, exit code)."""
+    """Return (payload, exit code): text, or a function writing it to a stream."""
     command = args.command
     pres = spec.presentation()
-    if command == "vset":
-        seq = spec.sequence()
-        fam = spec.family()
-        counter = BudgetCounter(spec.budget)
-        sets = list(escape_sets(seq, fam, spec.levels(), pres, counter))
-        return downset_csv(sets), 0
+    if command in ("vset", "staircase"):
+        sets = list(escape_sets(spec.sequence(), spec.family(), spec.levels(), pres,
+                                BudgetCounter(spec.budget)))
+        if command == "staircase":
+            return staircase_svg(sets), 0
+        return (lambda out: downset_csv(sets, out)), 0
 
     if command == "volume":
         table = volume_table(
@@ -469,13 +471,6 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         return text, 0 if result.ok else 4
-
-    if command == "staircase":
-        seq = spec.sequence()
-        fam = spec.family()
-        counter = BudgetCounter(spec.budget)
-        downsets = list(escape_sets(seq, fam, spec.levels(), pres, counter))
-        return staircase_svg(downsets), 0
 
     raise BadInputError(f"unknown command {command!r}")
 
@@ -542,10 +537,12 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"internal check failure: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 4
+    write = payload if callable(payload) else lambda out: out.write(payload)
     if args.out:
-        Path(args.out).write_bytes(payload.encode("utf-8"))
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            write(out)
     else:
-        sys.stdout.write(payload)
+        write(sys.stdout)
     return code
 
 

@@ -303,9 +303,7 @@ class DownSet:
 
     def points(self) -> list:
         """All points, sorted; intended for export and small-instance oracles."""
-        return [
-            prefix + (a,) for prefix, top in _down_set_rows(self.max_points) for a in range(top + 1)
-        ]
+        return [b + (a,) for b, top in _down_set_rows(self.max_points) for a in range(top + 1)]
 
     def is_empty(self) -> bool:
         return self.size == 0
@@ -327,20 +325,29 @@ class DownSet:
         )
 
 
-def _down_set_rows(boxes, prefix=()):
-    """The rows of the union of the boxes [0, m], one per corner m, in
-    sorted order, each after `prefix`: a row is (prefix, top), the points
-    prefix + (a,) for a = 0..top. The rows with first coordinate a are a
-    followed by the rows of the boxes with m[0] >= a, less their first
-    coordinate, so no point is generated twice."""
-    if not boxes:
-        return
-    top = max(m[0] for m in boxes)
-    if len(boxes[0]) == 1:
-        yield prefix, top
-        return
-    for a in range(top + 1):
-        yield from _down_set_rows([m[1:] for m in boxes if m[0] >= a], prefix + (a,))
+def _down_set_rows(corners) -> list:
+    """The rows (b, top), the points b + (a,) for a = 0..top, of the union of
+    the boxes [0, m] over the corners m, sorted. The prefixes b are the points
+    of the corners' rows less their last coordinate; walked from the last,
+    top(b) is the max of b's own corner and top(b + e_i) over the axes i < t - 1."""
+    if not corners:
+        return []
+    if len(corners[0]) == 1:
+        return [((), max(m[0] for m in corners))]
+    own = {m[:-1]: m[-1] for m in sorted(corners)}  # the largest m[-1] comes last
+    top = {}
+    for prefix, end in reversed(_down_set_rows(list(own))):
+        ups = [prefix[:i] + (x + 1,) + prefix[i + 1:] for i, x in enumerate(prefix)]
+        above = -1  # top(prefix + (a + 1,))
+        for a in range(end, -1, -1):
+            b = prefix + (a,)
+            above = top[b] = max(own.get(b, -1), above, *[top.get(u + (a,), -1) for u in ups])
+    return list(reversed(top.items()))
+
+
+def _sizes(rows) -> tuple:
+    """The number of points of the rows (b, top), and of the positive ones."""
+    return sum(top + 1 for _, top in rows), sum(top for b, top in rows if 0 not in b)
 
 
 def _antichain(points) -> tuple:
@@ -505,10 +512,7 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
         carry.clear()
         carry[e] = rows
 
-    size = sum(m + 1 for m in rows.values())
-    positive = sum(
-        m for prefix, m in rows.items() if all(x >= 1 for x in prefix)
-    )
+    size, positive = _sizes(rows.items())
     max_points = []
     for prefix, m in rows.items():
         if all(
@@ -678,11 +682,7 @@ def box_region(dimension, level, p, corners) -> DownSet:
     """The down-set the corners generate: the union of the boxes [0, a] over
     the corners a, counted row by row (no set is built)."""
     max_points = _antichain(corners)
-    size = positive = 0
-    for prefix, top in _down_set_rows(max_points):
-        size += top + 1
-        if 0 not in prefix:
-            positive += top
+    size, positive = _sizes(_down_set_rows(max_points))
     return DownSet(dimension, level, p, max_points, size, positive)
 
 
@@ -707,25 +707,28 @@ def _export_list(downsets) -> list:
     return downsets
 
 
-def downset_csv(downsets) -> str:
+def downset_csv(downsets, out=None):
     """CSV with one lattice point per line. Columns: e, a1..at (exact integers).
 
-    The rows of each level stream from its maximal points (`_down_set_rows`).
-    A row (prefix, top) is written as one join of its head "e,a1,...,a(t-1),"
-    over the cached lines of the last coordinate, 0 to top. No set of points
-    is built."""
-    downsets = _export_list(downsets)
+    With a text stream `out` the lines go to it row by row and None is
+    returned; without one they are joined into the returned string. A row
+    (prefix, top) of a level's maximal points (`_down_set_rows`) is its head
+    "e,a1,...,a(t-1)," joined over the cached lines of the last coordinate,
+    0 to top, so no set of points is built and `out` gets one row at a time."""
+    lines = _csv_lines(_export_list(downsets))
+    return "".join(lines) if out is None else out.writelines(lines)
+
+
+def _csv_lines(downsets):
     t = downsets[0].dimension
     width = 1 + max((m[-1] for ds in downsets for m in ds.max_points), default=-1)
     cells = [f"{a}\n" for a in range(width)]
-    parts = ["e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"]
+    yield "e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"
     for ds in downsets:
         level = f"{ds.level},"
         for prefix, top in _down_set_rows(ds.max_points):
             head = level + "".join(f"{a}," for a in prefix)
-            parts.append(head)
-            parts.append(head.join(cells[:top + 1]))
-    return "".join(parts)
+            yield head + head.join(cells[:top + 1])
 
 
 def box_region_csv(downsets) -> str:

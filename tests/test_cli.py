@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from frobvol.errors import HypothesisViolatedError, NonPrimeError, SpecParseErro
 import corpus
 
 EXAMPLE = "p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..4"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_parse_example_line():
@@ -224,9 +228,6 @@ def test_cli_stdout(tmp_path, capsys):
 
 
 def test_cli_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     spec_file = tmp_path / "f.spec"
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; e: 1..2")
     proc = subprocess.run(
@@ -235,3 +236,43 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "volume"
+
+
+def test_cli_vset_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path):
+    """The CSV streams through the real stdout of a child process (not a
+    capture) and through --csv, byte for byte the golden either way."""
+    spec_file = BENCH / "specs" / "ex_g.e1-8.spec"
+    expected = (BENCH / "expected" / "vset_ex_g.e1-8.out").read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobvol", "vset", str(spec_file)],
+        capture_output=True, timeout=60, env=corpus.child_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    out = tmp_path / "v.csv"
+    assert main(["vset", "--csv", str(out), str(spec_file)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_cli_vset_budget_exit_writes_nothing(tmp_path, capsys):
+    """Every level is swept before the first byte: a budget exit leaves no
+    --csv file and an empty stdout."""
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y^2+x; e: 1..8; budget=1")
+    out = tmp_path / "v.csv"
+    assert main(["vset", "--csv", str(out), str(spec_file)]) == 3
+    assert not out.exists()
+    assert main(["vset", str(spec_file)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
+    """7^23 > 2^63 - 1, so level 23 of the cusp at p = 7 leaves the packed
+    exponent field: one error line and exit 2, not a traceback."""
+    spec_file = tmp_path / "cusp.spec"
+    spec_file.write_text("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 1..30")
+    assert main(["threshold", str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent beyond 2^63-1")
+    assert captured.err.count("\n") == 1

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, in a
+temporary directory, so what a demo writes stays out of the checkout."""
 
 import subprocess
 import sys
@@ -16,9 +17,10 @@ def test_all_four_demos_are_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(script)],
+        cwd=tmp_path,
         env=child_env(),
         capture_output=True,
         text=True,

@@ -1,6 +1,9 @@
+import hashlib
+import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -300,6 +303,52 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
             both = downset_csv([region, box_region(t, 3, 2, corners)])
             assert both == "\n".join([header] + lines) + "\n"
     assert downset_csv(box_region(2, 1, 2, [])) == "e,a1,a2\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda t: st.lists(st.tuples(*[st.integers(0, 5)] * t), max_size=6)))
+def test_down_set_rows_match_the_union_of_boxes(corners):
+    """Each row is a prefix of the union with its largest last coordinate,
+    the prefixes in sorted order; corners may repeat or contain each other."""
+    union = set()
+    for m in corners:
+        union.update(itertools.product(*(range(v + 1) for v in m)))
+    tops = {}
+    for pt in sorted(union):
+        tops[pt[:-1]] = pt[-1]
+    assert regions._down_set_rows(corners) == list(tops.items())
+
+
+def test_csv_export_to_a_stream_holds_one_row_at_a_time():
+    """The escape sets of ex_g at e = 1..8 make a 565 KB CSV. Written to a
+    stream that only counts and hashes, the export allocates under 64 KB at
+    its peak, and the stream gets exactly the string form."""
+
+    class Sink(io.TextIOBase):
+        def __init__(self):
+            self.chars = 0
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.chars += len(text)
+            self.digest.update(text.encode())
+            return len(text)
+
+    spec = parse_spec("p=2; ring x,y; J: x,y; seq: x; y^2+x; e: 1..8")
+    sets = list(escape_sets(spec.sequence(), spec.family(), spec.levels()))
+    text = downset_csv(sets)
+    assert len(text) > 500_000
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        assert downset_csv(sets, sink) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert sink.chars == len(text)
+    assert sink.digest.digest() == hashlib.sha256(text.encode()).digest()
 
 
 def test_axis_bounds(worked, R2):

@@ -80,7 +80,6 @@ _USER_ERRORS = (
     BadLevelError,
     NotPrimaryError,
     SearchLimitError,
-    ExponentOverflowError,
 )
 
 
@@ -527,13 +526,14 @@ def main(argv=None) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 3 if isinstance(exc, BudgetExceededError) else 2
         # volume and threshold still write the rows finished before the
         # cutoff; fedder's label builds a volume table that is not its payload
         if exc.partial is None or exc.partial.kind != args.command:
-            return 3
-        payload, code = exc.partial.to_json(), 3
+            return code
+        payload = exc.partial.to_json()
     except TheoremViolationError as exc:
         print(f"internal check failure: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 4

@@ -14,7 +14,13 @@ class RingMismatchError(FrobvolError, ValueError):
 
 
 class ExponentOverflowError(FrobvolError, OverflowError):
-    """A monomial exponent left the checked 64-bit range."""
+    """A monomial exponent left the checked 64-bit range.
+
+    `partial` carries the table/rows completed before the overflow, as for
+    `BudgetExceededError`, when a table command set it.
+    """
+
+    partial = None
 
 
 class BadInputError(FrobvolError, ValueError):

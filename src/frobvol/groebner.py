@@ -11,14 +11,19 @@ Polynomials key their terms on monomials packed by `PolynomialRing.pack`
 are. `_divide` is the one division loop: it serves `GroebnerBasis.reduce`,
 the S-polynomials and tail reduction of `buchberger`, and the product
 kernel. Divisibility and overflow are read off the guard bits of the packed
-fields, and the largest remaining term comes off a heap of order keys.
+fields, and the largest remaining term comes off a heap of int order keys;
+a divisor's tail carries each term's key offset from its leading monomial
+(`_tail`), so a division step adds to a key instead of computing one.
 
 `GroebnerBasis.reduce_products` is the product kernel of every power and
 every prefix product of an escape-set sweep: the distinct nonzero normal
-forms of all pairwise products of two polynomial lists. On a monomial basis
-it multiplies and truncates in one pass, so no term inside the ideal is ever
-stored; on any other basis it forms each full product and hands it to
-`_divide`. `GroebnerBasis.meets` is the membership probe: whether some such
+forms of all pairwise products of two polynomial lists, each formed by one
+pass of `GroebnerBasis._product`. On a monomial basis that pass multiplies
+and truncates, so no term inside the ideal is ever stored, and a product
+with a one-term factor is a shift whose survivors are kept as formed; on any
+other basis it forms the full product and hands it to `_divide`. A digit
+step of a power table is the same pass with the high factor's exponents
+scaled by p. `GroebnerBasis.meets` is the membership probe: whether some such
 product lies outside the ideal, answered at the first term that settles it,
 with no normal form kept.
 
@@ -186,7 +191,7 @@ class GroebnerBasis:
         self.leading_monomials = tuple(f.leading()[0] for f in polys)
         self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
         self._tails = tuple(
-            tuple((m, c) for m, c in f.coeffs.items() if m != lm)
+            _tail(lm, [(m, c) for m, c in f.coeffs.items() if m != lm], ring)
             for f, lm in zip(polys, self.leading_monomials)
         )
 
@@ -214,54 +219,80 @@ class GroebnerBasis:
         """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
         first-seen order: `_dedup(self.reduce(u * v) ...)`.
 
-        Every monomial field holds at most MAX_EXPONENT, so a field of a
-        packed product sets its guard bit exactly when it overflows. On a
-        monomial basis the product and the reduction are fused: a term inside
-        the ideal is dropped as soon as it is formed. On any other basis the
-        full product goes to `_divide`.
+        Each product is one pass of `_product`. When only one product is
+        formed, its normal form is the answer and nothing is deduplicated.
         """
         if not left or not right:
             return ()
         ring = self.ring
         if any(f.ring is not ring and f.ring != ring for f in (*left, *right)):
             raise RingMismatchError("polynomial from a different ring")
-        p, guard = ring.p, ring.guard
-        if self.is_monomial:
-            cut = self.leading_monomials
-            def finish(acc):
-                return [(m, c % p) for m, c in acc.items() if c % p]
-        else:
-            cut = ()
-            def finish(acc):
-                return _divide(acc, self.leading_monomials, self._tails, ring)
-        dead = {}  # packed monomial -> whether it lies in the ideal of `cut`
+        if len(left) == 1 and len(right) == 1:
+            out = self._product(left[0].coeffs, right[0].coeffs)
+            return (Polynomial(ring, out),) if out else ()
         found = {}
         for u in left:
             for v in right:
-                acc = {}
-                for m1, c1 in u.coeffs.items():
-                    for m2, c2 in v.coeffs.items():
-                        m = m1 + m2
-                        if m in acc:
-                            acc[m] += c1 * c2
-                            continue
-                        inside = dead.get(m)
-                        if inside is None:
-                            if m & guard:
-                                raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
-                            g = m | guard
-                            inside = False
-                            for lm in cut:
-                                if (g - lm) & guard == guard:
-                                    inside = True
-                                    break
-                            dead[m] = inside
-                        if not inside:
-                            acc[m] = c1 * c2
-                terms = finish(acc)
-                if terms:
-                    found.setdefault(frozenset(terms), terms)
-        return tuple(Polynomial(ring, dict(terms)) for terms in found.values())
+                out = self._product(u.coeffs, v.coeffs)
+                if out:
+                    found.setdefault(frozenset(out.items()), out)
+        return tuple(Polynomial(ring, out) for out in found.values())
+
+    def _product(self, u: dict, v: dict, q: int = 1) -> dict:
+        """NF(u^[q] * v) as a coefficient map, for the coefficient maps u and
+        v of two polynomials and q = 1 or p. u^[q] is u with its exponents
+        scaled by q, which is u^p when q = p (c^p = c in F_p); the scaling
+        raises `ExponentOverflowError` where `Polynomial.frobenius` would,
+        against the ring's `frobenius_limit`.
+
+        Every monomial field holds at most MAX_EXPONENT, so a field of a
+        packed product sets its guard bit exactly when it overflows; every
+        distinct product monomial is checked when first formed. On a
+        monomial basis the product and the reduction are fused: a term
+        inside the ideal is dropped as soon as it is formed, and the
+        survivors' coefficients are reduced mod p, dropping those that
+        vanish. When one factor has one term the product is a shift of the
+        other, as in `meets`: its monomials are distinct and its
+        coefficients nonzero, because p is prime, so each survivor is kept
+        as it is formed, with no lookup of earlier terms. On any other basis
+        the full product goes to `_divide`. The kept monomials are ints
+        allocated in this pass, so a power table that keeps them holds no
+        int shared with a factor or with the pass's garbage.
+        """
+        ring = self.ring
+        p, guard, limit = ring.p, ring.guard, ring.frobenius_limit
+        cut = self.leading_monomials if self.is_monomial else ()
+        shift = self.is_monomial and (len(u) == 1 or len(v) == 1)
+        acc = {}
+        dead = set()
+        for m1, c1 in u.items():
+            if q != 1:
+                if (limit - m1) & guard != guard:
+                    raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
+                m1 *= q
+            for m2, c2 in v.items():
+                m = m1 + m2
+                if not shift:
+                    c = acc.get(m)
+                    if c is not None:
+                        acc[m] = c + c1 * c2
+                        continue
+                    if m in dead:
+                        continue
+                if m & guard:
+                    raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
+                g = m | guard
+                for lm in cut:
+                    if (g - lm) & guard == guard:
+                        dead.add(m)
+                        break
+                else:
+                    acc[m] = c1 * c2
+        if shift:
+            return {m: c % p for m, c in acc.items()}
+        if self.is_monomial:
+            return {m: c % p for m, c in acc.items() if c % p}
+        return dict(_divide(acc, self.leading_monomials, self._tails, ring))
 
     def meets(self, left, right) -> bool:
         """Whether some product u*v, u in `left` and v in `right`, lies
@@ -325,30 +356,45 @@ class GroebnerBasis:
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
 
 
+def _tail(lm: int, terms, ring: PolynomialRing) -> tuple:
+    """A monic divisor's tail in the form `_divide` reads: (packed monomial,
+    coefficient, key offset) for each term (m, c) of `terms`, where the
+    offset key(m) - key(lm) moves an order key by the shift that takes the
+    leading monomial lm to a cancelled term (`MonomialOrder`)."""
+    key = ring.key
+    k = key(lm)
+    return tuple((m, c, key(m) - k) for m, c in terms)
+
+
 def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
     """Remainder of the packed terms `terms` (packed monomial -> coefficient,
     not yet reduced mod p) on division by monic divisors, given by their
-    packed leading monomials `lms` and the matching packed `tails`, as
+    packed leading monomials `lms` and the matching `tails` (`_tail`), as
     (packed monomial, coefficient) pairs in descending order.
 
     Each step cancels the largest remaining term with the first listed
     divisor whose leading monomial divides it. The terms wait in a heap of
-    negated order keys, one entry per monomial (Monagan and Pearce, CASC
-    2007): a step only adds monomials below the one it cancels, so a
-    monomial never returns once it leaves the heap.
+    negated order keys, plain ints, one entry per monomial (Monagan and
+    Pearce, CASC 2007): a step only adds monomials below the one it
+    cancels, so a monomial never returns once it leaves the heap. Only the
+    input terms have their keys computed; the key of each term a step adds
+    is the cancelled term's key plus the tail term's offset, since order
+    keys are affine in the exponents.
     """
     p, guard, key = ring.p, ring.guard, ring.key
-
-    def entry(m):
-        return tuple([-k for k in key(m)]), m
-
-    work = dict(terms)
-    heap = [entry(m) for m in work]
+    work = {}  # order key -> coefficient
+    monos = {}  # order key -> packed monomial
+    for m, c in terms.items():
+        k = key(m)
+        work[k] = c
+        monos[k] = m
+    heap = [-k for k in work]
     heapq.heapify(heap)
     rem = []
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m) % p
+        k = -heapq.heappop(heap)
+        m = monos.pop(k)
+        c = work.pop(k) % p
         if not c:
             continue
         g = m | guard
@@ -356,14 +402,16 @@ def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
             if (g - lm) & guard == guard:
                 shift = m - lm
                 # the divisor is monic: subtract c * x^shift * tail
-                for tm, tc in tail:
-                    n = tm + shift
+                for tm, tc, off in tail:
+                    n = k + off
                     v = work.get(n)
                     if v is None:
-                        if n & guard:
+                        tm += shift
+                        if tm & guard:
                             raise ExponentOverflowError("exponent beyond 2^63-1 in a division step")
-                        heapq.heappush(heap, entry(n))
+                        heapq.heappush(heap, -n)
                         work[n] = -c * tc
+                        monos[n] = tm
                     else:
                         work[n] = v - c * tc
                 break
@@ -439,7 +487,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
             if shared:
                 heapq.heappush(pairs, (key(m), i, j, m))
         lms.append(lm)
-        tails.append(tuple((m, c * inv % p) for m, c in tail))
+        tails.append(_tail(lm, [(m, c * inv % p) for m, c in tail], ring))
         live[:] = [i for i in live if not divides(lm, lms[i])] + [j]
         live_lms[:] = [lms[i] for i in live]
         live_tails[:] = [tails[i] for i in live]
@@ -453,7 +501,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         s = {}
         for k, sign in ((i, 1), (j, -1)):
             shift = lcm_ij - lms[k]
-            for m, c in tails[k]:
+            for m, c, _ in tails[k]:
                 m += shift
                 if m & guard:
                     raise ExponentOverflowError("exponent beyond 2^63-1 in an S-polynomial")
@@ -467,7 +515,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
 
 def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
     """Minimalize and tail-reduce a monic Groebner generating set, given by
-    leading monomials and tails; returns the polynomials."""
+    leading monomials and tails (`_tail`); returns the polynomials."""
     key, guard = ring.key, ring.guard
     minimal = []
     for lm, tail in sorted(zip(lms, tails), key=lambda f: key(f[0])):
@@ -477,8 +525,9 @@ def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
     lms, tails = map(list, zip(*minimal))
     for i in range(len(minimal)):
         others = lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:]
-        tails[i] = tuple(_divide(dict(tails[i]), *others, ring))
-    return [Polynomial(ring, dict([(lm, 1), *tail])) for lm, tail in zip(lms, tails)]
+        rem = _divide({m: c for m, c, _ in tails[i]}, *others, ring)
+        tails[i] = _tail(lms[i], rem, ring)
+    return [Polynomial(ring, {lm: 1, **{m: c for m, c, _ in tail}}) for lm, tail in zip(lms, tails)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +635,12 @@ class PowerTable:
         L', then in characteristic p, g^p = f^(ap) + h^p and h^p lies in
         L'^[p], which lies in L (and L' = L is the case without `below`).
         Normal forms are unique, so either route gives the same entry.
+        The step is one pass of `GroebnerBasis._product` on every basis:
+        g's exponents are scaled by p inside the product loop, against the
+        ring's `frobenius_limit`, and the product is truncated or divided as
+        it is formed. g is scaled even when NF(f^(k%p)) is 0, so an exponent
+        overflow raises exactly where g^p would. The kept monomials are
+        allocated in that pass, so the table pins no product garbage.
         Every other power takes the step I^k = I^(k-1) * I; for several
         generators (I^a)^[p] is only contained in I^(ap), so the digit step
         does not apply. `regions.escape_set` splits its entries into their
@@ -599,24 +654,16 @@ class PowerTable:
         p = basis.ring.p
         if k >= p and self.ideal.num_gens == 1:
             source = self if self.below is None else self.below
-            high = [f.frobenius(p) for f in source.power(k // p)]
-            pows[k] = self._settled(basis.reduce_products(high, self.power(k % p)))
+            high, low = source.power(k // p), self.power(k % p)
+            out = basis._product(high[0].coeffs, low[0].coeffs if low else {}, p) if high else {}
+            pows[k] = (Polynomial(basis.ring, out),) if out else ()
             return pows[k]
         j = k - 1
         while j not in pows:
             j -= 1
         for j in range(j + 1, k + 1):
-            pows[j] = self._settled(basis.reduce_products(pows[j - 1], pows[1]))
+            pows[j] = basis.reduce_products(pows[j - 1], pows[1])
         return pows[k]
-
-    def _settled(self, polys) -> tuple:
-        """Polynomials to keep in the table. Each distinct packed monomial
-        becomes one int allocated here: the kernel's ints sit among its
-        short-lived garbage, and a table that kept them would pin that
-        memory for the life of the process."""
-        fresh = {m: m + 0 for m in {m for f in polys for m in f.coeffs}}
-        ring = self.basis.ring
-        return tuple(Polynomial(ring, {fresh[m]: c for m, c in f.coeffs.items()}) for f in polys)
 
 
 @functools.cache

@@ -15,6 +15,7 @@ from math import factorial
 from .errors import (
     BadInputError,
     BudgetExceededError,
+    ExponentOverflowError,
     HypothesisViolatedError,
     NotPrimaryError,
     TheoremViolationError,
@@ -181,10 +182,19 @@ def _nu_walk(I: Ideal, fam: PFamily, pres, levels: list):
     return levels
 
 
+def _cutoff_flags(exc) -> dict:
+    """The flags of a table cut short by a budget exit or an exponent
+    overflow; its rows are those finished before."""
+    name = "exponent_overflow" if isinstance(exc, ExponentOverflowError) else "budget_exceeded"
+    return {name: True}
+
+
 def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
     """Rows (e, nu/p^e); the finite sequence only, no extrapolation. The
     levels are walked in one pass (`_nu_walk`, `regions.escape_sets`), so
-    consecutive levels start from the one below."""
+    consecutive levels start from the one below. A budget exit or an
+    exponent overflow carries the rows finished before it as `partial`,
+    flagged by `_cutoff_flags`."""
     counter = _as_budget(budget)
     p = I.ring.p
     fam = PFamily.frobenius(J)
@@ -194,9 +204,9 @@ def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> Estim
         for ds in escape_sets(IdealSequence([I]), fam, _nu_walk(I, fam, pres, levels), pres,
                               counter):
             nus[ds.level] = ds.max_points[0][0]
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ExponentOverflowError) as exc:
         rows = [(e, Fraction(nus[e], p ** e)) for e in levels if e in nus]
-        exc.partial = EstimateTable("threshold", p, 1, rows, flags={"budget_exceeded": True})
+        exc.partial = EstimateTable("threshold", p, 1, rows, flags=_cutoff_flags(exc))
         raise
     rows = [(e, Fraction(nus[e], p ** e)) for e in levels]
     vals = [v for _, v in rows]
@@ -222,6 +232,8 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
     below. Each row also records the exact gap bound between the two
     counts; over a polynomial ring the positive-normalized rows must be
     nondecreasing, and a violation is reported as a bug, not a result.
+    A budget exit or an exponent overflow carries the rows finished before
+    it as `partial`, flagged by `_cutoff_flags`.
     """
     counter = _as_budget(budget)
     p = fam.p
@@ -255,10 +267,8 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                     witness=(e, gap, bound),
                 )
             gap_notes.append({"e": e, "gap": str(gap), "bound": str(bound)})
-    except BudgetExceededError as exc:
-        exc.partial = EstimateTable(
-            "volume", p, t, rows, tilde_rows, {"budget_exceeded": True}
-        )
+    except (BudgetExceededError, ExponentOverflowError) as exc:
+        exc.partial = EstimateTable("volume", p, t, rows, tilde_rows, _cutoff_flags(exc))
         raise
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))

@@ -7,9 +7,9 @@ ints, and overflow and divisibility are read off the guard bits of the
 fields. Exponent tuples appear only at the edges: `from_dict`, `monomial` and
 the parser take them, and printing goes through `PolynomialRing.unpack`.
 Monomial orders rank exponent tuples; `PolynomialRing.key` ranks a packed
-monomial by them. Order keys are flat int tuples, so a kernel can negate
-them for a min-heap. All values are hashable and safe to share once
-constructed.
+monomial by them. Order keys are ints, affine in the exponents, so a kernel
+can negate them for a min-heap and move a shifted term's key by a fixed
+offset. All values are hashable and safe to share once constructed.
 """
 
 from __future__ import annotations
@@ -88,7 +88,13 @@ def mono_divides(a: tuple, b: tuple) -> bool:
 class MonomialOrder:
     """Total order on exponent tuples, compatible with multiplication, 1 minimal.
 
-    Concrete orders expose `key(mono)`; larger key means larger monomial.
+    Concrete orders expose `key(mono)`, an int that is affine in the
+    exponents, so key(a + b) = key(a) + key(b) - key(0); larger key means
+    larger monomial. A division step that shifts a divisor's term tm by
+    m - lm therefore moves its key by the fixed offset key(tm) - key(lm).
+    The fields of a key are 64 bits wide, so the key stays exact and
+    injective while every exponent is below 2^64 (a sum of two valid
+    exponents is); `width` bounds the bits of such a key.
     """
 
     name = "abstract"
@@ -96,7 +102,7 @@ class MonomialOrder:
     def __init__(self, nvars: int):
         self.nvars = nvars
 
-    def key(self, mono: tuple):
+    def key(self, mono: tuple) -> int:
         raise NotImplementedError
 
     def _signature(self):
@@ -113,17 +119,38 @@ class MonomialOrder:
 
 
 class Lex(MonomialOrder):
+    """The exponents compared in variable order: the fields of the key hold
+    them, the first variable in the top field."""
+
     name = "lex"
 
-    def key(self, mono: tuple):
-        return mono
+    @property
+    def width(self) -> int:
+        return 64 * self.nvars
+
+    def key(self, mono: tuple) -> int:
+        k = 0
+        for e in mono:
+            k = k << 64 | e
+        return k
 
 
 class GRevLex(MonomialOrder):
+    """The degree first, then the smaller exponent of the last variable that
+    differs: the key holds the degree above the complemented fields
+    2^64 - 1 - e_i, the last variable's field highest."""
+
     name = "grevlex"
 
-    def key(self, mono: tuple):
-        return (sum(mono),) + tuple(-e for e in reversed(mono))
+    @property
+    def width(self) -> int:
+        return 64 * (self.nvars + 1) + self.nvars.bit_length()
+
+    def key(self, mono: tuple) -> int:
+        k = sum(mono) + 1
+        for e in reversed(mono):
+            k = (k << 64) - e
+        return k - 1
 
 
 class EliminationOrder(MonomialOrder):
@@ -131,6 +158,8 @@ class EliminationOrder(MonomialOrder):
 
     Any monomial involving an auxiliary variable beats every one that does not,
     so intersecting a Groebner basis with the inner ring eliminates the block.
+    The key holds the grevlex key of the auxiliary block above the inner
+    key, whose width is fixed.
     """
 
     name = "elim"
@@ -139,10 +168,15 @@ class EliminationOrder(MonomialOrder):
         super().__init__(naux + inner.nvars)
         self.naux = naux
         self.inner = inner
+        self._aux = GRevLex(naux)
 
-    def key(self, mono: tuple):
-        aux = mono[: self.naux]
-        return (sum(aux),) + tuple(-e for e in reversed(aux)) + self.inner.key(mono[self.naux:])
+    @property
+    def width(self) -> int:
+        return self._aux.width + self.inner.width
+
+    def key(self, mono: tuple) -> int:
+        aux = self._aux.key(mono[: self.naux])
+        return (aux << self.inner.width) + self.inner.key(mono[self.naux:])
 
     def _signature(self):
         return (self.name, self.naux, self.inner._signature())
@@ -166,7 +200,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order."""
 
-    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard")
+    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
+                 "frobenius_limit")
 
     def __init__(self, p, variables, order="grevlex"):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -189,6 +224,7 @@ class PolynomialRing:
         self._one = None
         self._packer = struct.Struct(f"<{len(variables)}Q")
         self.guard = self.pack((MAX_EXPONENT + 1,) * len(variables))
+        self.frobenius_limit = self.scale_limit(self.p)
 
     @property
     def p(self) -> int:
@@ -252,11 +288,18 @@ class PolynomialRing:
         """
         return int.from_bytes(self._packer.pack(*mono), "little")
 
+    def scale_limit(self, q: int) -> int:
+        """MAX_EXPONENT // q in every field, with the guard bits set: a packed
+        monomial m times q carries nowhere exactly when no field of
+        scale_limit(q) - m borrows its guard bit. `frobenius_limit` is
+        scale_limit(p)."""
+        return self.pack((MAX_EXPONENT // q,) * self.nvars) | self.guard
+
     def unpack(self, packed: int) -> tuple:
         """Inverse of `pack`."""
         return self._packer.unpack(packed.to_bytes(self._packer.size, "little"))
 
-    def key(self, packed: int) -> tuple:
+    def key(self, packed: int) -> int:
         """Order key of a packed monomial; larger key means larger monomial."""
         return self.order.key(self.unpack(packed))
 
@@ -425,9 +468,7 @@ class Polynomial:
         if q == 1:
             return self
         ring = self.ring
-        # every field of m is at most MAX_EXPONENT // q iff no field of
-        # (limit | guard) - m borrows its guard bit; then m * q carries nowhere
-        limit = ring.pack((MAX_EXPONENT // q,) * ring.nvars) | ring.guard
+        limit = ring.scale_limit(q)
         if any((limit - m) & ring.guard != ring.guard for m in self.coeffs):
             raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
         return Polynomial(ring, {m * q: c for m, c in self.coeffs.items()})

@@ -13,6 +13,8 @@ from frobvol.groebner import Ideal, QuotientPresentation, frobenius_power, stand
 from frobvol.invariants import hilbert_kunz_table, nu, threshold_table
 from frobvol.ring import PolynomialRing
 
+from oracles import brute_force_nu
+
 
 def _threshold_values(p, f_text, e_max):
     R = PolynomialRing(p, ["x", "y"])
@@ -47,6 +49,26 @@ def test_cusp_nu_follows_the_threshold_at_high_levels():
         assert _threshold_values(p, "y^2-x^3", e_max) == [
             Fraction(ceil(c * p**e) - 1, p**e) for e in range(1, e_max + 1)
         ]
+
+
+def test_diagonal_nu_follows_the_threshold_at_high_levels():
+    # a diagonal hypersurface sum x_i^(a_i) has F-pure threshold
+    # c = min(1, sum 1/a_i) when p = 1 mod lcm(a_i) (Hernandez, Proc. AMS
+    # 2015), so nu(p^e) = ceil(c p^e) - 1; at e <= 2 each value is checked
+    # against the raw powers as well
+    for f_text, p, e_max in (("x^3+y^3", 7, 10), ("x^3+y^3", 13, 7),
+                             ("x^2+y^4", 5, 9), ("x^2+y^4", 13, 7),
+                             ("x^2+y^3+z^6", 7, 5)):
+        R = PolynomialRing(p, ["x", "y", "z"][:f_text.count("+") + 1])
+        m = Ideal(R, list(R.gens()))
+        f = R.poly(f_text)
+        c = min(Fraction(1), sum(Fraction(1, sum(R.unpack(mono))) for mono in f.coeffs))
+        I = Ideal(R, [f])
+        table = threshold_table(I, m, range(1, e_max + 1))
+        expected = [ceil(c * p**e) - 1 for e in range(1, e_max + 1)]
+        assert [v * p**e for e, v in table.rows] == expected, (f_text, p)
+        for e in (1, 2):
+            assert brute_force_nu(I, m, e) == expected[e - 1], (f_text, p, e)
 
 
 def test_nu_of_a_power_of_one_variable():

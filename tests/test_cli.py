@@ -268,11 +268,21 @@ def test_cli_vset_budget_exit_writes_nothing(tmp_path, capsys):
 
 def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
     """7^23 > 2^63 - 1, so level 23 of the cusp at p = 7 leaves the packed
-    exponent field: one error line and exit 2, not a traceback."""
+    exponent field: one error line and exit 2, not a traceback. `threshold`
+    and `volume` still write the rows of levels 1..22, flagged
+    `exponent_overflow`; nu(7^e) = ceil(5/6 * 7^e) - 1 there."""
     spec_file = tmp_path / "cusp.spec"
     spec_file.write_text("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 1..30")
-    assert main(["threshold", str(spec_file)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: exponent beyond 2^63-1")
-    assert captured.err.count("\n") == 1
+    for command in ("threshold", "volume"):
+        assert main([command, str(spec_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: exponent beyond 2^63-1")
+        assert captured.err.count("\n") == 1
+        payload = json.loads(captured.out)
+        assert payload["kind"] == command
+        assert payload["flags"] == {"exponent_overflow": True}
+        rows = payload["rows"] if command == "threshold" else payload["rows_tilde"]
+        assert [row["e"] for row in rows] == list(range(1, 23))
+        for row in rows:
+            q = 7 ** row["e"]
+            assert (int(row["num"]), int(row["den"])) == (-(-5 * q // 6) - 1, q)

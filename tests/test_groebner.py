@@ -531,6 +531,48 @@ def test_packed_digit_step_exponent_boundary(p):
                 power_table(Ideal(R, [mono(over)]), other).power(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_step_on_a_general_basis_exponent_boundary(p):
+    """On a basis that is not monomial the digit step scales the high
+    factor inside the product and then divides; it raises exactly where
+    `Polynomial.frobenius` overflows, for a one-term and a two-term power."""
+    R = PolynomialRing(p, ["x", "y"])
+    c = MAX_EXPONENT // p
+    for var in (0, 1):
+        def mono(k):
+            return R.monomial((k, 0) if var == 0 else (0, k))
+
+        g = R.gens()[1 - var]
+        general = groebner_basis(Ideal(R, [g * g + g]))
+        assert not general.is_monomial
+        for tail in (R.zero(), R.one()):
+            table = power_table(Ideal(R, [mono(c) + tail]), general)
+            assert table.power(p) == (mono(c * p) + tail,)
+            for over in (c + 1, MAX_EXPONENT):
+                with pytest.raises(ExponentOverflowError):
+                    power_table(Ideal(R, [mono(over) + tail]), general).power(p)
+
+
+def test_single_shift_product_exponent_boundary(R2):
+    """One product with a one-term factor, on either side, is a shift on a
+    monomial basis; it raises exactly where the packed sum overflows, as
+    the same product on a general basis does."""
+    def x_to(k):
+        return R2.monomial((k, 0))
+
+    along_y = groebner_basis(Ideal(R2, [R2.poly("y")]))
+    general = groebner_basis(Ideal(R2, [R2.poly("y^2+y")]))
+    for basis in (along_y, general):
+        for other in ([x_to(5)], [x_to(5) + x_to(4)]):
+            expected = (x_to(MAX_EXPONENT - 5) * other[0],)
+            assert basis.reduce_products([x_to(MAX_EXPONENT - 5)], other) == expected
+            assert basis.reduce_products(other, [x_to(MAX_EXPONENT - 5)]) == expected
+            with pytest.raises(ExponentOverflowError):
+                basis.reduce_products([x_to(MAX_EXPONENT - 4)], other)
+            with pytest.raises(ExponentOverflowError):
+                basis.reduce_products(other, [x_to(MAX_EXPONENT - 4)])
+
+
 @st.composite
 def presented_frobenius_cases(draw):
     """(J, q, pres) over F_p, p in {2, 3, 5}, in 2 or 3 variables, q = p^e

@@ -2,9 +2,12 @@
 
 Refining the lattice from denominator p^e1 to p^(e1+e2) can only add escape
 points near the staircase boundary: the refined set is covered by (1) the
-refinement fill of the coarse set and (2) the fill of its diagonally padded
-border. This script rebuilds both covers, checks the containment, and writes
-the overlaid staircases to staircases.svg in the current directory.
+refinement fill of the coarse set V, the down-set with maximal points
+p^e2 * maxpts(V), and (2) the fill of the diagonally padded border of V
+extended by the axis slabs. This script prints the border and the first
+cover, checks the containment, counts the refined points that only the
+border cover reaches, and writes the overlaid staircases to staircases.svg
+in the current directory.
 """
 
 from pathlib import Path
@@ -14,14 +17,13 @@ from frobvol import (
     IdealSequence,
     PFamily,
     PolynomialRing,
+    axis_bounds,
     border_points,
-    covering_sets,
+    box_region,
     escape_set,
-    scaled_points,
     staircase_svg,
     verify_cover,
 )
-from frobvol.regions import base_slabs
 
 R = PolynomialRing(2, ["x", "y"])
 x, y = R.gens()
@@ -30,21 +32,21 @@ fam = PFamily.frobenius(m)
 seq = IdealSequence([Ideal(R, [x]), Ideal(R, [R.poly("y^2+x")])])
 
 e1, e2 = 2, 1
+s = fam.p ** e2
 V = escape_set(seq, fam, e1)
 print(f"coarse escape set at e1={e1}: {V.size} points, maximal points {list(V.max_points)}")
 
-C = scaled_points(V).union(base_slabs(seq, fam, e1))
-print(f"with the axis slabs adjoined: {len(C)} points")
-print(f"border points (diagonal successor missing): {border_points(C).sorted_points()}")
+border = border_points(V, axis_bounds(seq, fam, e1))
+print(f"border points with the axis slabs (diagonal successor missing): {sorted(border)}")
 
-R_set, L_set = covering_sets(seq, fam, e1, e2)
-print(f"interior cover has {len(R_set)} points, border cover has {len(L_set)}")
+first = box_region(2, e1 + e2, fam.p, [tuple(s * a for a in mp) for mp in V.max_points])
+print(f"interior cover: the down-set with maximal points {list(first.max_points)}")
 
 check = verify_cover(seq, fam, e1, e2)
 print(f"refined escape set contained in the union: {check.ok}")
 
 fine = escape_set(seq, fam, e1 + e2)
-outside_interior = [pt for pt in fine.points() if pt not in R_set.points]
+outside_interior = [pt for pt in fine.points() if pt not in first]
 print(f"{len(outside_interior)} of {fine.size} refined points need the border cover")
 
 out = Path("staircases.svg")

@@ -24,8 +24,9 @@ with a one-term factor is a shift whose survivors are kept as formed; on any
 other basis it forms the full product and hands it to `_divide`. A digit
 step of a power table is the same pass with the high factor's exponents
 scaled by p. `GroebnerBasis.meets` is the membership probe: whether some such
-product lies outside the ideal, answered at the first term that settles it,
-with no normal form kept.
+product lies outside the ideal. It is the same pass, with one private early
+exit: a shift on a monomial basis returns at its first surviving term.
+So `_product` is the one loop here that multiplies two polynomials.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -238,7 +239,7 @@ class GroebnerBasis:
                     found.setdefault(frozenset(out.items()), out)
         return tuple(Polynomial(ring, out) for out in found.values())
 
-    def _product(self, u: dict, v: dict, q: int = 1) -> dict:
+    def _product(self, u: dict, v: dict, q: int = 1, _first: bool = False) -> dict:
         """NF(u^[q] * v) as a coefficient map, for the coefficient maps u and
         v of two polynomials and q = 1 or p. u^[q] is u with its exponents
         scaled by q, which is u^p when q = p (c^p = c in F_p); the scaling
@@ -252,17 +253,20 @@ class GroebnerBasis:
         inside the ideal is dropped as soon as it is formed, and the
         survivors' coefficients are reduced mod p, dropping those that
         vanish. When one factor has one term the product is a shift of the
-        other, as in `meets`: its monomials are distinct and its
-        coefficients nonzero, because p is prime, so each survivor is kept
-        as it is formed, with no lookup of earlier terms. On any other basis
-        the full product goes to `_divide`. The kept monomials are ints
-        allocated in this pass, so a power table that keeps them holds no
-        int shared with a factor or with the pass's garbage.
+        other: its monomials are distinct and its coefficients nonzero,
+        because p is prime, so each survivor is kept as it is formed, with
+        no lookup of earlier terms, and with `_first` (only `meets` passes
+        it) the pass returns at the first survivor, whose presence settles
+        that the product is nonzero. On any other basis the full product
+        goes to `_divide`. The kept monomials are ints allocated in this
+        pass, so a power table that keeps them holds no int shared with a
+        factor or with the pass's garbage.
         """
         ring = self.ring
         p, guard, limit = ring.p, ring.guard, ring.frobenius_limit
         cut = self.leading_monomials if self.is_monomial else ()
         shift = self.is_monomial and (len(u) == 1 or len(v) == 1)
+        stop = shift and _first
         acc = {}
         dead = set()
         for m1, c1 in u.items():
@@ -287,6 +291,8 @@ class GroebnerBasis:
                         dead.add(m)
                         break
                 else:
+                    if stop:
+                        return {m: c1 * c2 % p}
                     acc[m] = c1 * c2
         if shift:
             return {m: c % p for m, c in acc.items()}
@@ -296,53 +302,18 @@ class GroebnerBasis:
 
     def meets(self, left, right) -> bool:
         """Whether some product u*v, u in `left` and v in `right`, lies
-        outside the ideal: `bool(self.reduce_products(left, right))`,
-        answered as soon as it is known, with no normal form kept.
-
-        On a monomial basis a product with a one-term factor is a shift of
-        the other factor, and its coefficients are nonzero because p is
-        prime, so its first term outside the ideal answers yes. A product of
-        two longer factors is truncated in full and answers yes at its first
-        coefficient that is nonzero mod p. On any other basis each full
-        product is divided, and the first nonzero remainder answers yes. A
-        product formed before the answer is known raises
-        `ExponentOverflowError` as `reduce_products` does.
+        outside the ideal: `bool(self.reduce_products(left, right))`. Each
+        product is one pass of `_product`, and a shift on a monomial basis
+        stops at its first term outside the ideal. A product formed before
+        the answer is known raises `ExponentOverflowError` as
+        `reduce_products` does.
         """
         ring = self.ring
         if any(f.ring is not ring and f.ring != ring for f in (*left, *right)):
             raise RingMismatchError("polynomial from a different ring")
-        p, guard = ring.p, ring.guard
-        cut = self.leading_monomials if self.is_monomial else ()
-        dead = {}  # packed monomial -> whether it lies in the ideal of `cut`
         for u in left:
             for v in right:
-                shift = cut and (len(u.coeffs) == 1 or len(v.coeffs) == 1)
-                acc = {}
-                for m1, c1 in u.coeffs.items():
-                    for m2, c2 in v.coeffs.items():
-                        m = m1 + m2
-                        if m in acc:
-                            acc[m] += c1 * c2
-                            continue
-                        inside = dead.get(m)
-                        if inside is None:
-                            if m & guard:
-                                raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
-                            g = m | guard
-                            inside = False
-                            for lm in cut:
-                                if (g - lm) & guard == guard:
-                                    inside = True
-                                    break
-                            dead[m] = inside
-                        if not inside:
-                            if shift:
-                                return True
-                            acc[m] = c1 * c2
-                if cut:
-                    if any(c % p for c in acc.values()):
-                        return True
-                elif _divide(acc, self.leading_monomials, self._tails, ring):
+                if self._product(u.coeffs, v.coeffs, 1, True):
                     return True
         return False
 

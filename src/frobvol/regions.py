@@ -3,9 +3,9 @@
 For a sequence of ideals I_1, ..., I_t and a p-family of reference ideals,
 the level-e escape set is the set of exponent tuples a in N^t whose product
 ideal I_1^{a_1} * ... * I_t^{a_t} is NOT contained in the level ideal. It is
-a finite down-set; everything here (enumeration, borders, refinement fills,
-covering sets, volumes, exports) manipulates such sets exactly, with integer
-numerators over a power-of-p denominator. No floating point anywhere.
+a finite down-set; everything here (enumeration, borders, the two covers of a
+refined escape set, volumes, exports) manipulates such sets exactly, with
+integer numerators over a power-of-p denominator. No floating point anywhere.
 
 A `DownSet` holds a down-set by its maximal points a; scaled by 1/p^e it is
 the paper's box region, the union of the boxes [0, a/p^e].
@@ -524,122 +524,25 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
 
 
 # ---------------------------------------------------------------------------
-# Scaled point sets, borders, refinement fills
+# Borders and the two covers
 # ---------------------------------------------------------------------------
 
-class ScaledPointSet:
-    """A finite subset of (1/p^level) N^t stored as integer numerators."""
-
-    __slots__ = ("dimension", "level", "points")
-
-    def __init__(self, dimension: int, level: int, points):
-        self.dimension = dimension
-        self.level = level
-        self.points = frozenset(tuple(pt) for pt in points)
-
-    def __contains__(self, pt) -> bool:
-        return tuple(pt) in self.points
-
-    def __len__(self):
-        return len(self.points)
-
-    def sorted_points(self) -> list:
-        return sorted(self.points)
-
-    def union(self, other: "ScaledPointSet") -> "ScaledPointSet":
-        if other.level != self.level or other.dimension != self.dimension:
-            raise BadInputError("scaled sets at different levels cannot be merged")
-        return ScaledPointSet(self.dimension, self.level, self.points | other.points)
-
-    def translates(self, steps: int) -> "ScaledPointSet":
-        """Union of shifts by k*(1,...,1)/p^level for k = 0..steps."""
-        pts = set()
-        for k in range(steps + 1):
-            for pt in self.points:
-                pts.add(tuple(x + k for x in pt))
-        return ScaledPointSet(self.dimension, self.level, pts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScaledPointSet)
-            and self.dimension == other.dimension
-            and self.level == other.level
-            and self.points == other.points
-        )
-
-    def __hash__(self):
-        return hash((self.dimension, self.level, self.points))
-
-    def __repr__(self):
-        return f"ScaledPointSet(t={self.dimension}, e={self.level}, n={len(self.points)})"
-
-
-def scaled_points(ds: DownSet) -> ScaledPointSet:
-    """The down-set as numerators over p^level."""
-    return ScaledPointSet(ds.dimension, ds.level, ds.points())
-
-
-def border_points(C: ScaledPointSet) -> ScaledPointSet:
-    """Points x of C whose diagonal successor x + (1/p^level)(1,...,1) left C."""
-    pts = C.points
-    out = {x for x in pts if tuple(v + 1 for v in x) not in pts}
-    return ScaledPointSet(C.dimension, C.level, out)
-
-
-def fill_refinement(C: ScaledPointSet, extra: int, p: int) -> ScaledPointSet:
-    """Refine each point x into the finer-lattice block (x - 1/p^level, x].
-
-    The result lives at denominator p^(level+extra); a numerator n_i qualifies
-    when  x_i*p^extra - p^extra < n_i <= x_i*p^extra  and n_i >= 0.
-    """
-    if extra < 0:
-        raise BadInputError("refinement depth must be nonnegative")
-    step = p ** extra
-    pts = set()
-    for x in C.points:
-        ranges = [
-            range(max(0, v * step - step + 1), v * step + 1) for v in x
-        ]
-        pts.update(itertools.product(*ranges))
-    return ScaledPointSet(C.dimension, C.level + extra, pts)
-
-
-def base_slabs(seq: IdealSequence, fam: PFamily, e1: int, pres=None) -> ScaledPointSet:
-    """The coordinate-hyperplane slabs: for each axis j, points with the j-th
-    numerator 0 and the others within the finiteness box."""
-    ells = containment_exponents(seq, fam, pres)
-    mus = seq.generator_counts()
-    q = fam.p ** e1
-    t = seq.t
-    pts = set()
-    for j in range(t):
-        ranges = []
-        for i in range(t):
-            if i == j:
-                ranges.append(range(0, 1))
-            else:
-                ranges.append(range(0, mus[i] * ells[i] * q + 1))
-        pts.update(itertools.product(*ranges))
-    return ScaledPointSet(t, e1, pts)
-
-
-def covering_sets(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
-                  budget=None) -> tuple:
-    """The two refinement covers of the level-(e1+e2) escape set.
-
-    The first fills the level-e1 escape set itself; the second fills the
-    diagonally padded border of the escape set extended by the axis slabs.
-    Their union provably contains the refined escape set.
-    """
-    counter = _as_budget(budget)
-    V = escape_set(seq, fam, e1, pres, counter)
-    p = fam.p
-    Vp = scaled_points(V)
-    C = Vp.union(base_slabs(seq, fam, e1, pres))
-    mu = max(seq.generator_counts())
-    R_set = fill_refinement(Vp, e2, p)
-    L_set = fill_refinement(border_points(C).translates(mu), e2, p)
-    return R_set, L_set
+def border_points(V: DownSet, caps) -> frozenset:
+    """The border of C = V united with the axis slabs: the points x of C
+    whose diagonal successor x + (1, ..., 1) is not in V. The slab of axis
+    j holds the points with x_j = 0 and x_i <= caps[i] on the other axes;
+    `caps` are the exclusive `axis_bounds` of V's level. A successor has no
+    coordinate 0, so it lies in C exactly when it lies in V."""
+    slabs = (
+        x
+        for j in range(V.dimension)
+        for x in itertools.product(*[range(1 if i == j else c + 1) for i, c in enumerate(caps)])
+    )
+    points = V.points()
+    inside = set(points)
+    return frozenset(
+        x for x in itertools.chain(points, slabs) if tuple(v + 1 for v in x) not in inside
+    )
 
 
 class CoverCheck:
@@ -662,15 +565,31 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
                  budget=None) -> CoverCheck:
     """Check that the level-(e1+e2) escape set sits inside the two covers.
 
+    With s = p^e2, V the level-e1 escape set and B = `border_points` of V,
+    a fine point n is in the first cover (the fill of V, the down-set with
+    maximal points s * maxpts(V)) exactly when ceil(n/s) lies in V, and in
+    the second (the fill of B's diagonal translates by k <= mu, the largest
+    generator count) exactly when ceil(n/s) - k*(1, ..., 1) lies in B for
+    some such k. So both are read off the coarse cell ceil(n/s), against
+    the coarse cells V and B + k*(1, ..., 1): the fine set is walked row by
+    row (`_down_set_rows`) and each coarse cell is tested once per row,
+    with no fine point set built.
+
     This is a theorem; a false verdict signals an implementation bug and
-    carries the uncovered numerator tuple.
+    carries the least uncovered numerator tuple.
     """
     counter = _as_budget(budget)
-    R_set, L_set = covering_sets(seq, fam, e1, e2, pres, counter)
-    V_top = escape_set(seq, fam, e1 + e2, pres, counter)
-    for pt in V_top.points():
-        if pt not in R_set.points and pt not in L_set.points:
-            return CoverCheck(False, pt)
+    V = escape_set(seq, fam, e1, pres, counter)
+    border = border_points(V, axis_bounds(seq, fam, e1, pres))
+    steps = range(max(seq.generator_counts()) + 1)
+    cells = set(V.points()).union(tuple(v + k for v in x) for x in border for k in steps)
+    s = fam.p ** e2
+    fine = escape_set(seq, fam, e1 + e2, pres, counter)
+    for prefix, top in _down_set_rows(fine.max_points):
+        cell = tuple(-(-a // s) for a in prefix)
+        for c in range(-(-top // s) + 1):
+            if cell + (c,) not in cells:
+                return CoverCheck(False, prefix + (max(0, (c - 1) * s + 1),))
     return CoverCheck(True, None)
 
 
@@ -729,17 +648,6 @@ def _csv_lines(downsets):
         for prefix, top in _down_set_rows(ds.max_points):
             head = level + "".join(f"{a}," for a in prefix)
             yield head + head.join(cells[:top + 1])
-
-
-def box_region_csv(downsets) -> str:
-    """CSV of the maximal points, the box-region corners. Columns: e, a1..at."""
-    downsets = _export_list(downsets)
-    t = downsets[0].dimension
-    lines = ["e," + ",".join(f"a{i + 1}" for i in range(t))]
-    for ds in downsets:
-        for pt in ds.max_points:
-            lines.append(f"{ds.level}," + ",".join(str(x) for x in pt))
-    return "\n".join(lines) + "\n"
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

@@ -259,3 +259,29 @@ def rows_summary(rows: dict) -> tuple:
         if all(rows.get(step, -1) < top for step in steps):
             maximal.append(prefix + (top,))
     return size, positive, sorted(maximal)
+
+
+def fill_refinement(points, extra: int, p: int) -> set:
+    """The paper's refinement fill, point by point: each point x, numerators
+    over p^e, becomes the finer-lattice block (x - 1/p^e, x] of numerators
+    n over p^(e+extra), those with x_i*p^extra - p^extra < n_i <= x_i*p^extra
+    and n_i >= 0."""
+    step = p ** extra
+    out = set()
+    for x in points:
+        out.update(itertools.product(*[range(max(0, v * step - step + 1), v * step + 1) for v in x]))
+    return out
+
+
+def translates(points, steps: int) -> set:
+    """The shifts of `points` by k*(1, ..., 1) for k = 0..steps."""
+    return {tuple(v + k for v in x) for x in points for k in range(steps + 1)}
+
+
+def least_uncovered(fine_points, coarse_points, border, mu: int, p: int, e2: int):
+    """The least of `fine_points` in neither of the paper's two covers, or
+    None: the fill of the coarse escape set, and the fill of the border's
+    diagonal translates by up to mu steps, both refined by e2 levels."""
+    first = fill_refinement(coarse_points, e2, p)
+    second = fill_refinement(translates(border, mu), e2, p)
+    return next((n for n in sorted(fine_points) if n not in first and n not in second), None)

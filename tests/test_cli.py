@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import frobvol.regions as regions
 from frobvol.cli import main, parse_spec
 from frobvol.errors import HypothesisViolatedError, NonPrimeError, SpecParseError
 
@@ -153,6 +154,17 @@ def test_cli_verify_cover(tmp_path):
     spec_file.write_text(EXAMPLE)
     code = main(["verify-cover", "--e1", "2", "--e2", "1", str(spec_file)])
     assert code == 0
+
+
+def test_cli_verify_cover_exits_4_with_the_witness(tmp_path, monkeypatch):
+    """A false verdict is exit 4, and the payload names the least uncovered
+    point: with no border, the least n with ceil(n/2) outside V_2."""
+    monkeypatch.setattr(regions, "border_points", lambda V, caps: frozenset())
+    code, data = run_cli(tmp_path, ["verify-cover", "--e1", "2", "--e2", "1"])
+    assert code == 4
+    assert json.loads(data) == {
+        "check": "verify_cover", "e1": 2, "e2": 1, "ok": False, "witness": [0, 7],
+    }
 
 
 def test_cli_staircase_svg(tmp_path):

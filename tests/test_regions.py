@@ -32,31 +32,28 @@ from frobvol.regions import (
     DownSet,
     IdealSequence,
     PFamily,
-    ScaledPointSet,
     axis_bounds,
-    base_slabs,
     border_points,
     box_region,
-    box_region_csv,
     check_hypothesis,
     containment_exponents,
-    covering_sets,
     downset_csv,
     escape_set,
     escape_sets,
     escapes,
-    fill_refinement,
     region_volume,
-    scaled_points,
     staircase_svg,
     verify_cover,
 )
 from frobvol.invariants import nu, volume_table
 from frobvol.ring import PolynomialRing
+from corpus import COVER_PARAMS, load
 from oracles import (
     brute_force_escape_points,
     downset_size_inclusion_exclusion,
     exponents,
+    fill_refinement,
+    least_uncovered,
     monomial_escape_rows,
     rows_summary,
 )
@@ -157,44 +154,37 @@ def test_floor_membership(worked):
 
 def test_border_examples(R2):
     # one-dimensional: {0, 1/2, 1} has the single border point 1
-    C = ScaledPointSet(1, 1, {(0,), (1,), (2,)})
-    assert border_points(C).points == frozenset({(2,)})
+    line = box_region(1, 1, 2, [(2,)])
+    assert border_points(line, (2,)) == frozenset({(2,)})
     # full square grid: border is the upper-right L
-    grid = ScaledPointSet(2, 1, {(a, b) for a in range(3) for b in range(3)})
+    grid = box_region(2, 1, 2, [(2, 2)])
     expected = {(a, b) for a in range(3) for b in range(3) if a == 2 or b == 2}
-    assert border_points(grid).points == frozenset(expected)
+    assert border_points(grid, (2, 2)) == frozenset(expected)
 
 
 def test_border_figure_data(worked, R2):
     _, fam, _, seq_g = worked
-    V = scaled_points(escape_set(seq_g, fam, 2))
-    C = V.union(base_slabs(seq_g, fam, 2))
+    border = border_points(escape_set(seq_g, fam, 2), axis_bounds(seq_g, fam, 2))
     expected = {(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (3, 0), (3, 1), (4, 0)}
-    assert border_points(C).points == frozenset(expected)
+    assert border == frozenset(expected)
 
 
 def test_fill_refinement_examples():
-    C = ScaledPointSet(1, 1, {(1,)})
-    assert fill_refinement(C, 1, 2).points == frozenset({(1,), (2,)})
-    assert fill_refinement(ScaledPointSet(1, 1, set()), 1, 2).points == frozenset()
-    C2 = ScaledPointSet(2, 2, {(1, 1)})
-    assert fill_refinement(C2, 1, 2).points == frozenset(
-        {(1, 1), (1, 2), (2, 1), (2, 2)}
-    )
-
-
-def test_covering_sets_t1(R2):
-    x, _ = R2.gens()
-    seq = IdealSequence([Ideal(R2, [x])])
-    fam = PFamily.frobenius(Ideal(R2, [x]))
-    R_set, _ = covering_sets(seq, fam, 1, 1)
-    # escape set at level 1 is {0, 1}; refinement fills to {0, 1, 2} over 4
-    assert R_set.points == frozenset({(0,), (1,), (2,)})
+    assert fill_refinement({(1,)}, 1, 2) == {(1,), (2,)}
+    assert fill_refinement(set(), 1, 2) == set()
+    assert fill_refinement({(1, 1)}, 1, 2) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_covering_figure_l_set(worked):
+    """The border cover of the figure, read point by point off its rule: a
+    fine point n is in it when ceil(n/2) - k*(1, 1) is a border point for
+    some k <= mu = 1."""
     _, fam, _, seq_g = worked
-    _, L_set = covering_sets(seq_g, fam, 2, 1)
+    border = border_points(escape_set(seq_g, fam, 2), axis_bounds(seq_g, fam, 2))
+    L_set = {
+        n for n in itertools.product(range(13), repeat=2)
+        if any((-(-n[0] // 2) - k, -(-n[1] // 2) - k) in border for k in (0, 1))
+    }
     stars = set()
     for xs, ys in [
         (0, [5, 6, 7, 8]), (1, range(1, 11)), (2, range(1, 11)),
@@ -202,7 +192,7 @@ def test_covering_figure_l_set(worked):
         (7, range(0, 5)), (8, range(0, 5)), (9, [1, 2]), (10, [1, 2]),
     ]:
         stars.update((xs, yy) for yy in ys)
-    assert L_set.points == frozenset(stars)
+    assert L_set == stars
 
 
 def test_verify_cover_examples(worked):
@@ -212,6 +202,46 @@ def test_verify_cover_examples(worked):
     R3 = PolynomialRing(3, ["x", "y"])
     m3 = Ideal(R3, list(R3.gens()))
     assert verify_cover(seq_of(R3, ["x"], ["y"]), PFamily.frobenius(m3), 1, 1)
+
+
+def test_verify_cover_witness_without_a_border(worked, R2, monkeypatch):
+    """With no border the second cover is empty, so the witness is the least
+    fine point n with ceil(n/p^e2) outside the coarse escape set V."""
+    monkeypatch.setattr(regions, "border_points", lambda V, caps: frozenset())
+    x, _ = R2.gens()
+    seq = IdealSequence([Ideal(R2, [x])])
+    fam_x = PFamily.frobenius(Ideal(R2, [x]))
+    # V_1 = {0, 1} fills {0, 1, 2} over 4; V_2 = {0, ..., 3}
+    check = verify_cover(seq, fam_x, 1, 1)
+    assert not check and check.witness == (3,)
+    # V_2 of the figure has the maximal points (1, 3) and (3, 1): 4 = ceil(7/2)
+    _, fam, _, seq_g = worked
+    assert verify_cover(seq_g, fam, 2, 1).witness == (0, 7)
+
+
+@pytest.mark.parametrize("name,e1,e2", [
+    (name, e1, e2) for name in sorted(COVER_PARAMS) for e1, e2 in COVER_PARAMS[name]
+])
+def test_verify_cover_matches_the_point_by_point_fills(name, e1, e2, monkeypatch):
+    """`verify_cover` reads both covers off coarse cells; the oracle fills
+    them point by point. With every other border point dropped some cases
+    fail, and the verdict and the least uncovered point must agree."""
+    spec = load(name)
+    seq, fam, pres = spec.sequence(), spec.family(), spec.presentation()
+    real = regions.border_points
+    kept = {}
+
+    def thinned(V, caps):
+        kept["border"] = frozenset(sorted(real(V, caps))[::2])
+        return kept["border"]
+
+    monkeypatch.setattr(regions, "border_points", thinned)
+    check = verify_cover(seq, fam, e1, e2, pres)
+    witness = least_uncovered(
+        escape_set(seq, fam, e1 + e2, pres).points(), escape_set(seq, fam, e1, pres).points(),
+        kept["border"], max(seq.generator_counts()), fam.p, e2,
+    )
+    assert (check.ok, check.witness) == (witness is None, witness)
 
 
 def test_unit_reference_rejected(R2):
@@ -237,9 +267,7 @@ def test_border_injection_bound(worked):
         ells = containment_exponents(seq, fam)
         t = seq.t
         for e1 in (1, 2):
-            V = scaled_points(escape_set(seq, fam, e1))
-            C = V.union(base_slabs(seq, fam, e1))
-            border = border_points(C)
+            border = border_points(escape_set(seq, fam, e1), axis_bounds(seq, fam, e1))
             bound = 0
             for n in range(t):
                 term = 1
@@ -366,13 +394,8 @@ def test_csv_export(worked):
     assert text == "e,a1,a2\n1,0,0\n1,1,0\n"
     multi = downset_csv([escape_set(seq_f, fam, e) for e in (1, 2)])
     assert multi.startswith("e,a1,a2\n1,0,0\n1,1,0\n2,0,0\n")
-    assert box_region_csv(ds) == "e,a1,a2\n1,1,0\n"
-    both = box_region_csv([escape_set(seq_f, fam, e) for e in (1, 2)])
-    assert both == "e,a1,a2\n1,1,0\n2,3,1\n"
-    mixed = [ds, box_region(3, 1, 2, [(1, 0, 1)])]
-    for export in (downset_csv, box_region_csv):
-        with pytest.raises(BadInputError, match="mixed dimensions"):
-            export(mixed)
+    with pytest.raises(BadInputError, match="mixed dimensions"):
+        downset_csv([ds, box_region(3, 1, 2, [(1, 0, 1)])])
 
 
 def test_staircase_outline_matches_region(worked):

@@ -24,7 +24,7 @@ m = Ideal(R, [x, y])
 I = Ideal(R, [x, R.poly("y^2")])
 print("nu values for I = (x, y^2) against m:")
 for e in range(1, 6):
-    print(f"  e={e}: nu = {nu(I, m, e).nu}")
+    print(f"  e={e}: nu = {nu(I, m, e)}")
 
 table = threshold_table(I, m, range(1, 6))
 print("normalized rows nu/2^e:", ", ".join(str(v) for _, v in table.rows))

@@ -1,9 +1,12 @@
 """Detecting F-pure complete intersections from volume tables.
 
-Volume exactly 1 at every computed level, the Fedder product test, and the
-dimension-drop test together certify an F-pure complete intersection up to
-the checked level. The certificate is honest about being finite: it never
-claims the limit.
+The certificate is the dimension-drop test, each f_i in the ideal m of all
+variables, and Fedder's product test at every level up to the checked one.
+With each f_i in m, Fedder's test at level e holds exactly when the
+level-e volume row is 1 (the escape set fills the box [0, q-1]^t exactly
+when its corner escapes), so the certificate also means volume rows of 1;
+the rows printed below show it. The certificate is honest about being
+finite: it never claims the limit.
 """
 
 from frobvol import (

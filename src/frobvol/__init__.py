@@ -24,7 +24,6 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    LengthValue,
     QuotientPresentation,
     buchberger,
     frobenius_power,
@@ -45,7 +44,6 @@ from .invariants import (
     CHECK_NAMES,
     CheckReport,
     EstimateTable,
-    NuValue,
     check_containment_monotone,
     check_frob_shift,
     check_hk_length_inequality,

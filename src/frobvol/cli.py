@@ -443,7 +443,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         f_seq = [I.gens[0] for I in seq.entries]
         rows = [{"e": e, "value": fedder_criterion(f_seq, e)} for e in spec.levels()]
         sop = is_parameter_sequence(f_seq, pres)
-        label = fpure_ci_label(f_seq, spec.e_hi, pres, budget=BudgetCounter(spec.budget))
+        label = fpure_ci_label(f_seq, spec.e_hi, pres)
         payload = {
             "kind": "fedder",
             "p": spec.p,
@@ -529,9 +529,8 @@ def main(argv=None) -> int:
     except (BudgetExceededError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3 if isinstance(exc, BudgetExceededError) else 2
-        # volume and threshold still write the rows finished before the
-        # cutoff; fedder's label builds a volume table that is not its payload
-        if exc.partial is None or exc.partial.kind != args.command:
+        # volume and threshold still write the rows finished before the cutoff
+        if exc.partial is None:
             return code
         payload = exc.partial.to_json()
     except TheoremViolationError as exc:

@@ -139,40 +139,6 @@ def _presentation_gens(ring: PolynomialRing, pres) -> tuple:
     return pres.relations.gens
 
 
-class LengthValue:
-    """A nonnegative integer length, or the infinite marker."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value  # None encodes +infinity
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __int__(self):
-        if self.value is None:
-            raise ValueError("length is infinite")
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, LengthValue):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("LengthValue", self.value))
-
-    def __repr__(self):
-        return "LengthValue(inf)" if self.value is None else f"LengthValue({self.value})"
-
-
-INFINITE_LENGTH = LengthValue(None)
-
-
 # ---------------------------------------------------------------------------
 # Division and Buchberger
 # ---------------------------------------------------------------------------
@@ -793,22 +759,23 @@ def _staircase_count(lms: list, nvars: int, guard: int) -> int:
     return total
 
 
-def staircase_count_of(gb: GroebnerBasis) -> LengthValue:
-    """Number of standard monomials of a completed basis: infinite unless
-    every variable has a pure power among the leading monomials, else
-    counted slice by slice on the packed leading monomials."""
+def staircase_count_of(gb: GroebnerBasis) -> int | None:
+    """Number of standard monomials of a completed basis: None (infinite)
+    unless every variable has a pure power among the leading monomials,
+    else counted slice by slice on the packed leading monomials."""
     if gb.contains_one:
-        return LengthValue(0)
+        return 0
     ring, lms = gb.ring, gb.leading_monomials
     field = (1 << 64) - 1
     for i in range(ring.nvars):
         if not any(m and not m & ~(field << 64 * i) for m in lms):
-            return INFINITE_LENGTH
-    return LengthValue(_staircase_count(lms, ring.nvars, ring.guard))
+            return None
+    return _staircase_count(lms, ring.nvars, ring.guard)
 
 
-def standard_monomial_count(J: Ideal, pres: QuotientPresentation | None = None) -> LengthValue:
-    """Vector-space dimension of R/(J + presentation) via its staircase."""
+def standard_monomial_count(J: Ideal, pres: QuotientPresentation | None = None) -> int | None:
+    """Vector-space dimension of R/(J + presentation) via its staircase,
+    or None when it is infinite."""
     return staircase_count_of(groebner_basis(J, pres))
 
 

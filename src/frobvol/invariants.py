@@ -37,7 +37,6 @@ from .regions import (
     PFamily,
     _as_budget,
     box_region,
-    _flat,
     containment_exponents,
     escape_set,
     escape_sets,
@@ -87,29 +86,6 @@ class EstimateTable:
         return f"EstimateTable[{self.kind}]({cells})"
 
 
-class NuValue:
-    """The largest power of I escaping the e-th bracket power of J."""
-
-    __slots__ = ("e", "nu")
-
-    def __init__(self, e: int, nu: int):
-        self.e = e
-        self.nu = nu
-
-    def __eq__(self, other):
-        if isinstance(other, NuValue):
-            return (self.e, self.nu) == (other.e, other.nu)
-        if isinstance(other, int):
-            return self.nu == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e, self.nu))
-
-    def __repr__(self):
-        return f"NuValue(e={self.e}, nu={self.nu})"
-
-
 class CheckReport:
     """Outcome of one identity/inequality checker, with exact sides."""
 
@@ -152,34 +128,21 @@ class CheckReport:
 # nu and the threshold table
 # ---------------------------------------------------------------------------
 
-def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> NuValue:
+def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> int:
     """Largest k with I^k escaping J^[p^e]: the maximal point of the
-    one-entry escape set, charged against the budget. Containment is
-    monotone in k, so each level is a binary search: within the finiteness
-    bound at a level swept cold, and within p*nu(e-1) .. p*nu(e-1) + p - 1
-    at a level walked from the one below (`regions.escape_sets`).
+    one-entry escape set (`regions.escape_sets`), charged against the
+    budget. Containment is monotone in k, so each level is a binary search.
 
-    A principal I = (f) in a polynomial ring goes digit by digit: the
-    levels 0..e are walked (`_nu_walk`), each in about log2(p) + 1 probes,
-    every probe charged to the same budget. Each probed power is built from
-    f's base-p digits, f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any
-    level ideal, with f^a read one level down (see
-    `groebner.PowerTable.power`). An I with several generators is split
-    into them (the sup identity, see `regions.escape_set`) and swept at
-    level e alone.
+    A principal I = (f) in a polynomial ring is walked from level 0 digit by
+    digit, each level searching p * nu(e-1) .. p * nu(e-1) + p - 1 in about
+    log2(p) + 1 probes. Each probed power is built from f's base-p digits,
+    f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal, with
+    f^a read one level down (see `groebner.PowerTable.power`). An I with
+    several generators is split into them (the sup identity, see
+    `regions.escape_set`) and swept at level e alone.
     """
-    fam = PFamily.frobenius(J)
-    *_, ds = escape_sets(IdealSequence([I]), fam, _nu_walk(I, fam, pres, [e]), pres, budget)
-    return NuValue(e, ds.max_points[0][0])
-
-
-def _nu_walk(I: Ideal, fam: PFamily, pres, levels: list):
-    """The levels a `nu` table visits to reach `levels`, in order: 0 up to
-    the highest of them for a principal I where each level's search starts
-    from p times the one below (`regions._flat`), else `levels` as given."""
-    if I.num_gens == 1 and _flat(fam, pres) and min(levels, default=0) >= 0:
-        return range(max(levels, default=-1) + 1)
-    return levels
+    (ds,) = escape_sets(IdealSequence([I]), PFamily.frobenius(J), [e], pres, budget)
+    return ds.max_points[0][0]
 
 
 def _cutoff_flags(exc) -> dict:
@@ -191,24 +154,18 @@ def _cutoff_flags(exc) -> dict:
 
 def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
     """Rows (e, nu/p^e); the finite sequence only, no extrapolation. The
-    levels are walked in one pass (`_nu_walk`, `regions.escape_sets`), so
-    consecutive levels start from the one below. A budget exit or an
-    exponent overflow carries the rows finished before it as `partial`,
-    flagged by `_cutoff_flags`."""
-    counter = _as_budget(budget)
+    levels are walked in one pass (`regions.escape_sets`), so each level
+    starts from the one below. A budget exit or an exponent overflow
+    carries the rows finished before it as `partial`, flagged by
+    `_cutoff_flags`."""
     p = I.ring.p
-    fam = PFamily.frobenius(J)
-    levels = list(levels)
-    nus = {}
+    rows = []
     try:
-        for ds in escape_sets(IdealSequence([I]), fam, _nu_walk(I, fam, pres, levels), pres,
-                              counter):
-            nus[ds.level] = ds.max_points[0][0]
+        for ds in escape_sets(IdealSequence([I]), PFamily.frobenius(J), levels, pres, budget):
+            rows.append((ds.level, Fraction(ds.max_points[0][0], p ** ds.level)))
     except (BudgetExceededError, ExponentOverflowError) as exc:
-        rows = [(e, Fraction(nus[e], p ** e)) for e in levels if e in nus]
         exc.partial = EstimateTable("threshold", p, 1, rows, flags=_cutoff_flags(exc))
         raise
-    rows = [(e, Fraction(nus[e], p ** e)) for e in levels]
     vals = [v for _, v in rows]
     flags = {
         "nondecreasing": all(a <= b for a, b in zip(vals, vals[1:])),
@@ -229,7 +186,8 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
 
     The levels are walked by `regions.escape_sets`, the sequence and (for
     t >= 2) each entry alone, so consecutive levels start from the one
-    below. Each row also records the exact gap bound between the two
+    below; one principal entry over a polynomial ring is walked from level
+    0, as `nu` is. Each row also records the exact gap bound between the two
     counts; over a polynomial ring the positive-normalized rows must be
     nondecreasing, and a violation is reported as a bug, not a result.
     A budget exit or an exponent overflow carries the rows finished before
@@ -312,12 +270,12 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
     for e in levels:
         q = p ** e
         lam = staircase_count_of(frobenius_basis(J, q, pres))
-        if not lam.is_finite:
+        if lam is None:
             raise NotPrimaryError(
                 f"quotient by the level-{e} bracket power has infinite length; "
                 "the reference ideal is not primary to the irrelevant maximal ideal"
             )
-        rows.append((e, Fraction(int(lam), p ** (e * d))))
+        rows.append((e, Fraction(lam, p ** (e * d))))
     vals = [v for _, v in rows]
     flags = {
         "d": d,
@@ -366,30 +324,29 @@ def is_parameter_sequence(f_seq, pres=None) -> bool:
 FPURE_CI_LABEL = "F-pure complete intersection (verified to level {e})"
 
 
-def fpure_ci_label(f_seq, e_max: int, pres=None, budget=None):
+def fpure_ci_label(f_seq, e_max: int, pres=None):
     """The certification label, or None.
 
-    The label asserts only finitely checked facts: volume rows exactly 1 up
-    to e_max, the Fedder product test at every level up to e_max, and the
-    dimension-drop test. Requires a polynomial ambient ring.
+    The label asserts only finitely checked facts: the dimension-drop test,
+    each f_i in the ideal m of all variables (the radical hypothesis of the
+    escape sets against m), and Fedder's test at every level up to e_max.
+    With each f_i in m, the level-e escape set of (f_1, ..., f_t) against m
+    lies in the box [0, q-1]^t and fills it exactly when the corner
+    (q-1, ..., q-1) escapes, which is Fedder's test; so the label also
+    means volume rows of exactly 1 up to e_max. Requires a polynomial
+    ambient ring.
     """
     if pres is not None and not pres.trivial:
         return None
     f_seq = list(f_seq)
     ring = f_seq[0].ring
-    if not is_parameter_sequence(f_seq, pres):
-        return None
-    if not all(fedder_criterion(f_seq, e) for e in range(1, e_max + 1)):
-        return None
-    m = Ideal(ring, ring.gens())
-    seq = IdealSequence([Ideal(ring, (f,)) for f in f_seq])
-    try:
-        table = volume_table(seq, PFamily.frobenius(m), range(1, e_max + 1), pres, budget=budget)
-    except HypothesisViolatedError:
-        return None
-    if any(v != 1 for _, v in table.rows):
-        return None
-    return FPURE_CI_LABEL.format(e=e_max)
+    if (
+        is_parameter_sequence(f_seq, pres)
+        and ideal_contains(Ideal(ring, f_seq), Ideal(ring, ring.gens()))
+        and all(fedder_criterion(f_seq, e) for e in range(1, e_max + 1))
+    ):
+        return FPURE_CI_LABEL.format(e=e_max)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +403,7 @@ def check_slice_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=No
     fam = PFamily.frobenius(J)
     ds = escape_set(seq, fam, e, pres, counter)
     ds_prefix = escape_set(seq.truncated(), fam, e, pres, counter)
-    last_nu = nu(seq.entries[-1], J, e, pres, budget=counter).nu
+    last_nu = nu(seq.entries[-1], J, e, pres, budget=counter)
     witness = None
     for mp in ds.max_points:
         if mp[:-1] not in ds_prefix or mp[-1] > last_nu:
@@ -465,7 +422,7 @@ def check_simplex_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=
     p = J.ring.p
     t = seq.t
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
-    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter).nu
+    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
     left = Fraction(ds.positive_size, p ** (e * t))
     right = Fraction(total, p ** e) ** t / factorial(t)
     ok = left <= right
@@ -481,7 +438,7 @@ def check_sup_identity(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=N
     off one escape set."""
     counter = _as_budget(budget)
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
-    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter).nu
+    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
     best = max(sum(mp) for mp in ds.max_points)
     ok = total == best
     return CheckReport("sup_identity", {"e": e}, total, best, ok,
@@ -522,14 +479,12 @@ def check_hk_length_inequality(seq: IdealSequence, J: Ideal, e: int, pres=None,
     ring = J.ring
     q = ring.p ** e
     Jq = frobenius_power(J, q)
-    lam_total = staircase_count_of(frobenius_basis(J, q, pres))
-    if not lam_total.is_finite:
+    left = staircase_count_of(frobenius_basis(J, q, pres))
+    if left is None:
         raise NotPrimaryError("reference ideal is not primary to the irrelevant maximal ideal")
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
     I = ideal_sum(*seq.entries)
-    lam_step = standard_monomial_count(ideal_sum(I, Jq), pres)
-    left = int(lam_total)
-    right = ds.size * int(lam_step)
+    right = ds.size * standard_monomial_count(ideal_sum(I, Jq), pres)
     ok = left <= right
     return CheckReport("hk_length_ineq", {"e": e}, left, right, ok,
                        None if ok else (left, right))
@@ -606,11 +561,11 @@ def check_threshold_bounds(seq: IdealSequence, J: Ideal, e: int, pres=None,
     p = J.ring.p
     t = seq.t
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
-    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter).nu
+    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
     simplex = Fraction(total, p ** e) ** t / factorial(t)
     product = Fraction(1)
     for I in seq.entries:
-        product *= Fraction(nu(I, J, e, pres, budget=counter).nu + 1, p ** e)
+        product *= Fraction(nu(I, J, e, pres, budget=counter) + 1, p ** e)
     left = Fraction(ds.positive_size, p ** (e * t))
     right = min(simplex, product)
     ok = left <= right

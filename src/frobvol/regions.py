@@ -397,10 +397,22 @@ def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None
     """Yield the escape set at each of `levels` in turn, all charged to one
     budget. A level one above the level before it starts from that level's
     rows: they lie within p times the rows below (see
-    `_principal_escape_set`). `escape_set` is the cold single level."""
+    `_principal_escape_set`). `escape_set` is the cold single level.
+
+    One principal entry over a flat family (`_flat`) is walked digit by
+    digit: each requested level is reached from the last level walked, or
+    from level 0, one level at a time, and only the requested levels are
+    yielded. Each level's search then spans p values, so `nu`, the
+    threshold table and a one-entry volume table cost about log2(p) + 1
+    probes per level, however high the level."""
     counter = _as_budget(budget)
     carry = {}
+    walk = seq.t == 1 and seq.principal and _flat(fam, pres)
     for e in levels:
+        if walk:
+            last = max(carry, default=-1)  # the level whose rows `carry` holds
+            for lower in range(last + 1 if last < e else 0, e):
+                escape_set(seq, fam, lower, pres, counter, carry)
         yield escape_set(seq, fam, e, pres, counter, carry)
 
 
@@ -626,28 +638,24 @@ def _export_list(downsets) -> list:
     return downsets
 
 
-def downset_csv(downsets, out=None):
-    """CSV with one lattice point per line. Columns: e, a1..at (exact integers).
+def downset_csv(downsets, out) -> None:
+    """Write CSV with one lattice point per line to the text stream `out`.
+    Columns: e, a1..at (exact integers).
 
-    With a text stream `out` the lines go to it row by row and None is
-    returned; without one they are joined into the returned string. A row
-    (prefix, top) of a level's maximal points (`_down_set_rows`) is its head
-    "e,a1,...,a(t-1)," joined over the cached lines of the last coordinate,
-    0 to top, so no set of points is built and `out` gets one row at a time."""
-    lines = _csv_lines(_export_list(downsets))
-    return "".join(lines) if out is None else out.writelines(lines)
-
-
-def _csv_lines(downsets):
+    A row (prefix, top) of a level's maximal points (`_down_set_rows`) is
+    its head "e,a1,...,a(t-1)," joined over the cached lines of the last
+    coordinate, 0 to top, so no set of points is built and `out` gets one
+    row at a time."""
+    downsets = _export_list(downsets)
     t = downsets[0].dimension
     width = 1 + max((m[-1] for ds in downsets for m in ds.max_points), default=-1)
     cells = [f"{a}\n" for a in range(width)]
-    yield "e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n"
+    out.write("e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n")
     for ds in downsets:
         level = f"{ds.level},"
         for prefix, top in _down_set_rows(ds.max_points):
             head = level + "".join(f"{a}," for a in prefix)
-            yield head + head.join(cells[:top + 1])
+            out.write(head + head.join(cells[:top + 1]))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

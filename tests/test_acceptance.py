@@ -178,7 +178,7 @@ def test_criterion_5_hilbert_kunz():
     m = Ideal(R, list(R.gens()))
     start = time.monotonic()
     for e in range(1, 9):
-        assert int(standard_monomial_count(frobenius_power(m, 2**e))) == 4**e
+        assert standard_monomial_count(frobenius_power(m, 2**e)) == 4**e
     assert time.monotonic() - start < 1.0
     table = hilbert_kunz_table(m, range(1, 9))
     assert all(v == 1 for _, v in table.rows)

@@ -82,7 +82,7 @@ def test_nu_of_a_power_of_one_variable():
             table = threshold_table(I, J, range(e_max + 1))
             expected = [ceil(Fraction(p**e, d)) - 1 for e in range(e_max + 1)]
             assert [v * p**e for e, v in table.rows] == expected
-            assert nu(I, J, e_max).nu == ceil(Fraction(p**e_max, d)) - 1
+            assert nu(I, J, e_max) == ceil(Fraction(p**e_max, d)) - 1
 
 
 def test_diagonal_quartic_threshold():

@@ -197,6 +197,21 @@ def test_cli_fedder_label(tmp_path):
     assert payload["label"] == "F-pure complete intersection (verified to level 5)"
 
 
+@pytest.mark.parametrize("spec_text, expected", [
+    ("p=3; ring x,y,z; J: x,y,z; seq: x; y; z; e: 1..3",
+     '{"kind":"fedder","label":"F-pure complete intersection (verified to level 3)","p":3,'
+     '"rows":[{"e":1,"value":true},{"e":2,"value":true},{"e":3,"value":true}],"sop":true}\n'),
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y+z^2; x^2+y^3+z^3; e: 1..4",
+     '{"kind":"fedder","label":null,"p":2,"rows":[{"e":1,"value":false},{"e":2,"value":false},'
+     '{"e":3,"value":false},{"e":4,"value":false}],"sop":true}\n'),
+])
+def test_cli_fedder_stdout_is_pinned(tmp_path, capsys, spec_text, expected):
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text(spec_text)
+    assert main(["fedder", str(spec_file)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_union_needs_parts(tmp_path):
     spec_file = tmp_path / "u.spec"
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y; e: 1..1")

@@ -360,8 +360,8 @@ def test_staircase_counts(R2):
     assert standard_monomial_count(
         Ideal(R2, [R2.poly("x^2"), x * y, R2.poly("y^3")])
     ) == 4
-    assert not standard_monomial_count(Ideal(R2, [x])).is_finite
-    assert standard_monomial_count(Ideal(R2, [R2.one() + x + x])).value == 0  # unit ideal
+    assert standard_monomial_count(Ideal(R2, [x])) is None  # infinite length
+    assert standard_monomial_count(Ideal(R2, [R2.one() + x + x])) == 0  # unit ideal
 
 
 def test_staircase_counts_match_bruteforce():
@@ -373,7 +373,7 @@ def test_staircase_counts_match_bruteforce():
             exps = tuple(rng.randint(0, 3) for _ in range(3))
             gens.append(ring.monomial(exps))
         J = Ideal(ring, gens)
-        assert int(standard_monomial_count(J)) == staircase_count_brute(J)
+        assert standard_monomial_count(J) == staircase_count_brute(J)
 
 
 def test_staircase_count_quotient(R2):

@@ -32,7 +32,7 @@ from frobvol.invariants import (
     truncation_table,
     volume_table,
 )
-from frobvol.regions import BudgetCounter, IdealSequence, PFamily
+from frobvol.regions import BudgetCounter, IdealSequence, PFamily, escape_set
 from frobvol.ring import PolynomialRing
 from oracles import brute_force_nu, exponents
 
@@ -55,10 +55,10 @@ def seq_of(ring, *gen_lists):
 
 def test_nu_examples(R2, m2):
     x, _ = R2.gens()
-    assert nu(m2, m2, 1).nu == 2
+    assert nu(m2, m2, 1) == 2
     for e in (1, 2, 3, 5):
-        assert nu(Ideal(R2, [x]), Ideal(R2, [x]), e).nu == 2**e - 1
-    assert nu(Ideal(R2, [x, R2.poly("y^2")]), m2, 2).nu == 4
+        assert nu(Ideal(R2, [x]), Ideal(R2, [x]), e) == 2**e - 1
+    assert nu(Ideal(R2, [x, R2.poly("y^2")]), m2, 2) == 4
 
 
 def test_nu_bruteforce_crosscheck(R2, m2):
@@ -69,13 +69,13 @@ def test_nu_bruteforce_crosscheck(R2, m2):
         expected = max(
             k for k in range(4 * q) if not ideal_contains(ideal_power(I, k), Jq)
         )
-        assert nu(I, m2, e).nu == expected
+        assert nu(I, m2, e) == expected
 
 
 def test_nu_large_level_principal(R2):
     x, _ = R2.gens()
     # each probe builds x^k from its base-2 digits
-    assert nu(Ideal(R2, [x]), Ideal(R2, [x]), 14).nu == 2**14 - 1
+    assert nu(Ideal(R2, [x]), Ideal(R2, [x]), 14) == 2**14 - 1
 
 
 def test_nu_charges_the_budget():
@@ -87,7 +87,7 @@ def test_nu_charges_the_budget():
     R5 = PolynomialRing(5, ["x", "y"])
     x, y = R5.gens()
     counter = BudgetCounter()
-    assert nu(Ideal(R5, [x + y]), Ideal(R5, [x, y]), 6, budget=counter).nu == 15624
+    assert nu(Ideal(R5, [x + y]), Ideal(R5, [x, y]), 6, budget=counter) == 15624
     assert counter.used >= 1
 
 
@@ -105,7 +105,7 @@ def test_nu_of_a_split_entry_charges_the_budget():
 def test_nu_of_a_two_generator_entry_at_high_levels(e):
     R = PolynomialRing(3, ["x", "y", "z"])
     I = Ideal(R, [R.poly("x"), R.poly("y+z^2")])
-    assert nu(I, Ideal(R, list(R.gens())), e).nu == 2 * 3**e - 2
+    assert nu(I, Ideal(R, list(R.gens())), e) == 2 * 3**e - 2
 
 
 # (variables n, power d, p, level e): nu(m^d, m) = floor(n(q-1)/d). Each
@@ -123,7 +123,7 @@ _POWER_OF_M_CASES = [
 def test_nu_of_a_power_of_the_maximal_ideal(n, d, p, e):
     R = PolynomialRing(p, ["x", "y", "z"][:n])
     m = Ideal(R, list(R.gens()))
-    assert nu(ideal_power(m, d), m, e).nu == n * (p**e - 1) // d
+    assert nu(ideal_power(m, d), m, e) == n * (p**e - 1) // d
 
 
 @st.composite
@@ -157,7 +157,43 @@ def test_nu_of_a_multi_generator_entry_matches_direct_powers(case):
     """The sup identity, checked against directly built powers:
     `check_sup_identity` computes both of its sides by it."""
     I, J, e, pres = case
-    assert nu(I, J, e, pres).nu == brute_force_nu(I, J, e, pres)
+    assert nu(I, J, e, pres) == brute_force_nu(I, J, e, pres)
+
+
+@st.composite
+def nu_route_cases(draw):
+    """(I, J, e, pres): an entry of one or two generators with no constant
+    term, against a monomial or a non-monomial J primary to the ideal of
+    all variables, over F_p[x,y] (p in {2, 3}) or F_3[x,y,z]/(xy - z^2);
+    e in 1..3 for p = 2 and 1..2 otherwise."""
+    quotient = draw(st.booleans())
+    p = 3 if quotient else draw(st.sampled_from([2, 3]))
+    names = ["x", "y", "z"] if quotient else ["x", "y"]
+    R = PolynomialRing(p, names)
+    J = draw(st.sampled_from(
+        [names, ["x^2", "y"], ["x+z", "y"]] if quotient else [names, ["x^2", "y"], ["x+y^2", "y^3"]]
+    ))
+    mono = st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)).map(tuple)
+    terms = st.dictionaries(mono.filter(any), st.integers(1, p - 1), min_size=1, max_size=2)
+    I = Ideal(R, [R.from_dict(draw(terms)) for _ in range(draw(st.integers(1, 2)))])
+    pres = QuotientPresentation(R, Ideal(R, [R.poly("x*y-z^2")])) if quotient else None
+    return I, Ideal(R, [R.poly(g) for g in J]), draw(st.integers(1, 3 if p == 2 else 2)), pres
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(nu_route_cases())
+def test_every_nu_route_gives_the_same_nu(case):
+    """`nu`, the threshold row times p^e, the one-entry volume row times
+    p^e less 1 (the escape set of one entry is [0, nu]) and the maximal
+    point of a cold `escape_set` agree, whether the levels are walked from
+    level 0 or swept at level e alone."""
+    I, J, e, pres = case
+    q = J.ring.p ** e
+    seq, fam = IdealSequence([I]), PFamily.frobenius(J)
+    value = nu(I, J, e, pres)
+    assert threshold_table(I, J, range(1, e + 1), pres).value(e) * q == value
+    assert volume_table(seq, fam, [e], pres).value(e) * q - 1 == value
+    assert escape_set(seq, fam, e, pres).max_points == ((value,),)
 
 
 def test_nu_hypothesis(R2):
@@ -203,7 +239,7 @@ def test_volume_interval_relation_t1(R2, m2):
     seq = seq_of(R2, ["x+y"])
     table = volume_table(seq, fam, range(1, 4))
     for e, v in table.rows:
-        expected = Fraction(nu(seq.entries[0], m2, e).nu + 1, 2**e)
+        expected = Fraction(nu(seq.entries[0], m2, e) + 1, 2**e)
         assert v == expected
 
 
@@ -313,6 +349,32 @@ def test_volume_row_is_one_exactly_when_fedder_holds(case):
     row = volume_table(seq, fam, [e]).value(e)
     assert row <= 1
     assert (row == 1) is fedder_criterion(f_seq, e)
+
+
+@st.composite
+def fpure_label_cases(draw):
+    """(f_seq, e_max): the sequences of `fedder_cases`, constant terms
+    allowed, with e_max in 1..2."""
+    f_seq, _ = draw(fedder_cases())
+    return f_seq, draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fpure_label_cases())
+def test_fpure_label_is_set_exactly_when_the_volume_rows_are_one(case):
+    """The label is set exactly when the sequence is a parameter sequence,
+    each f_i lies in the ideal m of all variables, and every volume row
+    against m up to e_max is 1; the table is built here, not by the label."""
+    f_seq, e_max = case
+    ring = f_seq[0].ring
+    expected = is_parameter_sequence(f_seq) and all(any(mono) for f in f_seq for mono in exponents(f))
+    if expected:
+        seq = IdealSequence([Ideal(ring, [f]) for f in f_seq])
+        table = volume_table(seq, PFamily.frobenius(Ideal(ring, list(ring.gens()))),
+                             range(1, e_max + 1))
+        expected = all(v == 1 for _, v in table.rows)
+    label = fpure_ci_label(f_seq, e_max)
+    assert label == (invariants.FPURE_CI_LABEL.format(e=e_max) if expected else None)
 
 
 def test_parameter_sequence_examples(R2):

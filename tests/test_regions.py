@@ -45,7 +45,7 @@ from frobvol.regions import (
     staircase_svg,
     verify_cover,
 )
-from frobvol.invariants import nu, volume_table
+from frobvol.invariants import nu, threshold_table, volume_table
 from frobvol.ring import PolynomialRing
 from corpus import COVER_PARAMS, load
 from oracles import (
@@ -62,6 +62,13 @@ from oracles import (
 @pytest.fixture
 def R2():
     return PolynomialRing(2, ["x", "y"])
+
+
+def csv_text(downsets) -> str:
+    """The CSV `downset_csv` writes for `downsets`."""
+    out = io.StringIO()
+    downset_csv(downsets, out)
+    return out.getvalue()
 
 
 def seq_of(ring, *gen_lists):
@@ -328,9 +335,9 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
             assert list(region.max_points) == maximal
             lines = [f"{e}," + ",".join(map(str, pt)) for e in (1, 3) for pt in sorted(union)]
             header = ",".join(["e"] + [f"a{i + 1}" for i in range(t)])
-            both = downset_csv([region, box_region(t, 3, 2, corners)])
+            both = csv_text([region, box_region(t, 3, 2, corners)])
             assert both == "\n".join([header] + lines) + "\n"
-    assert downset_csv(box_region(2, 1, 2, [])) == "e,a1,a2\n"
+    assert csv_text(box_region(2, 1, 2, [])) == "e,a1,a2\n"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -351,7 +358,7 @@ def test_down_set_rows_match_the_union_of_boxes(corners):
 def test_csv_export_to_a_stream_holds_one_row_at_a_time():
     """The escape sets of ex_g at e = 1..8 make a 565 KB CSV. Written to a
     stream that only counts and hashes, the export allocates under 64 KB at
-    its peak, and the stream gets exactly the string form."""
+    its peak, and the stream gets exactly what an `io.StringIO` gets."""
 
     class Sink(io.TextIOBase):
         def __init__(self):
@@ -365,7 +372,7 @@ def test_csv_export_to_a_stream_holds_one_row_at_a_time():
 
     spec = parse_spec("p=2; ring x,y; J: x,y; seq: x; y^2+x; e: 1..8")
     sets = list(escape_sets(spec.sequence(), spec.family(), spec.levels()))
-    text = downset_csv(sets)
+    text = csv_text(sets)
     assert len(text) > 500_000
     sink = Sink()
     tracemalloc.start()
@@ -390,12 +397,12 @@ def test_axis_bounds(worked, R2):
 def test_csv_export(worked):
     _, fam, seq_f, _ = worked
     ds = escape_set(seq_f, fam, 1)
-    text = downset_csv(ds)
+    text = csv_text(ds)
     assert text == "e,a1,a2\n1,0,0\n1,1,0\n"
-    multi = downset_csv([escape_set(seq_f, fam, e) for e in (1, 2)])
+    multi = csv_text([escape_set(seq_f, fam, e) for e in (1, 2)])
     assert multi.startswith("e,a1,a2\n1,0,0\n1,1,0\n2,0,0\n")
     with pytest.raises(BadInputError, match="mixed dimensions"):
-        downset_csv([ds, box_region(3, 1, 2, [(1, 0, 1)])])
+        downset_csv([ds, box_region(3, 1, 2, [(1, 0, 1)])], io.StringIO())
 
 
 def test_staircase_outline_matches_region(worked):
@@ -706,8 +713,25 @@ def test_a_one_entry_sweep_keeps_its_probe_sequence():
     takes 14."""
     R = PolynomialRing(3, ["x", "y"])
     counter = BudgetCounter(10**6)
-    assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter).nu == 4373
+    assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter) == 4373
     assert counter.used == 9
+
+
+def test_a_one_entry_volume_table_walks_like_the_threshold_table():
+    """Over levels 7..8 both tables walk the cusp from level 0, as `nu`
+    does, so each charges the same 9 probes."""
+    R = PolynomialRing(3, ["x", "y"])
+    cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
+    used = []
+    for table in (
+        lambda counter: threshold_table(cusp, m, range(7, 9), budget=counter),
+        lambda counter: volume_table(IdealSequence([cusp]), PFamily.frobenius(m), range(7, 9),
+                                     budget=counter),
+    ):
+        counter = BudgetCounter(10**6)
+        table(counter)
+        used.append(counter.used)
+    assert used == [9, 9]
 
 
 # -- every entry is split into its generators ---------------------------------

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from corpus import child_env
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -40,3 +42,17 @@ def test_trace_runner_spans_one_check_job(tmp_path):
 def test_trace_runner_spans_the_csv_export(tmp_path):
     names = traced_spans(tmp_path, "vset", str(BENCH / "specs" / "ex_g.e1-4.spec"))
     assert {"cli.main", "regions.escape_set", "regions.export"} <= names
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("threshold @cusp_p3.e7-8", {"invariants.tables", "regions.escape_set"}),
+    ("hk @a1.e1-4", {"invariants.tables", "groebner.staircase"}),
+    ("check threshold_bounds --e 2 @ex_g.e1-4",
+     {"invariants.checks", "invariants.nu", "regions.escape_set"}),
+])
+def test_trace_runner_spans_the_tables_lengths_and_nu(tmp_path, line, expected):
+    """The tracer wraps `nu`, `staircase_count_of`, `escape_set` and the
+    table functions by name; "@name" stands for bench/specs/name.spec."""
+    args = [str(BENCH / "specs" / f"{t[1:]}.spec") if t.startswith("@") else t
+            for t in line.split()]
+    assert {"cli.main"} | expected <= traced_spans(tmp_path, *args)

@@ -13,30 +13,18 @@ Spec grammar (statements separated by ';' or newlines):
     budget=<int>
 
 Exit codes: 0 success, 2 hypothesis/input violation, 3 budget exceeded,
-4 internal check failure (a theorem checker came out false).
+4 internal check failure (a theorem checker came out false). A library
+error carries its own code (`errors.FrobvolError.exit_code`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
-from .errors import (
-    BadInputError,
-    BadLevelError,
-    BudgetExceededError,
-    ExponentOverflowError,
-    HypothesisViolatedError,
-    NonPrimeError,
-    NotPrimaryError,
-    PolyParseError,
-    SearchLimitError,
-    SpecParseError,
-    TheoremViolationError,
-)
+from .errors import BadInputError, FrobvolError, NonPrimeError, SpecParseError
 from .groebner import Ideal, QuotientPresentation
 from .invariants import (
     CHECK_NAMES,
@@ -53,6 +41,7 @@ from .invariants import (
     fpure_ci_label,
     hilbert_kunz_table,
     is_parameter_sequence,
+    json_text,
     threshold_table,
     truncation_table,
     volume_table,
@@ -70,18 +59,6 @@ from .regions import (
     verify_cover,
 )
 from .ring import PolynomialRing
-
-_USER_ERRORS = (
-    SpecParseError,
-    PolyParseError,
-    NonPrimeError,
-    HypothesisViolatedError,
-    BadInputError,
-    BadLevelError,
-    NotPrimaryError,
-    SearchLimitError,
-)
-
 
 class ProblemSpec:
     """A parsed problem: ring, optional presentation, sequence, reference data."""
@@ -356,8 +333,7 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 def _checks_json(reports) -> str:
-    payload = {"checks": [r.to_jsonable() for r in reports]}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json_text({"checks": [r.to_jsonable() for r in reports]})
 
 
 def _union_parts(spec: ProblemSpec) -> list:
@@ -444,14 +420,8 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         rows = [{"e": e, "value": fedder_criterion(f_seq, e)} for e in spec.levels()]
         sop = is_parameter_sequence(f_seq, pres)
         label = fpure_ci_label(f_seq, spec.e_hi, pres)
-        payload = {
-            "kind": "fedder",
-            "p": spec.p,
-            "rows": rows,
-            "sop": sop,
-            "label": label,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", 0
+        return json_text({"kind": "fedder", "p": spec.p, "rows": rows, "sop": sop,
+                          "label": label}), 0
 
     if command == "check":
         return _run_check(spec, args.name, args)
@@ -461,15 +431,9 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
             spec.sequence(), spec.family(), args.e1, args.e2, pres,
             BudgetCounter(spec.budget),
         )
-        payload = {
-            "check": "verify_cover",
-            "e1": args.e1,
-            "e2": args.e2,
-            "ok": result.ok,
-            "witness": None if result.witness is None else list(result.witness),
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        return text, 0 if result.ok else 4
+        witness = None if result.witness is None else list(result.witness)
+        return json_text({"check": "verify_cover", "e1": args.e1, "e2": args.e2,
+                          "ok": result.ok, "witness": witness}), 0 if result.ok else 4
 
     raise BadInputError(f"unknown command {command!r}")
 
@@ -523,19 +487,13 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec(text, order=args.order)
         payload, code = _dispatch(spec, args)
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, ExponentOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3 if isinstance(exc, BudgetExceededError) else 2
-        # volume and threshold still write the rows finished before the cutoff
+    except FrobvolError as exc:
+        print(exc.message(), file=sys.stderr)
+        code = exc.exit_code
+        # volume and threshold still write the rows finished before a cut-off
         if exc.partial is None:
             return code
         payload = exc.partial.to_json()
-    except TheoremViolationError as exc:
-        print(f"internal check failure: {exc} (witness: {exc.witness})", file=sys.stderr)
-        return 4
     write = payload if callable(payload) else lambda out: out.write(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as out:

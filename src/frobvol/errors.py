@@ -1,8 +1,21 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules.
+
+Each error says how a command-line run that it ends exits (`cli.main`):
+`exit_code` is 2 for a hypothesis or input violation, 3 for a budget exit
+and 4 for a theorem that came out false; `message()` is the one stderr
+line; `partial`, when a table command set it, is the table of the rows
+finished before a cut-off, written as the payload.
+"""
 
 
 class FrobvolError(Exception):
     """Base class for all library-specific errors."""
+
+    exit_code = 2
+    partial = None
+
+    def message(self) -> str:
+        return f"error: {self}"
 
 
 class NonPrimeError(FrobvolError, ValueError):
@@ -14,13 +27,7 @@ class RingMismatchError(FrobvolError, ValueError):
 
 
 class ExponentOverflowError(FrobvolError, OverflowError):
-    """A monomial exponent left the checked 64-bit range.
-
-    `partial` carries the table/rows completed before the overflow, as for
-    `BudgetExceededError`, when a table command set it.
-    """
-
-    partial = None
+    """A monomial exponent left the checked 64-bit range."""
 
 
 class BadInputError(FrobvolError, ValueError):
@@ -44,14 +51,9 @@ class SearchLimitError(FrobvolError, RuntimeError):
 
 
 class BudgetExceededError(FrobvolError, RuntimeError):
-    """Enumeration exceeded its membership-call budget.
+    """Enumeration exceeded its membership-call budget."""
 
-    `partial` carries whatever table/rows were completed before the cutoff.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    exit_code = 3
 
 
 class TheoremViolationError(FrobvolError, AssertionError):
@@ -60,9 +62,14 @@ class TheoremViolationError(FrobvolError, AssertionError):
     `witness` carries the offending point/value.
     """
 
+    exit_code = 4
+
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+    def message(self) -> str:
+        return f"internal check failure: {self} (witness: {self.witness})"
 
 
 class PolyParseError(FrobvolError, ValueError):

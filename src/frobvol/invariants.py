@@ -9,6 +9,7 @@ theorems, so a false verdict is an implementation bug and carries a witness.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -28,7 +29,6 @@ from .groebner import (
     ideal_intersection,
     ideal_sum,
     krull_dimension,
-    power_table,
     staircase_count_of,
     standard_monomial_count,
 )
@@ -40,7 +40,13 @@ from .regions import (
     containment_exponents,
     escape_set,
     escape_sets,
+    product_escapes,
 )
+
+
+def json_text(payload) -> str:
+    """The text of every JSON payload: sorted keys, no spaces, one newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _fraction_json(v: Fraction) -> dict:
@@ -79,7 +85,7 @@ class EstimateTable:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json_text(self.to_jsonable())
 
     def __repr__(self):
         cells = ", ".join(f"e={e}: {v}" for e, v in self.rows)
@@ -117,7 +123,7 @@ class CheckReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json_text(self.to_jsonable())
 
     def __repr__(self):
         verdict = "ok" if self.ok else f"FAILED (witness={self.witness})"
@@ -145,35 +151,41 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> int:
     return ds.max_points[0][0]
 
 
-def _cutoff_flags(exc) -> dict:
-    """The flags of a table cut short by a budget exit or an exponent
-    overflow; its rows are those finished before."""
-    name = "exponent_overflow" if isinstance(exc, ExponentOverflowError) else "budget_exceeded"
-    return {name: True}
+@contextmanager
+def _cut_short(kind, p, t, rows, tilde_rows=None):
+    """Attach the rows finished before a budget exit or an exponent overflow
+    to the error as `partial`, a table flagged by which of the two it was.
+    `rows` and `tilde_rows` are the lists the table fills as it goes."""
+    try:
+        yield
+    except (BudgetExceededError, ExponentOverflowError) as exc:
+        flag = "exponent_overflow" if isinstance(exc, ExponentOverflowError) else "budget_exceeded"
+        exc.partial = EstimateTable(kind, p, t, rows, tilde_rows, {flag: True})
+        raise
+
+
+def _finished(kind, p, t, rows, tilde_rows=None, **flags) -> EstimateTable:
+    """The table of `rows`, flagged "stabilized (not a proof)" when it has
+    two or more rows and all agree: a finite table, never a limit."""
+    flags["stabilized"] = len(rows) >= 2 and len({v for _, v in rows}) == 1
+    if flags["stabilized"]:
+        flags["note"] = "stabilized (not a proof)"
+    return EstimateTable(kind, p, t, rows, tilde_rows, flags)
 
 
 def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
     """Rows (e, nu/p^e); the finite sequence only, no extrapolation. The
     levels are walked in one pass (`regions.escape_sets`), so each level
     starts from the one below. A budget exit or an exponent overflow
-    carries the rows finished before it as `partial`, flagged by
-    `_cutoff_flags`."""
+    carries the rows finished before it (`_cut_short`)."""
     p = I.ring.p
     rows = []
-    try:
+    with _cut_short("threshold", p, 1, rows):
         for ds in escape_sets(IdealSequence([I]), PFamily.frobenius(J), levels, pres, budget):
             rows.append((ds.level, Fraction(ds.max_points[0][0], p ** ds.level)))
-    except (BudgetExceededError, ExponentOverflowError) as exc:
-        exc.partial = EstimateTable("threshold", p, 1, rows, flags=_cutoff_flags(exc))
-        raise
     vals = [v for _, v in rows]
-    flags = {
-        "nondecreasing": all(a <= b for a, b in zip(vals, vals[1:])),
-        "stabilized": len(vals) >= 2 and len(set(vals)) == 1,
-    }
-    if flags["stabilized"]:
-        flags["note"] = "stabilized (not a proof)"
-    return EstimateTable("threshold", p, 1, rows, flags=flags)
+    return _finished("threshold", p, 1, rows,
+                     nondecreasing=all(a <= b for a, b in zip(vals, vals[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +203,7 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
     counts; over a polynomial ring the positive-normalized rows must be
     nondecreasing, and a violation is reported as a bug, not a result.
     A budget exit or an exponent overflow carries the rows finished before
-    it as `partial`, flagged by `_cutoff_flags`.
+    it (`_cut_short`).
     """
     counter = _as_budget(budget)
     p = fam.p
@@ -201,7 +213,7 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
         escape_sets(IdealSequence([I]), fam, levels, pres, counter) for I in seq.entries
     ] if t >= 2 else []
     rows, tilde_rows, gap_notes = [], [], []
-    try:
+    with _cut_short("volume", p, t, rows, tilde_rows):
         for ds in escape_sets(seq, fam, levels, pres, counter):
             e = ds.level
             denom = p ** (e * t)
@@ -225,9 +237,6 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                     witness=(e, gap, bound),
                 )
             gap_notes.append({"e": e, "gap": str(gap), "bound": str(bound)})
-    except (BudgetExceededError, ExponentOverflowError) as exc:
-        exc.partial = EstimateTable("volume", p, t, rows, tilde_rows, _cutoff_flags(exc))
-        raise
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))
     if (pres is None or pres.trivial) and not nondecreasing:
@@ -240,15 +249,8 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
             "positive-normalized volume rows decreased over a polynomial ring",
             witness=bad,
         )
-    vals = [v for _, v in rows]
-    flags = {
-        "tilde_nondecreasing": nondecreasing,
-        "stabilized": len(vals) >= 2 and len(set(vals)) == 1,
-        "gap_bounds": gap_notes,
-    }
-    if flags["stabilized"]:
-        flags["note"] = "stabilized (not a proof)"
-    return EstimateTable("volume", p, t, rows, tilde_rows, flags)
+    return _finished("volume", p, t, rows, tilde_rows,
+                     tilde_nondecreasing=nondecreasing, gap_bounds=gap_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +278,7 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
                 "the reference ideal is not primary to the irrelevant maximal ideal"
             )
         rows.append((e, Fraction(lam, p ** (e * d))))
-    vals = [v for _, v in rows]
-    flags = {
-        "d": d,
-        "stabilized": len(vals) >= 2 and len(set(vals)) == 1,
-    }
-    if flags["stabilized"]:
-        flags["note"] = "stabilized (not a proof)"
-    return EstimateTable("hk", p, 1, rows, flags=flags)
+    return _finished("hk", p, 1, rows, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +287,21 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
 
 def fedder_criterion(f_seq, e: int) -> bool:
     """True iff (f_1 ... f_t)^(p^e - 1) escapes the bracket power of the
-    ideal of all variables: the escape-set containment question at the
-    corner (p^e - 1, ..., p^e - 1)."""
+    ideal of all variables: the escape-set probe at the corner
+    (p^e - 1, ..., p^e - 1) (`regions.product_escapes`), each f_i powered
+    in its own table. An f_i need not lie in that ideal."""
     f_seq = list(f_seq)
     if not f_seq:
         raise BadInputError("need at least one element")
     ring = f_seq[0].ring
-    prod = ring.one()
     for f in f_seq:
         if f.ring != ring:
             raise BadInputError("elements from different rings")
         if f.is_zero:
             return False
-        prod = prod * f
     q = ring.p ** e
-    m = Ideal(ring, ring.gens())
-    return bool(power_table(Ideal(ring, (prod,)), frobenius_basis(m, q)).power(q - 1))
+    basis = frobenius_basis(Ideal(ring, ring.gens()), q)
+    return product_escapes([q - 1] * len(f_seq), [Ideal(ring, (f,)) for f in f_seq], basis)
 
 
 def is_parameter_sequence(f_seq, pres=None) -> bool:

@@ -255,10 +255,8 @@ def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> bool:
-    """True iff the product ideal at `point` is NOT contained in the level ideal.
-
-    The normal forms of the product of all entries but the last are formed,
-    and `GroebnerBasis.meets` tests their products with the last power."""
+    """True iff the product ideal at `point` is NOT contained in the level
+    ideal: one probe (`product_escapes`), charged to the budget."""
     point = tuple(point)
     if len(point) != seq.t:
         raise BadInputError(f"point arity {len(point)} != sequence length {seq.t}")
@@ -268,14 +266,23 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     counter.charge()
-    acc = power_table(seq.entries[0], basis).power(point[0])
-    if seq.t == 1:
+    return product_escapes(point, seq.entries, basis)
+
+
+def product_escapes(point, entries, basis: GroebnerBasis) -> bool:
+    """True iff the product of the powers I^a of the `entries` at `point`
+    has a normal form other than 0 modulo `basis`. Each power is read from
+    the entry's own power table; the normal forms of the product of all
+    entries but the last are formed, and `GroebnerBasis.meets` tests their
+    products with the last power. No hypothesis is checked."""
+    acc = power_table(entries[0], basis).power(point[0])
+    if len(entries) == 1:
         return bool(acc)
-    for I, a in zip(seq.entries[1:-1], point[1:-1]):
+    for I, a in zip(entries[1:-1], point[1:-1]):
         if not acc:
             return False
         acc = basis.reduce_products(acc, power_table(I, basis).power(a))
-    return bool(acc) and basis.meets(acc, power_table(seq.entries[-1], basis).power(point[-1]))
+    return bool(acc) and basis.meets(acc, power_table(entries[-1], basis).power(point[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ from pathlib import Path
 
 import pytest
 
+import frobvol.cli as cli
+import frobvol.invariants as invariants
 import frobvol.regions as regions
 from frobvol.cli import main, parse_spec
-from frobvol.errors import HypothesisViolatedError, NonPrimeError, SpecParseError
+from frobvol.errors import (
+    HypothesisViolatedError,
+    NonPrimeError,
+    RingMismatchError,
+    SpecParseError,
+)
 
 import corpus
 
@@ -49,6 +56,47 @@ def test_parse_syntax_errors():
     ):
         with pytest.raises(SpecParseError):
             parse_spec(text)
+
+
+BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
+
+
+@pytest.mark.parametrize("command, spec_text, message", [
+    ("threshold", "p=two; ring x,y; J: x,y; seq: x",
+     "p must be an integer, got 'two' (line 1, column 1)"),
+    ("threshold", "p=2; ring ,; J: x,y; seq: x", "empty variable list (line 1, column 6)"),
+    ("threshold", "p=2; ring x,x; J: x,y; seq: x",
+     "duplicate variable in ('x', 'x') (line 1, column 6)"),
+    ("threshold", "p=2; ring x,y; J: x,,y; seq: x", "empty polynomial in list (line 1, column 16)"),
+    ("volume", "p=2; ring x,y; family: e0: x,y; nonsense; seq: x",
+     "expected 'e<k>: polys', got 'nonsense' (line 1, column 33)"),
+    ("volume", "p=2; ring x,y; family: e0: x,y; e0: x,y; seq: x",
+     "duplicate family level e0 (line 1, column 33)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq:", "empty sequence (line 1, column 1)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq: x; e: 1-3",
+     "expected 'e: a..b', got '1-3' (line 1, column 32)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq: x; budget=lots",
+     "budget must be an integer, got 'lots' (line 1, column 32)"),
+    ("fedder", "p=2; ring x,y; J: x,y; seq: x,y", "fedder needs a sequence of single-generator entries"),
+    # polynomial grammar: a leading sign with nothing after it, a stray
+    # operator where '+' or '-' must come, an exponent past 2^63 - 1
+    ("threshold", "p=2; ring x,y; J: x,y; seq: -", "expected a variable or integer (line 1, column 25)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq: x^2 ^3",
+     "expected '+' or '-', got '^' (line 1, column 28)"),
+    ("threshold", f"p=2; ring x,y; J: x,y; seq: x^{BIG}",
+     "exponent beyond 2^63-1 (line 1, column 26)"),
+    ("threshold", f"p=2\nring x,y\nJ: x,y\nseq: x + y^{BIG}",
+     "exponent beyond 2^63-1 (line 4, column 7)"),
+])
+def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
+    """Each grammar error ends the run with exit 2, an empty stdout and one
+    stderr line naming the statement's line and column."""
+    spec_file = tmp_path / "bad.spec"
+    spec_file.write_text(spec_text)
+    assert main([command, str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_roundtrip_all_corpus():
@@ -165,6 +213,44 @@ def test_cli_verify_cover_exits_4_with_the_witness(tmp_path, monkeypatch):
     assert json.loads(data) == {
         "check": "verify_cover", "e1": 2, "e2": 1, "ok": False, "witness": [0, 7],
     }
+
+
+def test_cli_theorem_violation_exits_4_with_its_witness(tmp_path, capsys, monkeypatch):
+    """A theorem that comes out false inside a table ends the run with exit
+    4, one `internal check failure` line naming the witness and no payload.
+    Here every level-2 escape set loses its positive points, so the gap of
+    the one-entry volume table exceeds its bound 1."""
+    walk = invariants.escape_sets
+
+    def shrunk(*args):
+        for ds in walk(*args):
+            if ds.level == 2:
+                ds.positive_size = 0
+            yield ds
+
+    monkeypatch.setattr(invariants, "escape_sets", shrunk)
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; e: 1..3")
+    assert main(["volume", str(spec_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal check failure: escape-set gap 4 exceeds its bound 1 at e=2 "
+        "(witness: (2, 4, 1))\n"
+    )
+
+
+def test_cli_ends_every_library_error_with_its_exit_code(tmp_path, capsys, monkeypatch):
+    """A library error that no spec raises still ends in one error line and
+    its exit code, not a traceback."""
+    def mismatch(*args, **kwargs):
+        raise RingMismatchError("ideals from different rings")
+
+    monkeypatch.setattr(cli, "threshold_table", mismatch)
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; e: 1..2")
+    assert main(["threshold", str(spec_file)]) == 2
+    assert capsys.readouterr() == ("", "error: ideals from different rings\n")
 
 
 def test_cli_staircase_svg(tmp_path):

@@ -295,6 +295,19 @@ def test_fedder_examples(R2):
     assert fedder_criterion([R2.poly("x+y")], 2) is True
 
 
+def test_fedder_reads_every_entry_of_the_corner():
+    """(xy(x+y))^(q-1) lies in the bracket square of (x, y) over F_2, but the
+    product of any two of x, y, x+y escapes it: the corner probe reads the
+    first, middle and last entries. An entry outside (x, y) is a row too."""
+    R = PolynomialRing(2, ["x", "y"])
+    x, y = R.gens()
+    f_seq = [x, y, x + y]
+    assert fedder_criterion(f_seq, 1) is False
+    for i in range(3):
+        assert fedder_criterion(f_seq[:i] + f_seq[i + 1:], 1) is True
+    assert fedder_criterion([R.poly("1+x"), y], 2) is True
+
+
 @st.composite
 def fedder_cases(draw):
     """(f_seq, e): one or two polynomials, with or without a constant term, in

@@ -915,3 +915,21 @@ def test_the_lower_end_of_a_walked_row_needs_a_flat_frobenius():
                            (explicit, None, [3, 1])):
         assert [ds.max_points[0][0] for ds in escape_sets(seq, fam, [0, 1], pres)] == nus
         assert [escape_set(seq, fam, e, pres).max_points[0][0] for e in (0, 1)] == nus
+
+
+def test_a_walk_over_a_non_flat_family_keeps_rows_below_p_times_the_last():
+    """Two walks whose rows drop below p times the row one level down, so a
+    row started there (`regions._flat`) would overshoot. Over the cusp ring
+    F_2[x,y]/(y^2 + x^3), nu of y against (x, y) is 1, 3, 5 at levels 1..3,
+    and 5 < 2 * 3. Against the explicit family (x^3, y), (x, y) over F_2,
+    nu of x is 2 at level 0 and 0 at level 1."""
+    spec = parse_spec("p=2; ring x,y; present: y^2+x^3; J: x,y; seq: y; e: 1..3")
+    (I,) = spec.sequence().entries
+    table = threshold_table(I, spec.reference_ideal(), spec.levels(), spec.presentation())
+    assert [v for _, v in table.rows] == [Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)]
+
+    R = PolynomialRing(2, ["x", "y"])
+    x, y = R.gens()
+    explicit = PFamily.explicit([Ideal(R, [x ** 3, y]), Ideal(R, [x, y])])
+    seq = IdealSequence([Ideal(R, [x])])
+    assert [ds.max_points[0][0] for ds in escape_sets(seq, explicit, [0, 1])] == [2, 0]

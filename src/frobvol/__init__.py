@@ -17,7 +17,6 @@ from .errors import (
     NotPrimaryError,
     PolyParseError,
     RingMismatchError,
-    SearchLimitError,
     SpecParseError,
     TheoremViolationError,
 )

@@ -12,6 +12,9 @@ Spec grammar (statements separated by ';' or newlines):
     e: <a>..<b>
     budget=<int>
 
+A spec error names the line and column of the offending text: inside a
+polynomial list the bad piece or token, otherwise its statement.
+
 Exit codes: 0 success, 2 hypothesis/input violation, 3 budget exceeded,
 4 internal check failure (a theorem checker came out false). A library
 error carries its own code (`errors.FrobvolError.exit_code`).
@@ -61,19 +64,21 @@ from .regions import (
 from .ring import PolynomialRing
 
 class ProblemSpec:
-    """A parsed problem: ring, optional presentation, sequence, reference data."""
+    """A parsed problem: ring, optional presentation, sequence, reference data.
 
-    def __init__(self, p, variables, order, present, j_parts, family_levels,
-                 seq_entries, e_lo, e_hi, budget):
-        self.p = p
-        self.variables = tuple(variables)
-        self.order = order
-        self.present = tuple(present)
-        self.j_parts = tuple(tuple(part) for part in j_parts)
-        self.family_levels = (
-            None if family_levels is None else tuple(tuple(l) for l in family_levels)
-        )
-        self.seq_entries = tuple(tuple(entry) for entry in seq_entries)
+    The ring is the one `parse_spec` built its polynomials in, and every
+    derived object is built on it.
+    """
+
+    def __init__(self, ring, present, j_parts, family_levels, seq_entries,
+                 e_lo, e_hi, budget):
+        self._ring = ring
+        self.p = ring.p
+        self.variables = ring.variables
+        self.present = present
+        self.j_parts = j_parts
+        self.family_levels = family_levels
+        self.seq_entries = seq_entries
         self.e_lo = e_lo
         self.e_hi = e_hi
         self.budget = budget
@@ -81,16 +86,15 @@ class ProblemSpec:
     # -- derived objects -----------------------------------------------------
 
     def ring(self) -> PolynomialRing:
-        return PolynomialRing(self.p, self.variables, self.order)
+        return self._ring
 
     def presentation(self):
         if not self.present:
             return None
-        return QuotientPresentation(self.ring(), Ideal(self.ring(), self.present))
+        return QuotientPresentation(self._ring, Ideal(self._ring, self.present))
 
     def sequence(self) -> IdealSequence:
-        ring = self.ring()
-        return IdealSequence([Ideal(ring, entry) for entry in self.seq_entries])
+        return IdealSequence([Ideal(self._ring, entry) for entry in self.seq_entries])
 
     def reference_ideal(self) -> Ideal:
         if self.family_levels is not None:
@@ -99,53 +103,17 @@ class ProblemSpec:
             raise BadInputError(
                 "multiple J statements are only meaningful for `check union_decomposition`"
             )
-        return Ideal(self.ring(), self.j_parts[0])
+        return Ideal(self._ring, self.j_parts[0])
 
     def family(self) -> PFamily:
-        ring = self.ring()
         if self.family_levels is not None:
             return PFamily.explicit(
-                [Ideal(ring, lvl) for lvl in self.family_levels], self.presentation()
+                [Ideal(self._ring, lvl) for lvl in self.family_levels], self.presentation()
             )
         return PFamily.frobenius(self.reference_ideal())
 
     def levels(self) -> range:
         return range(self.e_lo, self.e_hi + 1)
-
-    # -- round trip -----------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"p={self.p}", "ring " + ",".join(self.variables)]
-        if self.present:
-            lines.append("present: " + ",".join(str(g) for g in self.present))
-        if self.family_levels is not None:
-            parts = [
-                f"e{i}: " + ",".join(str(g) for g in lvl)
-                for i, lvl in enumerate(self.family_levels)
-            ]
-            lines.append("family: " + "; ".join(parts))
-        else:
-            for part in self.j_parts:
-                lines.append("J: " + ",".join(str(g) for g in part))
-        lines.append("seq: " + "; ".join(",".join(str(g) for g in entry) for entry in self.seq_entries))
-        lines.append(f"e: {self.e_lo}..{self.e_hi}")
-        lines.append(f"budget={self.budget}")
-        return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemSpec):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.variables == other.variables
-            and self.order == other.order
-            and self.present == other.present
-            and self.j_parts == other.j_parts
-            and self.family_levels == other.family_levels
-            and self.seq_entries == other.seq_entries
-            and (self.e_lo, self.e_hi) == (other.e_lo, other.e_hi)
-            and self.budget == other.budget
-        )
 
     def __repr__(self):
         return f"ProblemSpec(p={self.p}, vars={self.variables}, t={len(self.seq_entries)})"
@@ -155,43 +123,41 @@ class ProblemSpec:
 # Spec parsing
 # ---------------------------------------------------------------------------
 
-_KEYWORD_RES = {
-    "p": re.compile(r"p\s*=\s*(.*)$", re.S),
-    "ring": re.compile(r"ring\s+(.*)$", re.S),
-    "present": re.compile(r"present\s*:\s*(.*)$", re.S),
-    "J": re.compile(r"J\s*:\s*(.*)$", re.S),
-    "family": re.compile(r"family\s*:\s*(.*)$", re.S),
-    "seq": re.compile(r"seq\s*:\s*(.*)$", re.S),
-    "e": re.compile(r"e\s*:\s*(.*)$", re.S),
-    "budget": re.compile(r"budget\s*=\s*(.*)$", re.S),
-}
-_FAMILY_LEVEL_RE = re.compile(r"e(\d+)\s*:\s*(.*)$", re.S)
+# One pattern for every statement: the group that matched is its keyword, and
+# the match ends where its payload starts.
+_STATEMENT_RE = re.compile(r"(?:(p|budget)\s*=|(ring)\s|(present|J|family|seq|e)\s*:)\s*")
+_FAMILY_LEVEL_RE = re.compile(r"e(\d+)\s*:\s*")
 _RANGE_RE = re.compile(r"(\d+)\s*\.\.\s*(\d+)$")
 
 
-def _segments(text: str):
-    """Split into (line, column, content) statement tokens."""
-    out = []
+def _statements(text: str) -> list:
+    """Group the ';'- and newline-separated pieces of `text` into statements.
+
+    Each statement is (keyword, pieces). A piece is (line, column, payload
+    column, payload): the column is where the piece starts, the payload
+    column where its text after the keyword starts. Pieces without a keyword
+    continue the `seq` or `family` statement before them.
+    """
+    statements = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip().startswith("#"):
             continue
         col = 1
         for chunk in line.split(";"):
-            stripped = chunk.strip()
-            if stripped:
-                out.append((lineno, col + (len(chunk) - len(chunk.lstrip())), stripped))
+            content = chunk.strip()
+            start = col + len(chunk) - len(chunk.lstrip())
             col += len(chunk) + 1
-    return out
-
-
-def _classify(content: str):
-    for name, rx in _KEYWORD_RES.items():
-        m = rx.match(content)
-        if m is not None:
-            if name == "e" and _FAMILY_LEVEL_RE.match(content):
-                continue  # e<k>: is a family level, not the range statement
-            return name, m.group(1).strip()
-    return None, content
+            if not content:
+                continue
+            m = _STATEMENT_RE.match(content)
+            if m is not None:
+                piece = (lineno, start, start + m.end(), content[m.end():])
+                statements.append((m.group(m.lastindex), [piece]))
+            elif statements and statements[-1][0] in ("seq", "family"):
+                statements[-1][1].append((lineno, start, start, content))
+            else:
+                raise SpecParseError(f"unexpected statement {content!r}", lineno, start)
+    return statements
 
 
 def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
@@ -199,43 +165,30 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
 
     Raises SpecParseError / PolyParseError with positions, NonPrimeError for a
     composite p, and HypothesisViolatedError when a sequence generator is not
-    in the radical of the level-0 reference ideal.
+    in the radical of the level-0 reference ideal. A polynomial error names
+    the offending text; any other error names its statement.
     """
-    tokens = _segments(text)
-    statements = []  # (kind, payload tokens [(line, col, text), ...])
-    current = None
-    for line, col, content in tokens:
-        kind, rest = _classify(content)
-        if kind is not None:
-            current = (kind, [(line, col, rest)])
-            statements.append(current)
-        else:
-            if current is None or current[0] not in ("seq", "family"):
-                raise SpecParseError(f"unexpected statement {content!r}", line, col)
-            current[1].append((line, col, content))
-
     found = {}
     j_parts_raw = []
-    for kind, payload in statements:
+    for kind, pieces in _statements(text):
         if kind == "J":
-            j_parts_raw.append(payload[0])
-            continue
-        if kind in found:
-            line, col, _ = payload[0]
-            raise SpecParseError(f"duplicate {kind!r} statement", line, col)
-        found[kind] = payload
+            j_parts_raw.append(pieces[0])
+        elif kind in found:
+            raise SpecParseError(f"duplicate {kind!r} statement", *pieces[0][:2])
+        else:
+            found[kind] = pieces
 
     def need(kind):
         if kind not in found:
             raise SpecParseError(f"missing {kind!r} statement")
         return found[kind]
 
-    line, col, raw_p = need("p")[0]
+    line, col, _, raw_p = need("p")[0]
     try:
         p = int(raw_p)
     except ValueError:
         raise SpecParseError(f"p must be an integer, got {raw_p!r}", line, col)
-    line_r, col_r, raw_ring = need("ring")[0]
+    line_r, col_r, _, raw_ring = need("ring")[0]
     variables = tuple(v.strip() for v in raw_ring.split(",") if v.strip())
     if not variables:
         raise SpecParseError("empty variable list", line_r, col_r)
@@ -246,54 +199,54 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
     except ValueError as exc:
         raise SpecParseError(str(exc), line_r, col_r)
 
-    def parse_polys(raw, line, col):
+    def parse_polys(line, col, raw):
+        """The comma-separated polynomials of `raw`, which starts at `col`."""
         polys = []
         for piece in raw.split(","):
-            piece = piece.strip()
-            if not piece:
+            poly = piece.strip()
+            if not poly:
                 raise SpecParseError("empty polynomial in list", line, col)
-            polys.append(ring.poly(piece, line=line, column=col))
+            polys.append(ring.poly(poly, line=line, column=col + len(piece) - len(piece.lstrip())))
+            col += len(piece) + 1
         return tuple(polys)
 
     present = ()
     if "present" in found:
-        line_p, col_p, raw = found["present"][0]
-        present = parse_polys(raw, line_p, col_p)
+        line_p, _, at, raw = found["present"][0]
+        present = parse_polys(line_p, at, raw)
 
     family_levels = None
     if "family" in found:
+        line_f, col_f = found["family"][0][:2]
         if j_parts_raw:
-            line_f, col_f, _ = found["family"][0]
             raise SpecParseError("give either J or family, not both", line_f, col_f)
         levels = {}
-        for line_f, col_f, piece in found["family"]:
+        for line_l, col_l, at, piece in found["family"]:
             if not piece:
                 continue
             m = _FAMILY_LEVEL_RE.match(piece)
             if m is None:
-                raise SpecParseError(f"expected 'e<k>: polys', got {piece!r}", line_f, col_f)
+                raise SpecParseError(f"expected 'e<k>: polys', got {piece!r}", line_l, col_l)
             idx = int(m.group(1))
             if idx in levels:
-                raise SpecParseError(f"duplicate family level e{idx}", line_f, col_f)
-            levels[idx] = parse_polys(m.group(2).strip(), line_f, col_f)
+                raise SpecParseError(f"duplicate family level e{idx}", line_l, col_l)
+            levels[idx] = parse_polys(line_l, at + m.end(), piece[m.end():])
         if sorted(levels) != list(range(len(levels))) or not levels:
-            raise SpecParseError("family levels must be contiguous starting at e0")
+            raise SpecParseError("family levels must be contiguous starting at e0", line_f, col_f)
         family_levels = tuple(levels[i] for i in range(len(levels)))
     elif not j_parts_raw:
         raise SpecParseError("missing 'J:' or 'family:' statement")
 
-    j_parts = tuple(parse_polys(raw, line_j, col_j) for line_j, col_j, raw in j_parts_raw)
+    j_parts = tuple(parse_polys(line_j, at, raw) for line_j, _, at, raw in j_parts_raw)
 
-    seq_entries = []
-    for line_s, col_s, piece in need("seq"):
-        if piece:
-            seq_entries.append(parse_polys(piece, line_s, col_s))
+    seq_pieces = need("seq")
+    seq_entries = tuple(parse_polys(line_s, at, raw) for line_s, _, at, raw in seq_pieces if raw)
     if not seq_entries:
-        raise SpecParseError("empty sequence")
+        raise SpecParseError("empty sequence", *seq_pieces[0][:2])
 
     e_lo, e_hi = 1, 4
     if "e" in found:
-        line_e, col_e, raw = found["e"][0]
+        line_e, col_e, _, raw = found["e"][0]
         m = _RANGE_RE.match(raw)
         if m is None:
             raise SpecParseError(f"expected 'e: a..b', got {raw!r}", line_e, col_e)
@@ -303,7 +256,7 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
 
     budget = DEFAULT_BUDGET
     if "budget" in found:
-        line_b, col_b, raw = found["budget"][0]
+        line_b, col_b, _, raw = found["budget"][0]
         try:
             budget = int(raw)
         except ValueError:
@@ -311,16 +264,13 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
         if budget < 1:
             raise SpecParseError("budget must be positive", line_b, col_b)
 
-    spec = ProblemSpec(
-        p, variables, order or "grevlex", present, j_parts, family_levels,
-        seq_entries, e_lo, e_hi, budget,
-    )
+    spec = ProblemSpec(ring, present, j_parts, family_levels, seq_entries, e_lo, e_hi, budget)
     # validate the radical hypothesis up front, citing the offending generator
     if spec.family_levels is None and len(spec.j_parts) > 1:
         for part in spec.j_parts:
             check_hypothesis(
                 spec.sequence(),
-                PFamily.frobenius(Ideal(spec.ring(), part)),
+                PFamily.frobenius(Ideal(ring, part)),
                 spec.presentation(),
             )
     else:

@@ -46,10 +46,6 @@ class NotPrimaryError(FrobvolError, ValueError):
     """Quotient has infinite length where a finite one is required."""
 
 
-class SearchLimitError(FrobvolError, RuntimeError):
-    """Incremental power search exceeded its configured cap."""
-
-
 class BudgetExceededError(FrobvolError, RuntimeError):
     """Enumeration exceeded its membership-call budget."""
 

@@ -48,7 +48,7 @@ import functools
 import heapq
 import itertools
 
-from .errors import BadInputError, ExponentOverflowError, RingMismatchError, SearchLimitError
+from .errors import BadInputError, ExponentOverflowError, HypothesisViolatedError, RingMismatchError
 from .ring import Polynomial, PolynomialRing, _fresh_aux_name
 
 
@@ -711,16 +711,26 @@ def radical_membership(f: Polynomial, J: Ideal, pres: QuotientPresentation | Non
     return gb.contains_one
 
 
-def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | None = None,
-                            cap: int = 512) -> int:
-    """Least k >= 1 with I^k contained in J, by incremental search up to `cap`."""
+def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | None = None) -> int:
+    """Least k >= 1 with I^k contained in J, by incremental search.
+
+    Some power lands exactly when every generator of I lies in the radical
+    of J. The search checks that only once it passes 512 powers, so the
+    usual case runs no Buchberger; a generator outside the radical raises
+    HypothesisViolatedError.
+    """
     table = power_table(I, groebner_basis(J, pres))
-    for k in range(1, cap + 1):
-        if not table.power(k):
-            return k
-    raise SearchLimitError(
-        f"no power of {I!r} landed in {J!r} within cap {cap}; raise the cap or fix the input"
-    )
+    k = 1
+    while table.power(k):
+        if k == 512:
+            for g in I.gens:
+                if not radical_membership(g, J, pres):
+                    raise HypothesisViolatedError(
+                        f"generator {g} is not in the radical of {J!r}, so no power of "
+                        f"{I!r} lies in it"
+                    )
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

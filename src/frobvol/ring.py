@@ -550,7 +550,8 @@ def _tokenize(text: str, line: int, column: int):
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            raise PolyParseError(f"unexpected character {rest[0]!r}", line, column + pos)
+            raise PolyParseError(f"unexpected character {rest[0]!r}", line,
+                                 column + len(text) - len(rest))
         col = column + m.start(m.lastgroup)
         tokens.append((m.lastgroup, m.group(m.lastgroup), col))
         pos = m.end()

@@ -128,3 +128,22 @@ def test_a1_hilbert_kunz_lengths_match_the_closed_form():
             q = p**e
             expected = (3 * q * q - 1) // 2 if q % 2 else 3 * q * q // 2
             assert standard_monomial_count(frobenius_power(m, q), pres) == expected
+
+
+def test_an_hilbert_kunz_rows_match_the_closed_form():
+    # A_n: R = F_p[x,y,z]/(xy - z^(n+1)) is F_p[s^(n+1), st, t^(n+1)] in every
+    # characteristic, so R/m^[q] is spanned by the s^a t^b with a = b mod n+1
+    # in [0, (n+1)q)^2 that do not have both a, b >= q; the rows tend to
+    # 2 - 1/(n+1) (Watanabe-Yoshida, J. Algebra 230, 2000)
+    for n in (2, 3):
+        for p, e_max in ((2, 4), (3, 3), (5, 2)):
+            R = PolynomialRing(p, ["x", "y", "z"])
+            pres = QuotientPresentation(R, Ideal(R, [R.poly(f"x*y-z^{n + 1}")]))
+            table = hilbert_kunz_table(Ideal(R, list(R.gens())), range(1, e_max + 1), pres)
+            expected = []
+            for e in range(1, e_max + 1):
+                q = p**e
+                corner = sum(1 for a in range(q, (n + 1) * q) for b in range(q, (n + 1) * q)
+                             if (a - b) % (n + 1) == 0)
+                expected.append(Fraction((n + 1) * q * q - corner, q * q))
+            assert [v for _, v in table.rows] == expected, (n, p)

@@ -67,30 +67,35 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
     ("threshold", "p=2; ring ,; J: x,y; seq: x", "empty variable list (line 1, column 6)"),
     ("threshold", "p=2; ring x,x; J: x,y; seq: x",
      "duplicate variable in ('x', 'x') (line 1, column 6)"),
-    ("threshold", "p=2; ring x,y; J: x,,y; seq: x", "empty polynomial in list (line 1, column 16)"),
+    ("threshold", "p=2; ring x,y; J: x,,y; seq: x", "empty polynomial in list (line 1, column 21)"),
     ("volume", "p=2; ring x,y; family: e0: x,y; nonsense; seq: x",
      "expected 'e<k>: polys', got 'nonsense' (line 1, column 33)"),
     ("volume", "p=2; ring x,y; family: e0: x,y; e0: x,y; seq: x",
      "duplicate family level e0 (line 1, column 33)"),
-    ("threshold", "p=2; ring x,y; J: x,y; seq:", "empty sequence (line 1, column 1)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq:", "empty sequence (line 1, column 24)"),
+    ("volume", "p=2; ring x,y; family: e1: x; seq: x",
+     "family levels must be contiguous starting at e0 (line 1, column 16)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x; e: 1-3",
      "expected 'e: a..b', got '1-3' (line 1, column 32)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x; budget=lots",
      "budget must be an integer, got 'lots' (line 1, column 32)"),
     ("fedder", "p=2; ring x,y; J: x,y; seq: x,y", "fedder needs a sequence of single-generator entries"),
     # polynomial grammar: a leading sign with nothing after it, a stray
-    # operator where '+' or '-' must come, an exponent past 2^63 - 1
-    ("threshold", "p=2; ring x,y; J: x,y; seq: -", "expected a variable or integer (line 1, column 25)"),
+    # operator where '+' or '-' must come, a character outside the grammar
+    # after a space, an exponent past 2^63 - 1
+    ("threshold", "p=2; ring x,y; J: x,y; seq: -", "expected a variable or integer (line 1, column 30)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x^2 ^3",
-     "expected '+' or '-', got '^' (line 1, column 28)"),
+     "expected '+' or '-', got '^' (line 1, column 33)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq: x $", "unexpected character '$' (line 1, column 31)"),
     ("threshold", f"p=2; ring x,y; J: x,y; seq: x^{BIG}",
-     "exponent beyond 2^63-1 (line 1, column 26)"),
+     "exponent beyond 2^63-1 (line 1, column 31)"),
     ("threshold", f"p=2\nring x,y\nJ: x,y\nseq: x + y^{BIG}",
-     "exponent beyond 2^63-1 (line 4, column 7)"),
+     "exponent beyond 2^63-1 (line 4, column 12)"),
 ])
 def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
     """Each grammar error ends the run with exit 2, an empty stdout and one
-    stderr line naming the statement's line and column."""
+    stderr line naming a line and column: the offending text's for an error
+    inside a polynomial list, the statement's for any other."""
     spec_file = tmp_path / "bad.spec"
     spec_file.write_text(spec_text)
     assert main([command, str(spec_file)]) == 2
@@ -99,21 +104,12 @@ def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec
     assert captured.err == f"error: {message}\n"
 
 
-def test_roundtrip_all_corpus():
+def test_one_ring_per_parse():
+    """Every object a spec derives lives in the ring that `parse_spec` built."""
     for name, text in corpus.CORPUS.items():
         spec = parse_spec(text)
-        again = parse_spec(spec.to_text())
-        assert spec == again, name
-
-
-def test_roundtrip_family_and_present():
-    text = (
-        "p=2\nring x,y\npresent: x*y\n"
-        "family: e0: x,y; e1: x^2,x*y,y^2\nseq: x\ne: 0..1\nbudget=500\n"
-    )
-    spec = parse_spec(text)
-    assert spec.family_levels is not None and len(spec.family_levels) == 2
-    assert parse_spec(spec.to_text()) == spec
+        assert spec.ring() is spec.ring(), name
+        assert spec.sequence().ring is spec.ring(), name
 
 
 def run_cli(tmp_path, args, spec_text=EXAMPLE):
@@ -399,3 +395,15 @@ def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
         for row in rows:
             q = 7 ** row["e"]
             assert (int(row["num"]), int(row["den"])) == (-(-5 * q // 6) - 1, q)
+
+
+def test_cli_threshold_searches_containment_past_512_powers(tmp_path, capsys):
+    """x^k lies in (x^(600q), y^q) exactly when k >= 600q, so the row bound
+    of level 0 needs 600 powers of x; nu(q) = 600q - 1."""
+    spec_file = tmp_path / "deep.spec"
+    spec_file.write_text("p=2; ring x,y; J: x^600,y; seq: x; e: 1..3")
+    assert main(["threshold", str(spec_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["rows"]
+    assert [(row["num"], row["den"]) for row in rows] == [("1199", "2"), ("2399", "4"), ("4799", "8")]

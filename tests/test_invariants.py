@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,8 @@ from frobvol.invariants import (
 )
 from frobvol.regions import BudgetCounter, IdealSequence, PFamily, escape_set
 from frobvol.ring import PolynomialRing
-from oracles import brute_force_nu, exponents
+import corpus
+from oracles import brute_force_nu, exponents, random_poly
 
 
 @pytest.fixture
@@ -194,6 +196,40 @@ def test_every_nu_route_gives_the_same_nu(case):
     assert threshold_table(I, J, range(1, e + 1), pres).value(e) * q == value
     assert volume_table(seq, fam, [e], pres).value(e) * q - 1 == value
     assert escape_set(seq, fam, e, pres).max_points == ((value,),)
+
+
+@st.composite
+def level_check_cases(draw):
+    """(seq, J, e): one or two principal entries with no constant term from
+    `oracles.random_poly`, over F_p[x,y] (p in {2, 3}); J = (x, y) and
+    e in {1, 2}."""
+    R = PolynomialRing(draw(st.sampled_from([2, 3])), ["x", "y"])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = [Ideal(R, [random_poly(R, rng, no_constant=True)]) for _ in range(draw(st.integers(1, 2)))]
+    return IdealSequence(entries), Ideal(R, list(R.gens())), draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(level_check_cases())
+def test_every_level_checker_holds_on_random_entries(case):
+    """Each of the eight per-level checkers states a theorem, so every
+    report is ok. A failing case belongs in `corpus.CORPUS`."""
+    seq, J, e = case
+    R = J.ring
+    parts = [Ideal(R, [R.poly(g) for g in part.split(",")]) for part in corpus.UNION_PARTS[2]]
+    reports = [
+        check_frob_shift(seq, J, e),
+        check_containment_monotone(seq, ideal_power(J, 2), J, e),
+        check_simplex_bound(seq, J, e),
+        check_sup_identity(seq, J, e),
+        check_threshold_bounds(seq, J, e),
+        check_union_decomposition(seq, parts, e),
+        check_hk_length_inequality(seq, J, e),
+    ]
+    if seq.t == 2:
+        reports.append(check_slice_bound(seq, J, e))
+    for report in reports:
+        assert report.ok, report.to_jsonable()
 
 
 def test_nu_hypothesis(R2):

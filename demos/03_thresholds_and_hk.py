@@ -10,7 +10,6 @@ from frobvol import (
     Ideal,
     IdealSequence,
     PolynomialRing,
-    QuotientPresentation,
     check_hk_length_inequality,
     hilbert_kunz_table,
     nu,
@@ -36,7 +35,7 @@ print("Hilbert-Kunz rows for m in F_2[x, y]:",
 print("Hilbert-Kunz rows for (x^2, y):",
       ", ".join(str(v) for _, v in hilbert_kunz_table(Ideal(R, [R.poly('x^2'), y]), range(1, 6)).rows))
 
-pres = QuotientPresentation(R, Ideal(R, [x * y]))
+pres = Ideal(R, [x * y])
 print("on the quotient by (x*y), dimension drops to",
       hilbert_kunz_table(m, range(1, 6), pres).flags["d"], "and the rows become",
       ", ".join(str(v) for _, v in hilbert_kunz_table(m, range(1, 6), pres).rows))

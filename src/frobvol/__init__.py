@@ -23,7 +23,6 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    QuotientPresentation,
     buchberger,
     frobenius_power,
     groebner_basis,
@@ -86,7 +85,6 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    PrimeField,
     parse_polynomial,
 )
 

@@ -27,8 +27,14 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import BadInputError, FrobvolError, NonPrimeError, SpecParseError
-from .groebner import Ideal, QuotientPresentation
+from .errors import (
+    BadInputError,
+    FrobvolError,
+    HypothesisViolatedError,
+    NonPrimeError,
+    SpecParseError,
+)
+from .groebner import Ideal
 from .invariants import (
     CHECK_NAMES,
     check_containment_monotone,
@@ -88,10 +94,11 @@ class ProblemSpec:
     def ring(self) -> PolynomialRing:
         return self._ring
 
-    def presentation(self):
+    def presentation(self) -> Ideal | None:
+        """The relations of the presented ring, or None for the polynomial ring."""
         if not self.present:
             return None
-        return QuotientPresentation(self._ring, Ideal(self._ring, self.present))
+        return Ideal(self._ring, self.present)
 
     def sequence(self) -> IdealSequence:
         return IdealSequence([Ideal(self._ring, entry) for entry in self.seq_entries])
@@ -363,6 +370,9 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         return table.to_json(), 0
 
     if command == "fedder":
+        # the rows test Fedder's criterion in the polynomial ring itself
+        if pres is not None and not pres.is_zero:
+            raise HypothesisViolatedError("fedder needs a polynomial ambient ring")
         seq = spec.sequence()
         if not seq.principal:
             raise BadInputError("fedder needs a sequence of single-generator entries")

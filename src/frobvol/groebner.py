@@ -103,40 +103,13 @@ class Ideal:
         return f"({inside})"
 
 
-class QuotientPresentation:
-    """Work in R/a by adjoining a's generators to every containment test."""
-
-    __slots__ = ("ring", "relations")
-
-    def __init__(self, ring: PolynomialRing, relations: Ideal | None = None):
-        if relations is not None and relations.ring != ring:
-            raise RingMismatchError("presentation ideal from a different ring")
-        self.ring = ring
-        self.relations = relations if relations is not None else Ideal(ring, ())
-
-    @property
-    def trivial(self) -> bool:
-        return self.relations.is_zero
-
-    def key(self) -> tuple:
-        return self.relations.key()
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientPresentation) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(("pres", self.key()))
-
-    def __repr__(self):
-        return f"QuotientPresentation({self.relations!r})"
-
-
-def _presentation_gens(ring: PolynomialRing, pres) -> tuple:
+def _presentation_gens(ring: PolynomialRing, pres: Ideal | None) -> tuple:
+    """The relations of the presentation R/pres; None presents R itself."""
     if pres is None:
         return ()
     if pres.ring != ring:
         raise RingMismatchError("presentation from a different ring")
-    return pres.relations.gens
+    return pres.gens
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +379,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     def push(terms):
         """Add the polynomial of `terms`, leading term first."""
         (lm, lc), *tail = terms
-        inv = ring.field.inv(lc)
+        inv = pow(lc, p - 2, p)
         j = len(lms)
         pairs[:] = [pair for pair in pairs if not (
             divides(lm, pair[3]) and lcm(lms[pair[1]], lm) != pair[3] != lcm(lms[pair[2]], lm))]
@@ -472,13 +445,13 @@ def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def groebner_basis(ideal: Ideal, pres: QuotientPresentation | None = None) -> GroebnerBasis:
+def groebner_basis(ideal: Ideal, pres: Ideal | None = None) -> GroebnerBasis:
     """Reduced basis of ideal + presentation relations, cached."""
     extra = _presentation_gens(ideal.ring, pres)
     return buchberger(list(ideal.gens) + list(extra), ideal.ring)
 
 
-def ideal_contains(inner: Ideal, outer: Ideal, pres: QuotientPresentation | None = None) -> bool:
+def ideal_contains(inner: Ideal, outer: Ideal, pres: Ideal | None = None) -> bool:
     """True iff inner is contained in outer (modulo the presentation)."""
     if inner.ring != outer.ring:
         raise RingMismatchError("ideals from different rings")
@@ -486,7 +459,7 @@ def ideal_contains(inner: Ideal, outer: Ideal, pres: QuotientPresentation | None
     return all(gb.reduce(g).is_zero for g in inner.gens)
 
 
-def ideal_equal(a: Ideal, b: Ideal, pres: QuotientPresentation | None = None) -> bool:
+def ideal_equal(a: Ideal, b: Ideal, pres: Ideal | None = None) -> bool:
     return ideal_contains(a, b, pres) and ideal_contains(b, a, pres)
 
 
@@ -514,7 +487,7 @@ def frobenius_power(J: Ideal, q: int) -> Ideal:
 
 
 @functools.cache
-def frobenius_basis(J: Ideal, q: int, pres: QuotientPresentation | None = None) -> GroebnerBasis:
+def frobenius_basis(J: Ideal, q: int, pres: Ideal | None = None) -> GroebnerBasis:
     """Cached basis of J^[q] (+ presentation).
 
     In the polynomial ring the reduced basis of J^[q] is the exponent-scaled
@@ -690,7 +663,7 @@ def ideal_intersection(A: Ideal, B: Ideal) -> Ideal:
     return Ideal(ring, _dedup(kept))
 
 
-def radical_membership(f: Polynomial, J: Ideal, pres: QuotientPresentation | None = None) -> bool:
+def radical_membership(f: Polynomial, J: Ideal, pres: Ideal | None = None) -> bool:
     """True iff some power of f lies in J (modulo the presentation).
 
     Uses the extra-variable trick: f is in the radical iff
@@ -711,7 +684,7 @@ def radical_membership(f: Polynomial, J: Ideal, pres: QuotientPresentation | Non
     return gb.contains_one
 
 
-def power_containment_index(I: Ideal, J: Ideal, pres: QuotientPresentation | None = None) -> int:
+def power_containment_index(I: Ideal, J: Ideal, pres: Ideal | None = None) -> int:
     """Least k >= 1 with I^k contained in J, by incremental search.
 
     Some power lands exactly when every generator of I lies in the radical
@@ -783,13 +756,13 @@ def staircase_count_of(gb: GroebnerBasis) -> int | None:
     return _staircase_count(lms, ring.nvars, ring.guard)
 
 
-def standard_monomial_count(J: Ideal, pres: QuotientPresentation | None = None) -> int | None:
+def standard_monomial_count(J: Ideal, pres: Ideal | None = None) -> int | None:
     """Vector-space dimension of R/(J + presentation) via its staircase,
     or None when it is infinite."""
     return staircase_count_of(groebner_basis(J, pres))
 
 
-def krull_dimension(J: Ideal, pres: QuotientPresentation | None = None) -> int:
+def krull_dimension(J: Ideal, pres: Ideal | None = None) -> int:
     """dim R/(J + presentation): largest variable subset meeting no leading support."""
     gb = groebner_basis(J, pres)
     nvars = J.ring.nvars

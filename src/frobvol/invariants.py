@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     BadInputError,
@@ -47,6 +47,11 @@ from .regions import (
 def json_text(payload) -> str:
     """The text of every JSON payload: sorted keys, no spaces, one newline."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _leave_one_out(values: list) -> int:
+    """The sum over i of the product of every value but the i-th."""
+    return sum(prod(values[:i] + values[i + 1:]) for i in range(len(values)))
 
 
 def _fraction_json(v: Fraction) -> dict:
@@ -220,14 +225,7 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
             rows.append((e, Fraction(ds.size, denom)))
             tilde_rows.append((e, Fraction(ds.positive_size, denom)))
             if t >= 2:
-                singles = [next(walk).size for walk in singles_walks]
-                bound = 0
-                for i in range(t):
-                    term = 1
-                    for j in range(t):
-                        if j != i:
-                            term *= singles[j]
-                    bound += term
+                bound = _leave_one_out([next(walk).size for walk in singles_walks])
             else:
                 bound = 1
             gap = ds.size - ds.positive_size
@@ -239,7 +237,7 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
             gap_notes.append({"e": e, "gap": str(gap), "bound": str(bound)})
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))
-    if (pres is None or pres.trivial) and not nondecreasing:
+    if (pres is None or pres.is_zero) and not nondecreasing:
         bad = next(
             (tilde_rows[i][0], tilde_rows[i + 1][0])
             for i in range(len(tvals) - 1)
@@ -260,14 +258,17 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
 def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
     """Rows (e, length(R/(J^[p^e] + presentation)) / p^{ed}), exact.
 
-    `d` defaults to the Krull dimension of the presented ring; finite length
+    `d` defaults to the Krull dimension of the presented ring, and a given
+    `d` must be nonnegative; finite length
     is required at every level (the graded stand-in for m-primary)."""
     ring = J.ring
     p = ring.p
     if d is None:
         d = krull_dimension(Ideal(ring, ()), pres)
-    if d < 0:
-        raise BadInputError("presented ring is zero; no Hilbert-Kunz data")
+        if d < 0:
+            raise BadInputError("presented ring is zero; no Hilbert-Kunz data")
+    elif d < 0:
+        raise BadInputError(f"Hilbert-Kunz dimension must be nonnegative, got {d}")
     rows = []
     for e in levels:
         q = p ** e
@@ -330,7 +331,7 @@ def fpure_ci_label(f_seq, e_max: int, pres=None):
     means volume rows of exactly 1 up to e_max. Requires a polynomial
     ambient ring.
     """
-    if pres is not None and not pres.trivial:
+    if pres is not None and not pres.is_zero:
         return None
     f_seq = list(f_seq)
     ring = f_seq[0].ring
@@ -445,7 +446,7 @@ def check_union_decomposition(seq: IdealSequence, parts, e: int, pres=None,
     the parts' escape sets. Polynomial ambient ring only (bracket powers
     commute with intersections there). The sets compare by maximal points;
     points are listed only to name a witness when they differ."""
-    if pres is not None and not pres.trivial:
+    if pres is not None and not pres.is_zero:
         raise HypothesisViolatedError("union decomposition needs a polynomial ambient ring")
     parts = list(parts)
     if len(parts) < 2:
@@ -496,15 +497,7 @@ def check_level_refinement_bound(seq: IdealSequence, fam: PFamily, e: int, e1: i
     coarse = escape_set(seq, fixed, e1, pres, counter)
     mus = seq.generator_counts()
     ells = containment_exponents(seq, fam, pres)
-    mu = max(mus)
-    u = 0
-    for n in range(t):
-        term = 1
-        for j in range(t):
-            if j != n:
-                term *= mus[j] ** 2 * ells[j] + 1
-        u += term
-    u *= mu + 1
+    u = _leave_one_out([m ** 2 * ell + 1 for m, ell in zip(mus, ells)]) * (max(mus) + 1)
     left = Fraction(fine.positive_size, p ** ((e1 + e2) * t))
     right = Fraction(coarse.positive_size, p ** (e1 * t)) + Fraction(p ** (e * (t - 1)) * u, p ** e1)
     ok = left <= right

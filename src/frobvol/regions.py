@@ -428,7 +428,7 @@ def _flat(fam: PFamily, pres) -> bool:
     Frobenius is flat over a regular ring (Kunz 1969), so x^p in K^[p]
     gives x in K, and the levels of a Frobenius family are bracket powers;
     neither holds in a quotient ring or for an explicit family."""
-    return fam.kind == "frobenius" and (pres is None or pres.trivial)
+    return fam.kind == "frobenius" and (pres is None or pres.is_zero)
 
 
 def _power_tables(seq: IdealSequence, fam: PFamily, e: int, pres) -> list:

@@ -1,11 +1,12 @@
-"""Exact arithmetic layer: prime fields, monomial orders, sparse polynomials.
+"""Exact arithmetic layer: monomial orders and sparse polynomials over F_p.
 
 A polynomial is an immutable sparse map from monomial to nonzero coefficient
 in F_p. Each monomial is one int packed by `PolynomialRing.pack`, 64 bits per
 variable (Monagan and Pearce, CASC 2007): a product of monomials is a sum of
 ints, and overflow and divisibility are read off the guard bits of the
-fields. Exponent tuples appear only at the edges: `from_dict`, `monomial` and
-the parser take them, and printing goes through `PolynomialRing.unpack`.
+fields. Exponent tuples appear only at the edges: `from_dict` and `monomial`
+take them, and printing goes through `PolynomialRing.unpack`; the parser
+multiplies one-term polynomials. The characteristic is the int `ring.p`.
 Monomial orders rank exponent tuples; `PolynomialRing.key` ranks a packed
 monomial by them. Order keys are ints, affine in the exponents, so a kernel
 can negate them for a min-heap and move a shifted term's key by a fixed
@@ -38,47 +39,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class PrimeField:
-    """The prime field F_p, 2 <= p < 2^31. Elements are canonical ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
-            raise NonPrimeError(f"characteristic must be a prime in [2, 2^31): {p!r}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
-# ---------------------------------------------------------------------------
-# Monomials: exponent tuples with checked addition
-# ---------------------------------------------------------------------------
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(x + y for x, y in zip(a, b))
-    if out and max(out) > MAX_EXPONENT:
-        raise ExponentOverflowError(f"exponent beyond 2^63-1 in {out}")
-    return out
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +158,15 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class PolynomialRing:
-    """F_p[x_1, ..., x_n] with a fixed monomial order."""
+    """F_p[x_1, ..., x_n] with a fixed monomial order; p is a prime in [2, 2^31)."""
 
-    __slots__ = ("field", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
+    __slots__ = ("p", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
                  "frobenius_limit")
 
-    def __init__(self, p, variables, order="grevlex"):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+    def __init__(self, p: int, variables, order="grevlex"):
+        if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
+            raise NonPrimeError(f"characteristic must be a prime in [2, 2^31): {p!r}")
+        self.p = p
         variables = tuple(variables)
         if not variables:
             raise ValueError("need at least one variable")
@@ -225,10 +187,6 @@ class PolynomialRing:
         self._packer = struct.Struct(f"<{len(variables)}Q")
         self.guard = self.pack((MAX_EXPONENT + 1,) * len(variables))
         self.frobenius_limit = self.scale_limit(self.p)
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def nvars(self) -> int:
@@ -313,7 +271,7 @@ class PolynomialRing:
             if v in self._var_index:
                 raise ValueError(f"auxiliary name {v!r} collides with a ring variable")
         return PolynomialRing(
-            self.field,
+            self.p,
             aux_names + self.variables,
             EliminationOrder(len(aux_names), self.order),
         )
@@ -337,13 +295,13 @@ class PolynomialRing:
     def __eq__(self, other):
         return (
             isinstance(other, PolynomialRing)
-            and self.field == other.field
+            and self.p == other.p
             and self.variables == other.variables
             and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.variables, self.order._signature()))
+        return hash((self.p, self.variables, self.order._signature()))
 
     def __repr__(self):
         return f"F_{self.p}[{', '.join(self.variables)}] ({self.order.name})"
@@ -578,7 +536,7 @@ def parse_polynomial(text: str, ring: PolynomialRing, line: int = 1, column: int
         kind, value, col = peek()
         if kind == "num":
             pos += 1
-            return {(0,) * ring.nvars: int(value)}
+            return ring.one() * int(value)
         if kind == "ident":
             idx = ring._var_index.get(value)
             if idx is None:
@@ -595,9 +553,7 @@ def parse_polynomial(text: str, ring: PolynomialRing, line: int = 1, column: int
                 if exp > MAX_EXPONENT:
                     raise PolyParseError("exponent beyond 2^63-1", line, col3)
                 pos += 1
-            exps = [0] * ring.nvars
-            exps[idx] = exp
-            return {tuple(exps): 1}
+            return Polynomial(ring, {exp << 64 * idx: 1})
         raise PolyParseError("expected a variable or integer", line, col)
 
     def term():
@@ -607,33 +563,25 @@ def parse_polynomial(text: str, ring: PolynomialRing, line: int = 1, column: int
             kind, value, col = peek()
             if kind == "op" and value == "*":
                 pos += 1
-                nxt = factor()
-                out = {}
-                for m1, c1 in acc.items():
-                    for m2, c2 in nxt.items():
-                        out[mono_mul(m1, m2)] = c1 * c2
-                acc = out
+                col = peek()[2]
+                try:
+                    acc = acc * factor()
+                except ExponentOverflowError:
+                    raise PolyParseError("exponent beyond 2^63-1", line, col)
             elif kind in ("num", "ident"):
                 raise PolyParseError("missing operator (juxtaposition not allowed)", line, col)
             else:
                 return acc
 
-    raw = {}
-
-    def absorb(d, sign):
-        for m, c in d.items():
-            raw[m] = raw.get(m, 0) + sign * c
-
-    sign = 1
     kind, value, _ = peek()
+    negate = kind == "op" and value == "-"
     if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
         pos += 1
-    absorb(term(), sign)
+    acc = -term() if negate else term()
     while pos < len(tokens):
         kind, value, col = peek()
         if kind != "op" or value not in "+-":
             raise PolyParseError(f"expected '+' or '-', got {value!r}", line, col)
         pos += 1
-        absorb(term(), -1 if value == "-" else 1)
-    return ring.from_dict(raw)
+        acc = acc - term() if value == "-" else acc + term()
+    return acc

@@ -18,7 +18,11 @@ from frobvol.groebner import (
     ideal_power,
     ideal_product,
 )
-from frobvol.ring import mono_divides
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    """True when x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def exponents(f) -> dict:

@@ -80,9 +80,14 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
     ("threshold", "p=2; ring x,y; J: x,y; seq: x; budget=lots",
      "budget must be an integer, got 'lots' (line 1, column 32)"),
     ("fedder", "p=2; ring x,y; J: x,y; seq: x,y", "fedder needs a sequence of single-generator entries"),
+    ("fedder", "p=2; ring x,y; present: x*y; J: x,y; seq: x; e: 1..2",
+     "fedder needs a polynomial ambient ring"),
+    ("hk --dim -1", "p=2; ring x,y; J: x,y; seq: x; e: 1..2",
+     "Hilbert-Kunz dimension must be nonnegative, got -1"),
     # polynomial grammar: a leading sign with nothing after it, a stray
     # operator where '+' or '-' must come, a character outside the grammar
-    # after a space, an exponent past 2^63 - 1
+    # after a space, an exponent past 2^63 - 1, written or reached by a
+    # product (named at the factor whose product overflows)
     ("threshold", "p=2; ring x,y; J: x,y; seq: -", "expected a variable or integer (line 1, column 30)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x^2 ^3",
      "expected '+' or '-', got '^' (line 1, column 33)"),
@@ -91,14 +96,17 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
      "exponent beyond 2^63-1 (line 1, column 31)"),
     ("threshold", f"p=2\nring x,y\nJ: x,y\nseq: x + y^{BIG}",
      "exponent beyond 2^63-1 (line 4, column 12)"),
+    ("threshold", "p=2; ring x,y; J: x,y; seq: x^4611686018427387904*x^4611686018427387904",
+     "exponent beyond 2^63-1 (line 1, column 51)"),
 ])
 def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
-    """Each grammar error ends the run with exit 2, an empty stdout and one
-    stderr line naming a line and column: the offending text's for an error
-    inside a polynomial list, the statement's for any other."""
+    """Each grammar or input error ends the run with exit 2, an empty stdout
+    and one stderr line. A grammar error names a line and column: the
+    offending text's for an error inside a polynomial list, the statement's
+    for any other."""
     spec_file = tmp_path / "bad.spec"
     spec_file.write_text(spec_text)
-    assert main([command, str(spec_file)]) == 2
+    assert main(command.split() + [str(spec_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

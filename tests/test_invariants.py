@@ -9,7 +9,6 @@ import frobvol.invariants as invariants
 from frobvol.errors import BudgetExceededError, HypothesisViolatedError, NotPrimaryError
 from frobvol.groebner import (
     Ideal,
-    QuotientPresentation,
     frobenius_power,
     ideal_contains,
     ideal_power,
@@ -149,7 +148,7 @@ def multi_generator_cases(draw):
     mono = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
     terms = st.dictionaries(mono.filter(any), st.integers(1, p - 1), min_size=1, max_size=2)
     I = Ideal(R, [R.from_dict(draw(terms)) for _ in range(mu)])
-    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    pres = Ideal(R, [R.poly(relation)]) if relation else None
     return I, Ideal(R, list(R.gens())), draw(st.integers(1, 3 if p == 2 else 2)), pres
 
 
@@ -178,7 +177,7 @@ def nu_route_cases(draw):
     mono = st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)).map(tuple)
     terms = st.dictionaries(mono.filter(any), st.integers(1, p - 1), min_size=1, max_size=2)
     I = Ideal(R, [R.from_dict(draw(terms)) for _ in range(draw(st.integers(1, 2)))])
-    pres = QuotientPresentation(R, Ideal(R, [R.poly("x*y-z^2")])) if quotient else None
+    pres = Ideal(R, [R.poly("x*y-z^2")]) if quotient else None
     return I, Ideal(R, [R.poly(g) for g in J]), draw(st.integers(1, 3 if p == 2 else 2)), pres
 
 
@@ -232,6 +231,41 @@ def test_every_level_checker_holds_on_random_entries(case):
         assert report.ok, report.to_jsonable()
 
 
+@st.composite
+def quotient_level_check_cases(draw):
+    """(seq, J, e, pres): one or two principal entries with no constant term
+    from `oracles.random_poly` (degree and terms at most 2), over
+    F_p[x,y,z]/(xy - z^2) with p in {2, 3}; J = (x, y, z) and e in {1, 2}."""
+    R = PolynomialRing(draw(st.sampled_from([2, 3])), ["x", "y", "z"])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = [Ideal(R, [random_poly(R, rng, max_degree=2, max_terms=2, no_constant=True)])
+               for _ in range(draw(st.integers(1, 2)))]
+    pres = Ideal(R, [R.poly("x*y-z^2")])
+    return IdealSequence(entries), Ideal(R, list(R.gens())), draw(st.integers(1, 2)), pres
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(quotient_level_check_cases())
+def test_every_level_checker_holds_in_a_quotient_ring(case):
+    """The per-level checkers that admit a presented ring, and the level
+    refinement bound at e = e1 = e2 = 1, on random entries of the A_1
+    singularity. A failing case belongs in `corpus.CORPUS`."""
+    seq, J, e, pres = case
+    reports = [
+        check_frob_shift(seq, J, e, pres),
+        check_containment_monotone(seq, ideal_power(J, 2), J, e, pres),
+        check_simplex_bound(seq, J, e, pres),
+        check_sup_identity(seq, J, e, pres),
+        check_threshold_bounds(seq, J, e, pres),
+        check_hk_length_inequality(seq, J, e, pres),
+        check_level_refinement_bound(seq, PFamily.frobenius(J), 1, 1, 1, pres),
+    ]
+    if seq.t == 2:
+        reports.append(check_slice_bound(seq, J, e, pres))
+    for report in reports:
+        assert report.ok, report.to_jsonable()
+
+
 def test_nu_hypothesis(R2):
     x, y = R2.gens()
     with pytest.raises(HypothesisViolatedError):
@@ -281,7 +315,7 @@ def test_volume_interval_relation_t1(R2, m2):
 
 def test_volume_monotone_flag_quotient(R2, m2):
     x, _ = R2.gens()
-    pres = QuotientPresentation(R2, Ideal(R2, [x * R2.gens()[1]]))
+    pres = Ideal(R2, [x * R2.gens()[1]])
     seq = IdealSequence([Ideal(R2, [x])])
     table = volume_table(seq, PFamily.frobenius(m2), range(1, 4), pres)
     assert "tilde_nondecreasing" in table.flags
@@ -305,7 +339,7 @@ def test_hk_examples(R2, m2):
     assert all(v == 1 for _, v in table.rows)
     table = hilbert_kunz_table(Ideal(R2, [R2.poly("x^2"), y]), range(1, 5))
     assert all(v == 2 for _, v in table.rows)
-    pres = QuotientPresentation(R2, Ideal(R2, [x]))
+    pres = Ideal(R2, [x])
     table = hilbert_kunz_table(m2, range(1, 5), pres)
     assert table.flags["d"] == 1
     assert all(v == 1 for _, v in table.rows)
@@ -488,7 +522,7 @@ def test_checker_hypothesis_validation(R2, m2):
     with pytest.raises(HypothesisViolatedError):
         # J not inside the comparison ideal
         check_containment_monotone(seq_of(R2, ["x"]), m2, Ideal(R2, [R2.poly("x^2")]), 1)
-    pres = QuotientPresentation(R2, Ideal(R2, [x * y]))
+    pres = Ideal(R2, [x * y])
     with pytest.raises(HypothesisViolatedError):
         check_union_decomposition(
             seq_of(R2, ["x"]), [m2, Ideal(R2, [x])], 1, pres

@@ -21,7 +21,6 @@ from frobvol.groebner import (
     Ideal,
     PowerTable,
     _dedup,
-    QuotientPresentation,
     frobenius_basis,
     frobenius_power,
     ideal_power,
@@ -470,7 +469,7 @@ def test_escape_sets_are_order_independent(R2):
 
 def test_explicit_family_in_quotient(R2):
     x, y = R2.gens()
-    pres = QuotientPresentation(R2, Ideal(R2, [x * y]))
+    pres = Ideal(R2, [x * y])
     # the p-th bracket power lands in the next level only modulo the relation
     lvl0 = Ideal(R2, [R2.poly("x+y")])
     lvl1 = Ideal(R2, [R2.poly("x^2+y^2+x*y")])
@@ -494,7 +493,7 @@ def test_explicit_family_bad_level_propagates(R2):
 
 def test_quotient_membership(R2):
     x, y = R2.gens()
-    pres = QuotientPresentation(R2, Ideal(R2, [x * y]))
+    pres = Ideal(R2, [x * y])
     m = Ideal(R2, [x, y])
     seq = IdealSequence([Ideal(R2, [x])])
     fam = PFamily.frobenius(m)
@@ -508,7 +507,7 @@ def test_presentation_keyed_caches(R2):
     m = Ideal(R2, [x, y])
     fam = PFamily.frobenius(m)
     seq = IdealSequence([m])  # single entry generated by both variables
-    pres = QuotientPresentation(R2, Ideal(R2, [x * y]))
+    pres = Ideal(R2, [x * y])
     plain = escape_set(seq, fam, 1)
     quotient = escape_set(seq, fam, 1, pres)
     # m^2 is inside (x^2, y^2) + (xy) but not inside (x^2, y^2)
@@ -563,7 +562,7 @@ def power_cases(draw, ngens, max_k=None):
     seq = IdealSequence([I])
     fam = PFamily.frobenius(Ideal(R, list(R.gens())))
     e = draw(st.integers(0, 2))
-    pres = QuotientPresentation(R, Ideal(R, [R.poly("y^2-x^3")])) if draw(st.booleans()) else None
+    pres = Ideal(R, [R.poly("y^2-x^3")]) if draw(st.booleans()) else None
     bound = axis_bounds(seq, fam, e, pres)[0]
     k = draw(st.integers(0, min(bound, max_k or bound) - 1))
     return power_table(I, fam.level_basis(e, pres)), I, k
@@ -615,7 +614,7 @@ def escape_cases(draw):
     seq = IdealSequence(entries)
     J, relation = draw(st.sampled_from(_REFERENCES))
     fam = PFamily.frobenius(Ideal(R, [R.poly(g) for g in J]))
-    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    pres = Ideal(R, [R.poly(relation)]) if relation else None
     e = draw(st.integers(0, 2))
     while e:
         bounds = axis_bounds(seq, fam, e, pres)
@@ -757,7 +756,7 @@ def test_escape_sets_sweep_only_principal_sequences(monkeypatch):
     I = Ideal(R2, [R2.poly("x"), R2.poly("y^2+x")])
     R3 = PolynomialRing(3, ["x", "y", "z"])
     m3 = Ideal(R3, list(R3.gens()))
-    pres = QuotientPresentation(R3, Ideal(R3, [R3.poly("x*y-z^2")]))
+    pres = Ideal(R3, [R3.poly("x*y-z^2")])
     R4 = PolynomialRing(2, ["x", "y", "z", "w"])
     seq = seq_of(R4, ["x", "y"], ["z", "w"])
     fam = PFamily.frobenius(Ideal(R4, list(R4.gens())))
@@ -795,7 +794,7 @@ def level_cases(draw, max_gens=1):
     relation = draw(st.sampled_from(_RELATIONS))
     three = relation == "x*y-z^2" or draw(st.booleans())
     R = PolynomialRing(p, ["x", "y", "z"] if three else ["x", "y"])
-    pres = QuotientPresentation(R, Ideal(R, [R.poly(relation)])) if relation else None
+    pres = Ideal(R, [R.poly(relation)]) if relation else None
     monos = _monomials(len(R.variables))
 
     def gen():
@@ -904,10 +903,10 @@ def test_the_lower_end_of_a_walked_row_needs_a_flat_frobenius():
     R = PolynomialRing(2, ["x", "y"])
     x, y = R.gens()
     m = Ideal(R, [x, y])
-    nilpotent = QuotientPresentation(R, Ideal(R, [x * x]))
+    nilpotent = Ideal(R, [x * x])
     explicit = PFamily.explicit([Ideal(R, [x ** 4]), Ideal(R, [x ** 2])])
     assert regions._flat(PFamily.frobenius(m), None)
-    assert regions._flat(PFamily.frobenius(m), QuotientPresentation(R))
+    assert regions._flat(PFamily.frobenius(m), Ideal(R, ()))
     assert not regions._flat(PFamily.frobenius(m), nilpotent)
     assert not regions._flat(explicit, None)
     seq = IdealSequence([Ideal(R, [x])])

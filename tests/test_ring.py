@@ -14,27 +14,18 @@ from frobvol.ring import (
     GRevLex,
     Lex,
     PolynomialRing,
-    PrimeField,
 )
 from oracles import naive_power, random_poly
 
 
-def test_field_ops():
-    assert PrimeField(5).inv(2) == 3
-    assert PrimeField(5).inv(7) == 3  # reduced mod p first
-    assert PrimeField(2).inv(1) == 1
-    assert PrimeField(7).inv(4) * 4 % 7 == 1
-
-
-def test_field_errors():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(10)
-    for bad in (0, 1, 4, 9, 2**31):
-        with pytest.raises(NonPrimeError):
-            PrimeField(bad)
-    assert PrimeField(2147483647).p == 2147483647  # largest supported prime
+def test_ring_characteristic_is_a_checked_prime():
+    for bad in (0, 1, 4, 9, 2**31, 3.0, "3"):
+        with pytest.raises(NonPrimeError, match=r"characteristic must be a prime in \[2, 2\^31\)"):
+            PolynomialRing(bad, ["x"])
+    R = PolynomialRing(2147483647, ["x"])  # largest supported prime
+    assert R.p == 2147483647
+    assert R != PolynomialRing(2, ["x"]) and R == PolynomialRing(2147483647, ["x"])
+    assert R.extended(["w"]).p == R.p
 
 
 @pytest.fixture

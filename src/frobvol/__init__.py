@@ -27,10 +27,7 @@ from .groebner import (
     frobenius_power,
     groebner_basis,
     ideal_contains,
-    ideal_equal,
     ideal_intersection,
-    ideal_power,
-    ideal_product,
     ideal_sum,
     krull_dimension,
     power_containment_index,
@@ -74,8 +71,8 @@ from .regions import (
     downset_csv,
     escape_set,
     escape_sets,
+    escape_sizes,
     escapes,
-    region_volume,
     staircase_svg,
     verify_cover,
 )

@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     except FrobvolError as exc:
         print(exc.message(), file=sys.stderr)
         code = exc.exit_code
-        # volume and threshold still write the rows finished before a cut-off
+        # volume, threshold and hk still write the rows finished before a cut-off
         if exc.partial is None:
             return code
         payload = exc.partial.to_json()

@@ -47,7 +47,7 @@ class NotPrimaryError(FrobvolError, ValueError):
 
 
 class BudgetExceededError(FrobvolError, RuntimeError):
-    """Enumeration exceeded its membership-call budget."""
+    """Enumeration exceeded its budget of membership probes and automaton edges."""
 
     exit_code = 3
 

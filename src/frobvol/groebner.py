@@ -359,6 +359,8 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
+    if any(0 in g.coeffs and len(g.coeffs) == 1 for g in gens):
+        return GroebnerBasis(ring, (ring.one(),))  # a unit generates (1)
     key, p, guard = ring.key, ring.p, ring.guard
 
     lms: list[int] = []
@@ -457,10 +459,6 @@ def ideal_contains(inner: Ideal, outer: Ideal, pres: Ideal | None = None) -> boo
         raise RingMismatchError("ideals from different rings")
     gb = groebner_basis(outer, pres)
     return all(gb.reduce(g).is_zero for g in inner.gens)
-
-
-def ideal_equal(a: Ideal, b: Ideal, pres: Ideal | None = None) -> bool:
-    return ideal_contains(a, b, pres) and ideal_contains(b, a, pres)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +581,7 @@ def power_table(I: Ideal, basis: GroebnerBasis) -> PowerTable:
 
 
 # ---------------------------------------------------------------------------
-# Sums, products, powers, intersections
+# Sums and intersections
 # ---------------------------------------------------------------------------
 
 def _dedup(polys) -> tuple:
@@ -604,43 +602,6 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
             raise RingMismatchError("ideals from different rings")
         gens.extend(I.gens)
     return Ideal(ring, _dedup(gens))
-
-
-def ideal_product(*ideals: Ideal) -> Ideal:
-    if not ideals:
-        raise BadInputError("need at least one ideal")
-    ring = ideals[0].ring
-    for I in ideals:
-        if I.ring != ring:
-            raise RingMismatchError("ideals from different rings")
-    if any(I.is_zero for I in ideals):
-        return Ideal(ring, ())
-    gens = [ring.one()]
-    for I in ideals:
-        gens = [u * v for u in gens for v in I.gens]
-        gens = list(_dedup(gens))
-    return Ideal(ring, gens)
-
-
-def ideal_power(I: Ideal, a: int) -> Ideal:
-    """I^a on generator sets, by repeated squaring with deduplication."""
-    if a < 0:
-        raise BadInputError("ideal power must be nonnegative")
-    ring = I.ring
-    if a == 0:
-        return Ideal(ring, (ring.one(),))
-    if I.is_zero:
-        return I
-    result = None
-    sq = I.gens
-    k = a
-    while k:
-        if k & 1:
-            result = sq if result is None else _dedup(u * v for u in result for v in sq)
-        k >>= 1
-        if k:
-            sq = _dedup(u * v for u in sq for v in sq)
-    return Ideal(ring, result)
 
 
 def ideal_intersection(A: Ideal, B: Ideal) -> Ideal:

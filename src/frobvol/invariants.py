@@ -39,7 +39,7 @@ from .regions import (
     box_region,
     containment_exponents,
     escape_set,
-    escape_sets,
+    escape_sizes,
     product_escapes,
 )
 
@@ -140,20 +140,15 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> int:
-    """Largest k with I^k escaping J^[p^e]: the maximal point of the
-    one-entry escape set (`regions.escape_sets`), charged against the
-    budget. Containment is monotone in k, so each level is a binary search.
-
-    A principal I = (f) in a polynomial ring is walked from level 0 digit by
-    digit, each level searching p * nu(e-1) .. p * nu(e-1) + p - 1 in about
-    log2(p) + 1 probes. Each probed power is built from f's base-p digits,
-    f^(ap + r) = (f^a)^[p] * f^r, which holds modulo any level ideal, with
-    f^a read one level down (see `groebner.PowerTable.power`). An I with
-    several generators is split into them (the sup identity, see
-    `regions.escape_set`) and swept at level e alone.
+    """Largest k with I^k escaping J^[p^e], charged against the budget. The
+    one-entry escape set is [0, nu], so nu is its size less one
+    (`regions.escape_sizes`): a principal I in a polynomial ring is counted
+    on its Frobenius-root automaton, and any other I is split into its
+    generators (the sup identity, see `regions.escape_set`) and swept at
+    level e alone.
     """
-    (ds,) = escape_sets(IdealSequence([I]), PFamily.frobenius(J), [e], pres, budget)
-    return ds.max_points[0][0]
+    ((_, size, _),) = escape_sizes(IdealSequence([I]), PFamily.frobenius(J), [e], pres, budget)
+    return size - 1
 
 
 @contextmanager
@@ -180,14 +175,15 @@ def _finished(kind, p, t, rows, tilde_rows=None, **flags) -> EstimateTable:
 
 def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> EstimateTable:
     """Rows (e, nu/p^e); the finite sequence only, no extrapolation. The
-    levels are walked in one pass (`regions.escape_sets`), so each level
-    starts from the one below. A budget exit or an exponent overflow
-    carries the rows finished before it (`_cut_short`)."""
+    levels are read in one pass (`regions.escape_sizes`), as `nu` reads
+    one. A budget exit or an exponent overflow carries the rows finished
+    before it (`_cut_short`)."""
     p = I.ring.p
     rows = []
     with _cut_short("threshold", p, 1, rows):
-        for ds in escape_sets(IdealSequence([I]), PFamily.frobenius(J), levels, pres, budget):
-            rows.append((ds.level, Fraction(ds.max_points[0][0], p ** ds.level)))
+        for e, size, _ in escape_sizes(IdealSequence([I]), PFamily.frobenius(J), levels, pres,
+                                       budget):
+            rows.append((e, Fraction(size - 1, p ** e)))
     vals = [v for _, v in rows]
     return _finished("threshold", p, 1, rows,
                      nondecreasing=all(a <= b for a, b in zip(vals, vals[1:])))
@@ -201,12 +197,11 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                  budget=None) -> EstimateTable:
     """Rows (e, |escape set|/p^{et}) with companion strictly-positive rows.
 
-    The levels are walked by `regions.escape_sets`, the sequence and (for
-    t >= 2) each entry alone, so consecutive levels start from the one
-    below; one principal entry over a polynomial ring is walked from level
-    0, as `nu` is. Each row also records the exact gap bound between the two
-    counts; over a polynomial ring the positive-normalized rows must be
-    nondecreasing, and a violation is reported as a bug, not a result.
+    The sizes of the sequence and (for t >= 2) of each entry alone come
+    from `regions.escape_sizes`. Each row also records the exact gap bound
+    between the two counts; over a polynomial ring the positive-normalized
+    rows must be nondecreasing, and a violation is reported as a bug, not a
+    result.
     A budget exit or an exponent overflow carries the rows finished before
     it (`_cut_short`).
     """
@@ -214,21 +209,17 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
     p = fam.p
     t = seq.t
     levels = list(levels)
-    singles_walks = [
-        escape_sets(IdealSequence([I]), fam, levels, pres, counter) for I in seq.entries
+    singles = [
+        escape_sizes(IdealSequence([I]), fam, levels, pres, counter) for I in seq.entries
     ] if t >= 2 else []
     rows, tilde_rows, gap_notes = [], [], []
     with _cut_short("volume", p, t, rows, tilde_rows):
-        for ds in escape_sets(seq, fam, levels, pres, counter):
-            e = ds.level
+        for e, size, positive in escape_sizes(seq, fam, levels, pres, counter):
             denom = p ** (e * t)
-            rows.append((e, Fraction(ds.size, denom)))
-            tilde_rows.append((e, Fraction(ds.positive_size, denom)))
-            if t >= 2:
-                bound = _leave_one_out([next(walk).size for walk in singles_walks])
-            else:
-                bound = 1
-            gap = ds.size - ds.positive_size
+            rows.append((e, Fraction(size, denom)))
+            tilde_rows.append((e, Fraction(positive, denom)))
+            bound = _leave_one_out([next(single)[1] for single in singles]) if t >= 2 else 1
+            gap = size - positive
             if gap > bound:
                 raise TheoremViolationError(
                     f"escape-set gap {gap} exceeds its bound {bound} at e={e}",
@@ -260,7 +251,8 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
 
     `d` defaults to the Krull dimension of the presented ring, and a given
     `d` must be nonnegative; finite length
-    is required at every level (the graded stand-in for m-primary)."""
+    is required at every level (the graded stand-in for m-primary). An
+    exponent overflow carries the rows finished before it (`_cut_short`)."""
     ring = J.ring
     p = ring.p
     if d is None:
@@ -270,15 +262,16 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
     elif d < 0:
         raise BadInputError(f"Hilbert-Kunz dimension must be nonnegative, got {d}")
     rows = []
-    for e in levels:
-        q = p ** e
-        lam = staircase_count_of(frobenius_basis(J, q, pres))
-        if lam is None:
-            raise NotPrimaryError(
-                f"quotient by the level-{e} bracket power has infinite length; "
-                "the reference ideal is not primary to the irrelevant maximal ideal"
-            )
-        rows.append((e, Fraction(lam, p ** (e * d))))
+    with _cut_short("hk", p, 1, rows):
+        for e in levels:
+            q = p ** e
+            lam = staircase_count_of(frobenius_basis(J, q, pres))
+            if lam is None:
+                raise NotPrimaryError(
+                    f"quotient by the level-{e} bracket power has infinite length; "
+                    "the reference ideal is not primary to the irrelevant maximal ideal"
+                )
+            rows.append((e, Fraction(lam, p ** (e * d))))
     return _finished("hk", p, 1, rows, d=d)
 
 
@@ -514,17 +507,17 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
 
     For a Frobenius family of J the cell is the level-(e+e') escape set of
     the family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so each
-    distinct level e+e' is swept once, walking them in order
-    (`regions.escape_sets`), and the hypothesis is checked once, against J,
-    whose radical every J^[q] shares. An explicit family walks the inner
+    distinct level e+e' is counted once, in one pass
+    (`regions.escape_sizes`), and the hypothesis is checked once, against J,
+    whose radical every J^[q] shares. An explicit family counts the inner
     levels of the Frobenius family of its level-e ideal."""
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
     outer_levels, inner_levels = list(outer_levels), list(inner_levels)
 
-    def sizes(family, walk) -> dict:
-        return {ds.level: ds.size for ds in escape_sets(seq, family, walk, pres, counter)}
+    def sizes(family, wanted) -> dict:
+        return {e: size for e, size, _ in escape_sizes(seq, family, wanted, pres, counter)}
 
     if fam.kind == "frobenius":
         swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))

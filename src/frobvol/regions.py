@@ -8,7 +8,9 @@ refined escape set, volumes, exports) manipulates such sets exactly, with
 integer numerators over a power-of-p denominator. No floating point anywhere.
 
 A `DownSet` holds a down-set by its maximal points a; scaled by 1/p^e it is
-the paper's box region, the union of the boxes [0, a/p^e].
+the paper's box region, the union of the boxes [0, a/p^e]. Where only the
+sizes are needed (`escape_sizes`), a principal sequence over a polynomial
+ring is counted on its Frobenius-root automaton instead of swept.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+from .automaton import RootAutomaton
 from .errors import (
     BadInputError,
     BadLevelError,
@@ -39,7 +42,8 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetCounter:
-    """Counts membership evaluations; trips loudly instead of hanging."""
+    """Counts membership probes and root-automaton edges; trips loudly
+    instead of hanging."""
 
     __slots__ = ("limit", "used")
 
@@ -404,30 +408,42 @@ def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None
     """Yield the escape set at each of `levels` in turn, all charged to one
     budget. A level one above the level before it starts from that level's
     rows: they lie within p times the rows below (see
-    `_principal_escape_set`). `escape_set` is the cold single level.
-
-    One principal entry over a flat family (`_flat`) is walked digit by
-    digit: each requested level is reached from the last level walked, or
-    from level 0, one level at a time, and only the requested levels are
-    yielded. Each level's search then spans p values, so `nu`, the
-    threshold table and a one-entry volume table cost about log2(p) + 1
-    probes per level, however high the level."""
+    `_principal_escape_set`). `escape_set` is the cold single level."""
     counter = _as_budget(budget)
     carry = {}
-    walk = seq.t == 1 and seq.principal and _flat(fam, pres)
     for e in levels:
-        if walk:
-            last = max(carry, default=-1)  # the level whose rows `carry` holds
-            for lower in range(last + 1 if last < e else 0, e):
-                escape_set(seq, fam, lower, pres, counter, carry)
         yield escape_set(seq, fam, e, pres, counter, carry)
+
+
+def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None):
+    """Yield (e, size, positive size) of the level-e escape set at each of
+    `levels`, all charged to one budget: what `nu` and the threshold,
+    volume and truncation tables read. A principal sequence over a
+    polynomial ring with a Frobenius family (`_flat`) is counted on its
+    Frobenius-root automaton (`automaton.RootAutomaton`), whose cost does
+    not grow with the level; any other sequence reads the sweep of
+    `escape_sets`."""
+    counter = _as_budget(budget)
+    if not (seq.principal and _flat(fam, pres)):
+        for ds in escape_sets(seq, fam, levels, pres, counter):
+            yield ds.level, ds.size, ds.positive_size
+        return
+    automaton = None
+    for e in levels:
+        if automaton is None:
+            check_hypothesis(seq, fam, pres)
+            automaton = RootAutomaton(seq.entries, fam.level_basis(0, pres), counter)
+        if e < 0:
+            raise BadLevelError(f"negative level {e}")
+        yield (e, *automaton.sizes(e))
 
 
 def _flat(fam: PFamily, pres) -> bool:
     """Whether p * V_(e-1) lies in V_e, the lower end of a warm row search.
     Frobenius is flat over a regular ring (Kunz 1969), so x^p in K^[p]
     gives x in K, and the levels of a Frobenius family are bracket powers;
-    neither holds in a quotient ring or for an explicit family."""
+    neither holds in a quotient ring or for an explicit family. The same
+    two facts are what the root automaton of `escape_sizes` needs."""
     return fam.kind == "frobenius" and (pres is None or pres.is_zero)
 
 
@@ -471,8 +487,8 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     which is the p-th power of the product at floor((b, a)/p), so that
     product escapes one level down. Where Frobenius is flat (`_flat`) the
     row is also at least p * row_(e-1)(ceil(b/p)), and the search starts
-    there. For one entry the search then spans p values, so `nu` costs
-    about log2(p) + 1 probes per level (Mustata-Takagi-Watanabe 2005).
+    there; for one entry it then spans p values (Mustata-Takagi-Watanabe
+    2005).
     """
     basis = fam.level_basis(e, pres)
     powers = _power_tables(seq, fam, e, pres)
@@ -613,7 +629,7 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
 
 
 # ---------------------------------------------------------------------------
-# Box regions and volumes
+# Box regions
 # ---------------------------------------------------------------------------
 
 def box_region(dimension, level, p, corners) -> DownSet:
@@ -622,13 +638,6 @@ def box_region(dimension, level, p, corners) -> DownSet:
     max_points = _antichain(corners)
     size, positive = _sizes(_down_set_rows(max_points))
     return DownSet(dimension, level, p, max_points, size, positive)
-
-
-def region_volume(ds: DownSet) -> Fraction:
-    """Exact volume of the box region by cube counting: positive_size/(p^e)^t,
-    never floating point."""
-    denom = (ds.p ** ds.level) ** ds.dimension
-    return Fraction(ds.positive_size, denom)
 
 
 # ---------------------------------------------------------------------------

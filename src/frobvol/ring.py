@@ -161,7 +161,7 @@ class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order; p is a prime in [2, 2^31)."""
 
     __slots__ = ("p", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
-                 "frobenius_limit")
+                 "frobenius_limit", "_top", "_pairs")
 
     def __init__(self, p: int, variables, order="grevlex"):
         if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
@@ -187,6 +187,10 @@ class PolynomialRing:
         self._packer = struct.Struct(f"<{len(variables)}Q")
         self.guard = self.pack((MAX_EXPONENT + 1,) * len(variables))
         self.frobenius_limit = self.scale_limit(self.p)
+        # a grevlex key is read off the packed int (`key`); 0 means unpack
+        n = len(variables)
+        self._top = 64 * n if type(order) is GRevLex else 0
+        self._pairs = sum(((1 << 64) - 1) << 128 * i for i in range((n + 1) // 2))
 
     @property
     def nvars(self) -> int:
@@ -258,7 +262,14 @@ class PolynomialRing:
         return self._packer.unpack(packed.to_bytes(self._packer.size, "little"))
 
     def key(self, packed: int) -> int:
-        """Order key of a packed monomial; larger key means larger monomial."""
+        """Order key of a packed monomial; larger key means larger monomial.
+        The grevlex key of m of degree d is ((d + 1) << 64n) - m - 1; d sums
+        the fields in pairs, in 128-bit blocks, modulo 2^128 - 1, which stays
+        exact where three fields near 2^63 would wrap modulo 2^64 - 1."""
+        if self._top:
+            pairs = self._pairs
+            degree = ((packed & pairs) + (packed >> 64 & pairs)) % ((1 << 128) - 1)
+            return ((degree + 1) << self._top) - packed - 1
         return self.order.key(self.unpack(packed))
 
     def poly(self, text: str, line: int = 1, column: int = 1) -> "Polynomial":

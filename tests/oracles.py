@@ -10,14 +10,47 @@ from __future__ import annotations
 
 import itertools
 
+from fractions import Fraction
+
 from frobvol.groebner import (
     Ideal,
+    _dedup,
     frobenius_power,
     groebner_basis,
     ideal_contains,
-    ideal_power,
-    ideal_product,
 )
+
+
+def ideal_equal(a: Ideal, b: Ideal, pres: Ideal | None = None) -> bool:
+    return ideal_contains(a, b, pres) and ideal_contains(b, a, pres)
+
+
+def ideal_product(*ideals: Ideal) -> Ideal:
+    """The product on generator sets, deduplicated; one ring throughout."""
+    ring = ideals[0].ring
+    gens = [ring.one()]
+    for I in ideals:
+        gens = list(_dedup(u * v for u in gens for v in I.gens))
+    return Ideal(ring, gens)
+
+
+def ideal_power(I: Ideal, a: int) -> Ideal:
+    """I^a on generator sets, by repeated squaring with deduplication."""
+    ring = I.ring
+    result = (ring.one(),)
+    sq = I.gens
+    while a:
+        if a & 1:
+            result = _dedup(u * v for u in result for v in sq)
+        a >>= 1
+        if a:
+            sq = _dedup(u * v for u in sq for v in sq)
+    return Ideal(ring, result)
+
+
+def region_volume(ds) -> Fraction:
+    """Exact volume of a down-set's box region: positive_size / (p^e)^t."""
+    return Fraction(ds.positive_size, (ds.p ** ds.level) ** ds.dimension)
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:

@@ -41,10 +41,13 @@ def test_cusp_thresholds():
 def test_cusp_nu_follows_the_threshold_at_high_levels():
     # nu(p^e) = ceil(c p^e) - 1 for a principal f in a polynomial ring with
     # F-pure threshold c (Mustata-Takagi-Watanabe 2005; Blickle-Mustata-Smith
-    # 2008); the table walks the levels digit by digit. At p = 5 every
-    # base-5 digit of nu is 4 and f^nu keeps about 5^e terms, so p = 5 is
-    # left out here.
-    for p, c, e_max in ((7, Fraction(5, 6), 20), (13, Fraction(5, 6), 12),
+    # 2008); the table counts the levels on the Frobenius-root automaton,
+    # so a level costs the same however high it is. For p = 1 mod 6 the
+    # cusp has c = 5/6, and for p = 5 mod 6 c = 5/6 - 1/(6p): every base-5
+    # digit of nu is then 4 at p = 5, where a sweep's f^nu keeps about 5^e
+    # terms.
+    for p, c, e_max in ((7, Fraction(5, 6), 60), (13, Fraction(5, 6), 12),
+                        (5, Fraction(4, 5), 30), (11, Fraction(9, 11), 30),
                         (3, Fraction(2, 3), 10), (2, Fraction(1, 2), 16)):
         assert _threshold_values(p, "y^2-x^3", e_max) == [
             Fraction(ceil(c * p**e) - 1, p**e) for e in range(1, e_max + 1)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -160,7 +161,9 @@ def test_cli_exit_codes(tmp_path):
     spec_file.write_text("p=2; ring x,y; J: x; seq: y; e: 1..2")
     assert main(["volume", str(spec_file)]) == 2
 
-    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=40")
+    # the root automata of the sequence and of its two entries charge 12
+    # edges in all; 10 runs out at level 2
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=10")
     out = tmp_path / "partial.json"
     assert main(["volume", "--json", str(out), str(spec_file)]) == 3
     payload = json.loads(out.read_text())
@@ -224,15 +227,13 @@ def test_cli_theorem_violation_exits_4_with_its_witness(tmp_path, capsys, monkey
     4, one `internal check failure` line naming the witness and no payload.
     Here every level-2 escape set loses its positive points, so the gap of
     the one-entry volume table exceeds its bound 1."""
-    walk = invariants.escape_sets
+    sizes = invariants.escape_sizes
 
     def shrunk(*args):
-        for ds in walk(*args):
-            if ds.level == 2:
-                ds.positive_size = 0
-            yield ds
+        for e, size, positive in sizes(*args):
+            yield e, size, 0 if e == 2 else positive
 
-    monkeypatch.setattr(invariants, "escape_sets", shrunk)
+    monkeypatch.setattr(invariants, "escape_sizes", shrunk)
     spec_file = tmp_path / "f.spec"
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; e: 1..3")
     assert main(["volume", str(spec_file)]) == 4
@@ -384,12 +385,15 @@ def test_cli_vset_budget_exit_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
-    """7^23 > 2^63 - 1, so level 23 of the cusp at p = 7 leaves the packed
-    exponent field: one error line and exit 2, not a traceback. `threshold`
-    and `volume` still write the rows of levels 1..22, flagged
-    `exponent_overflow`; nu(7^e) = ceil(5/6 * 7^e) - 1 there."""
+    """7^23 > 2^63 - 1, so the sweep of x in the cusp ring F_7[x,y]/(y^2 + x^3)
+    leaves the packed exponent field at level 23: one error line and exit
+    2, not a traceback. `threshold` and `volume` still write the rows of
+    levels 1..22, flagged `exponent_overflow`; nu(7^e) = 7^e - 1 there.
+    The cusp itself in F_7[x,y] is counted on its root automaton, with no
+    exponent past the degree of its states, so every level up to 30 is
+    written: nu(7^e) = ceil(5/6 * 7^e) - 1."""
     spec_file = tmp_path / "cusp.spec"
-    spec_file.write_text("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 1..30")
+    spec_file.write_text("p=7; ring x,y; present: y^2+x^3; J: x,y; seq: x; e: 1..30")
     for command in ("threshold", "volume"):
         assert main([command, str(spec_file)]) == 2
         captured = capsys.readouterr()
@@ -402,7 +406,32 @@ def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
         assert [row["e"] for row in rows] == list(range(1, 23))
         for row in rows:
             q = 7 ** row["e"]
-            assert (int(row["num"]), int(row["den"])) == (-(-5 * q // 6) - 1, q)
+            assert (int(row["num"]), int(row["den"])) == (q - 1, q)
+    spec_file.write_text("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 1..30")
+    for command in ("threshold", "volume"):
+        assert main([command, str(spec_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = payload["rows"] if command == "threshold" else payload["rows_tilde"]
+        assert [row["e"] for row in rows] == list(range(1, 31))
+        for row in rows:
+            q = 7 ** row["e"]
+            assert Fraction(int(row["num"]), int(row["den"])) == Fraction(-(-5 * q // 6) - 1, q)
+
+
+def test_cli_hk_keeps_its_rows_on_an_exponent_overflow(tmp_path, capsys):
+    """(x, y)^[7^23] leaves the packed exponent field, so `hk` exits 2 with
+    one error line and still writes the rows of levels 1..22, flagged
+    `exponent_overflow`: F_7[x,y]/(x^q, y^q) has length q^2, so each row is 1."""
+    spec_file = tmp_path / "hk.spec"
+    spec_file.write_text("p=7; ring x,y; J: x,y; seq: x; e: 1..30")
+    assert main(["hk", str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exponent beyond 2^63-1")
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.out)
+    assert (payload["kind"], payload["flags"]) == ("hk", {"exponent_overflow": True})
+    assert [(row["e"], row["num"], row["den"]) for row in payload["rows"]] == [
+        (e, "1", "1") for e in range(1, 23)]
 
 
 def test_cli_threshold_searches_containment_past_512_powers(tmp_path, capsys):

@@ -18,10 +18,7 @@ from frobvol.groebner import (
     frobenius_power,
     groebner_basis,
     ideal_contains,
-    ideal_equal,
     ideal_intersection,
-    ideal_power,
-    ideal_product,
     ideal_sum,
     krull_dimension,
     power_containment_index,
@@ -33,6 +30,9 @@ from frobvol.ring import MAX_EXPONENT, PolynomialRing
 from oracles import (
     brute_force_ell,
     exponents,
+    ideal_equal,
+    ideal_power,
+    ideal_product,
     la_membership,
     mono_divides,
     random_poly,

@@ -11,7 +11,6 @@ from frobvol.groebner import (
     Ideal,
     frobenius_power,
     ideal_contains,
-    ideal_power,
 )
 from frobvol.invariants import (
     check_containment_monotone,
@@ -35,7 +34,7 @@ from frobvol.invariants import (
 from frobvol.regions import BudgetCounter, IdealSequence, PFamily, escape_set
 from frobvol.ring import PolynomialRing
 import corpus
-from oracles import brute_force_nu, exponents, random_poly
+from oracles import brute_force_nu, exponents, ideal_power, random_poly
 
 
 @pytest.fixture

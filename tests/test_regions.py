@@ -23,7 +23,6 @@ from frobvol.groebner import (
     _dedup,
     frobenius_basis,
     frobenius_power,
-    ideal_power,
     power_table,
 )
 from frobvol.regions import (
@@ -40,7 +39,6 @@ from frobvol.regions import (
     escape_set,
     escape_sets,
     escapes,
-    region_volume,
     staircase_svg,
     verify_cover,
 )
@@ -52,8 +50,11 @@ from oracles import (
     downset_size_inclusion_exclusion,
     exponents,
     fill_refinement,
+    ideal_power,
     least_uncovered,
     monomial_escape_rows,
+    random_poly,
+    region_volume,
     rows_summary,
 )
 
@@ -705,20 +706,21 @@ def test_a_sweep_charges_every_probe(worked, R2):
         assert used[-1] - used[-2] == warm
 
 
-def test_a_one_entry_sweep_keeps_its_probe_sequence():
-    """nu walks the levels 0..8 digit by digit: 4373 is 12222222 in base 3,
-    level 1 searches [0, 2] (two probes) and each later level finds its
-    top, 3 * nu + 2, at the first probe. A cold search from the axis bound
-    takes 14."""
+def test_nu_charges_each_automaton_edge_once():
+    """nu of the cusp over F_3 is counted on its Frobenius-root automaton:
+    two states, (1) and (x, y), and p = 3 digit edges from each, each
+    charged once however high the level. 4373 is 12222222 in base 3."""
     R = PolynomialRing(3, ["x", "y"])
-    counter = BudgetCounter(10**6)
-    assert nu(Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens())), 8, budget=counter) == 4373
-    assert counter.used == 9
+    cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
+    for e, value, edges in ((1, 1, 3), (8, 4373, 6), (40, 2 * 3**39 - 1, 6)):
+        counter = BudgetCounter(10**6)
+        assert nu(cusp, m, e, budget=counter) == value
+        assert counter.used == edges
 
 
-def test_a_one_entry_volume_table_walks_like_the_threshold_table():
-    """Over levels 7..8 both tables walk the cusp from level 0, as `nu`
-    does, so each charges the same 9 probes."""
+def test_a_one_entry_volume_table_charges_like_the_threshold_table():
+    """Over levels 7..8 both tables count the cusp on one automaton, as
+    `nu` does, so each charges the same 6 edges."""
     R = PolynomialRing(3, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
     used = []
@@ -730,7 +732,55 @@ def test_a_one_entry_volume_table_walks_like_the_threshold_table():
         counter = BudgetCounter(10**6)
         table(counter)
         used.append(counter.used)
-    assert used == [9, 9]
+    assert used == [6, 6]
+
+
+# -- the Frobenius-root automaton ----------------------------------------------
+
+# references with radical m, monomial and not
+_AUTOMATON_REFERENCES = {
+    2: [["x", "y"], ["x^2", "y^3"], ["x^2+y", "x*y", "y^2"], ["x+y^2", "y^3"]],
+    3: [["x", "y", "z"], ["x^2", "y", "z^2"], ["x^2+y*z", "y^2", "z^2"]],
+}
+
+
+@st.composite
+def automaton_cases(draw):
+    """(seq, fam, top): one to three principal entries with no constant
+    term from `oracles.random_poly` over F_p[x,y] or F_p[x,y,z], p in
+    {2, 3}, the Frobenius family of a reference with radical m, and levels
+    0..top, top <= 4, lowered until the axis bounds span at most 20,000
+    points."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y", "z"][:n])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = [Ideal(R, [random_poly(R, rng, max_degree=2, no_constant=True)])
+               for _ in range(draw(st.integers(1, 3)))]
+    J = draw(st.sampled_from(_AUTOMATON_REFERENCES[n]))
+    seq, fam = IdealSequence(entries), PFamily.frobenius(Ideal(R, [R.poly(g) for g in J]))
+    top = draw(st.integers(1, 4))
+    while top > 1 and math.prod(axis_bounds(seq, fam, top)) > 20000:
+        top -= 1
+    return seq, fam, top
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(automaton_cases())
+def test_the_root_automaton_counts_what_the_sweep_finds(case):
+    """A principal sequence over a polynomial ring is counted on its
+    Frobenius-root automaton (`regions.escape_sizes`). At every level the
+    volume table's rows equal the size and the positive size of a cold
+    `escape_set`, a sweep, and `nu` of each entry equals the maximal point
+    of the entry's own cold escape set."""
+    seq, fam, top = case
+    table = volume_table(seq, fam, range(top + 1))
+    for (e, row), (_, tilde) in zip(table.rows, table.tilde_rows):
+        cold = escape_set(seq, fam, e)
+        denom = fam.p ** (e * seq.t)
+        assert (row * denom, tilde * denom) == (cold.size, cold.positive_size)
+        for I in seq.entries:
+            assert nu(I, fam.base, e) == escape_set(IdealSequence([I]), fam, e).max_points[0][0]
 
 
 # -- every entry is split into its generators ---------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobvol.errors import (
     ExponentOverflowError,
@@ -106,6 +107,37 @@ def test_order_properties():
     _check_order_properties(Lex(3), 3, rng)
     _check_order_properties(GRevLex(3), 3, rng)
     _check_order_properties(EliminationOrder(1, GRevLex(2)), 3, rng)
+
+
+_EXPONENTS = st.one_of(st.integers(0, 12), st.integers(MAX_EXPONENT - 12, MAX_EXPONENT),
+                       st.integers(0, MAX_EXPONENT))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.sampled_from(["grevlex", "lex", "elim"]), st.lists(_EXPONENTS, min_size=n, max_size=n))))
+def test_a_packed_key_is_the_order_key_of_its_exponents(case):
+    """`PolynomialRing.key` reads a grevlex key off the packed int, and its
+    degree stays exact where three or more fields near 2^63 add up past
+    2^64 - 1; lex and elimination keys rank the unpacked exponents."""
+    kind, exps = case
+    names = ["x", "y", "z", "u"][:len(exps)]
+    if kind == "elim":
+        if len(names) == 1:
+            names.append("v")
+            exps = exps + [0]
+        R = PolynomialRing(5, names[1:]).extended(names[:1])
+    else:
+        R = PolynomialRing(5, names, kind)
+    mono = tuple(exps)
+    assert R.key(R.pack(mono)) == R.order.key(mono)
+
+
+def test_a_grevlex_key_past_two_to_the_64_is_exact():
+    R = PolynomialRing(2, ["x", "y", "z"])
+    top, near = (MAX_EXPONENT,) * 3, (MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT - 1)
+    assert sum(top) > 2**64
+    assert R.key(R.pack(top)) == GRevLex(3).key(top) > R.key(R.pack(near)) == GRevLex(3).key(near)
 
 
 def test_grevlex_vs_lex_disagree():

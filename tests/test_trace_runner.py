@@ -45,7 +45,7 @@ def test_trace_runner_spans_the_csv_export(tmp_path):
 
 
 @pytest.mark.parametrize("line, expected", [
-    ("threshold @cusp_p3.e7-8", {"invariants.tables", "regions.escape_set"}),
+    ("threshold @ex_g.e1-7", {"invariants.tables", "regions.escape_set"}),
     ("hk @a1.e1-4", {"invariants.tables", "groebner.staircase"}),
     ("check threshold_bounds --e 2 @ex_g.e1-4",
      {"invariants.checks", "invariants.nu", "regions.escape_set"}),

@@ -25,59 +25,94 @@ from .ring import Polynomial
 
 class RootAutomaton:
     """The automaton of the principal `entries` against the ideal J of
-    `basis`. Counts are pushed level by level, so only the states reached
-    below a requested level are explored; each new edge (one root and one
-    `buchberger`) is charged to `counter`. The sub-sequence of the entries
-    in a bitmask T walks the same edges with digits zero off T, and the
-    positive size is the inclusion-exclusion of the sub-sequences' sizes."""
+    `basis`. Counts are pushed level by level from the states reached, so
+    only those states are explored, and only the last level's counts are
+    kept. All the work is charged to `counter`: each new edge (one root
+    and one `buchberger`), each reduction a weight makes, and each count
+    pushed from a state to a target, once per bit of the count, since the
+    rows of a level are as long as its counts. The sub-sequence of the
+    entries in a bitmask T walks the same edges with digits zero off T,
+    and the positive size is the inclusion-exclusion of the sub-sequences'
+    sizes."""
 
     def __init__(self, entries, basis: GroebnerBasis, counter):
-        ring = self.ring = basis.ring
-        self.basis, self.counter, self.full = basis, counter, (1 << len(entries)) - 1
+        self.ring, self.basis, self.counter = basis.ring, basis, counter
+        self.gens = [I.gens[0] for I in entries]
         self.tables = [power_table(I, basis) for I in entries]
-        digits = list(itertools.product(range(ring.p), repeat=len(entries)))
-        self.factors = [prod((I.gens[0] ** k for I, k in zip(entries, d)), start=ring.one())
-                        for d in digits]
-        # the digit vectors of the sub-sequence T: zero off T
-        self.moves = {T: [i for i, d in enumerate(digits)
-                          if all(k == 0 or T >> j & 1 for j, k in enumerate(d))]
-                      for T in range(1, self.full + 1)}
-        unit = GroebnerBasis(ring, [ring.one()])
+        unit = GroebnerBasis(self.ring, [self.ring.one()])
         self.states = {unit: 0}
         self.bases = [unit]
-        self.edges = [[None] * len(digits)]
-        self.counts = {T: [{0: 1}] for T in self.moves}
+        self.edges = [{}]
+        self.factors = {}
+        self.moves = {}
         self.weights = {}
         self.split = {}
+        self.level = 0
+        self.counts = {T: {0: 1} for T in range(1, 1 << len(entries))}
 
     def sizes(self, e: int) -> tuple:
-        """(|V_e|, its positive points) for the whole sequence."""
-        sizes = {0: 1}  # no entries: 1 escapes the proper ideal J^[q]
-        for T, moves in self.moves.items():
-            counts = self.counts[T]
-            while len(counts) <= e:
-                reached = {}
-                for k, c in counts[-1].items():
-                    for i in moves:
-                        target = self.edge(k, i)
-                        reached[target] = reached.get(target, 0) + c
-                counts.append(reached)
-            sizes[T] = sum(c * self.weight(k, T) for k, c in counts[e].items())
-        positive = sum((-1) ** bin(self.full ^ T).count("1") * n for T, n in sizes.items())
-        return sizes[self.full], positive
+        """(|V_e|, its positive points, the size of each entry's own escape
+        set). A level below the last one counted starts again from 0."""
+        if e < self.level:
+            self.level, self.counts = 0, {T: {0: 1} for T in self.counts}
+        while self.level < e:
+            self.counts = {T: self._push(counts, T) for T, counts in self.counts.items()}
+            self.level += 1
+        sizes = {T: sum(c * self.weight(k, T) for k, c in counts.items())
+                 for T, counts in self.counts.items()}
+        sizes[0] = 1  # no entries: 1 escapes the proper ideal J^[q]
+        full = len(sizes) - 1
+        positive = sum((-1) ** bin(full ^ T).count("1") * n for T, n in sizes.items())
+        return sizes[full], positive, tuple(sizes[1 << i] for i in range(len(self.gens)))
 
-    def edge(self, k: int, i: int) -> int:
-        """The state (K f^d)^[1/p] for the state K = k and the digit vector d = i."""
-        target = self.edges[k][i]
+    def _push(self, counts: dict, T: int) -> dict:
+        """The counts one level up of the sub-sequence T."""
+        reached = {}
+        for k, c in counts.items():
+            for target, n in self.moves_of(k, T).items():
+                self.counter.charge(c.bit_length())
+                reached[target] = reached.get(target, 0) + n * c
+        return reached
+
+    def moves_of(self, k: int, T: int) -> dict:
+        """{target: the number of digit vectors d, zero off T, whose edge
+        leads from the state K = k to it}. A larger d gives a smaller K f^d
+        and so a smaller root: where the two corners of a box of digit
+        vectors reach the same state, so does every d in the box. The box
+        of T is halved along its longest side until they do, so a large p
+        costs about log2(p) edges per state reached."""
+        if (k, T) not in self.moves:
+            found = self.moves[k, T] = {}
+
+            def count(lo: tuple, hi: tuple):
+                target = self.edge(k, lo)
+                if target == self.edge(k, hi):
+                    found[target] = found.get(target, 0) + prod(b - a + 1 for a, b in zip(lo, hi))
+                    return
+                j = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
+                mid = (lo[j] + hi[j]) // 2
+                count(lo, hi[:j] + (mid,) + hi[j + 1:])
+                count(lo[:j] + (mid + 1,) + lo[j + 1:], hi)
+
+            t, top = len(self.gens), self.ring.p - 1
+            count((0,) * t, tuple(top if T >> j & 1 else 0 for j in range(t)))
+        return self.moves[k, T]
+
+    def edge(self, k: int, d: tuple) -> int:
+        """The state (K f^d)^[1/p] for the state K = k and the digit vector d."""
+        target = self.edges[k].get(d)
         if target is None:
             self.counter.charge()
-            factor = self.factors[i]
+            factor = self.factors.get(d)
+            if factor is None:
+                factor = self.factors[d] = prod(
+                    (f ** a for f, a in zip(self.gens, d) if a), start=self.ring.one())
             basis = buchberger(self._root([g * factor for g in self.bases[k].polys]), self.ring)
             target = self.states.setdefault(basis, len(self.bases))
             if target == len(self.bases):
                 self.bases.append(basis)
-                self.edges.append([None] * len(self.factors))
-            self.edges[k][i] = target
+                self.edges.append({})
+            self.edges[k][d] = target
         return target
 
     def _root(self, polys) -> list:
@@ -110,6 +145,7 @@ class RootAutomaton:
                     return 1
                 total = 0
                 for h in itertools.count():
+                    self.counter.charge()
                     below = basis.reduce_products(polys, axes[i].power(h))
                     if not below:
                         return total

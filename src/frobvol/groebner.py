@@ -359,8 +359,6 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
-    if any(0 in g.coeffs and len(g.coeffs) == 1 for g in gens):
-        return GroebnerBasis(ring, (ring.one(),))  # a unit generates (1)
     key, p, guard = ring.key, ring.p, ring.guard
 
     lms: list[int] = []

@@ -9,6 +9,7 @@ theorems, so a false verdict is an implementation bug and carries a witness.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, prod
@@ -54,8 +55,21 @@ def _leave_one_out(values: list) -> int:
     return sum(prod(values[:i] + values[i + 1:]) for i in range(len(values)))
 
 
+def _digits(n: int) -> str:
+    """str(n) past the default limit of 4300 digits (Python 3.11, and
+    3.10.7 on), which the exact rows of a high level pass."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fraction_json(v: Fraction) -> dict:
-    return {"num": str(v.numerator), "den": str(v.denominator)}
+    return {"num": _digits(v.numerator), "den": _digits(v.denominator)}
 
 
 class EstimateTable:
@@ -147,7 +161,7 @@ def nu(I: Ideal, J: Ideal, e: int, pres=None, budget=None) -> int:
     generators (the sup identity, see `regions.escape_set`) and swept at
     level e alone.
     """
-    ((_, size, _),) = escape_sizes(IdealSequence([I]), PFamily.frobenius(J), [e], pres, budget)
+    ((_, size, _, _),) = escape_sizes(IdealSequence([I]), PFamily.frobenius(J), [e], pres, budget)
     return size - 1
 
 
@@ -181,8 +195,8 @@ def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> Estim
     p = I.ring.p
     rows = []
     with _cut_short("threshold", p, 1, rows):
-        for e, size, _ in escape_sizes(IdealSequence([I]), PFamily.frobenius(J), levels, pres,
-                                       budget):
+        for e, size, _, _ in escape_sizes(IdealSequence([I]), PFamily.frobenius(J), levels, pres,
+                                          budget):
             rows.append((e, Fraction(size - 1, p ** e)))
     vals = [v for _, v in rows]
     return _finished("threshold", p, 1, rows,
@@ -208,24 +222,20 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
-    levels = list(levels)
-    singles = [
-        escape_sizes(IdealSequence([I]), fam, levels, pres, counter) for I in seq.entries
-    ] if t >= 2 else []
     rows, tilde_rows, gap_notes = [], [], []
     with _cut_short("volume", p, t, rows, tilde_rows):
-        for e, size, positive in escape_sizes(seq, fam, levels, pres, counter):
+        for e, size, positive, singles in escape_sizes(seq, fam, levels, pres, counter):
             denom = p ** (e * t)
             rows.append((e, Fraction(size, denom)))
             tilde_rows.append((e, Fraction(positive, denom)))
-            bound = _leave_one_out([next(single)[1] for single in singles]) if t >= 2 else 1
+            bound = _leave_one_out(singles)
             gap = size - positive
             if gap > bound:
                 raise TheoremViolationError(
                     f"escape-set gap {gap} exceeds its bound {bound} at e={e}",
                     witness=(e, gap, bound),
                 )
-            gap_notes.append({"e": e, "gap": str(gap), "bound": str(bound)})
+            gap_notes.append({"e": e, "gap": _digits(gap), "bound": _digits(bound)})
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))
     if (pres is None or pres.is_zero) and not nondecreasing:
@@ -517,7 +527,7 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
     outer_levels, inner_levels = list(outer_levels), list(inner_levels)
 
     def sizes(family, wanted) -> dict:
-        return {e: size for e, size, _ in escape_sizes(seq, family, wanted, pres, counter)}
+        return {e: size for e, size, _, _ in escape_sizes(seq, family, wanted, pres, counter)}
 
     if fam.kind == "frobenius":
         swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))

@@ -19,7 +19,6 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .automaton import RootAutomaton
 from .errors import (
     BadInputError,
     BadLevelError,
@@ -416,21 +415,28 @@ def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None
 
 
 def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None):
-    """Yield (e, size, positive size) of the level-e escape set at each of
-    `levels`, all charged to one budget: what `nu` and the threshold,
-    volume and truncation tables read. A principal sequence over a
-    polynomial ring with a Frobenius family (`_flat`) is counted on its
-    Frobenius-root automaton (`automaton.RootAutomaton`), whose cost does
-    not grow with the level; any other sequence reads the sweep of
+    """Yield (e, size, positive size, singles) of the level-e escape set at
+    each of `levels`, all charged to one budget: what `nu` and the
+    threshold, volume and truncation tables read. `singles` holds the size
+    of each entry's own escape set, the points of the set on that axis. A
+    principal sequence over a polynomial ring with a Frobenius family
+    (`_flat`) is counted on its Frobenius-root automaton
+    (`automaton.RootAutomaton`), whose cost grows with the level only by
+    its counts' digits; any other sequence reads the sweep of
     `escape_sets`."""
     counter = _as_budget(budget)
     if not (seq.principal and _flat(fam, pres)):
         for ds in escape_sets(seq, fam, levels, pres, counter):
-            yield ds.level, ds.size, ds.positive_size
+            singles = tuple(1 + max(m[i] for m in ds.max_points) for i in range(seq.t))
+            yield ds.level, ds.size, ds.positive_size, singles
         return
     automaton = None
     for e in levels:
         if automaton is None:
+            # imported here, so a job that never counts on the automaton
+            # does not compile its module (about 2 ms from source)
+            from .automaton import RootAutomaton
+
             check_hypothesis(seq, fam, pres)
             automaton = RootAutomaton(seq.entries, fam.level_basis(0, pres), counter)
         if e < 0:

@@ -161,14 +161,13 @@ def test_cli_exit_codes(tmp_path):
     spec_file.write_text("p=2; ring x,y; J: x; seq: y; e: 1..2")
     assert main(["volume", str(spec_file)]) == 2
 
-    # the root automata of the sequence and of its two entries charge 12
-    # edges in all; 10 runs out at level 2
-    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=10")
+    # the root automaton charges 17 to reach level 1 and 31 for level 2
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x ; y^2+x; e: 1..6; budget=20")
     out = tmp_path / "partial.json"
     assert main(["volume", "--json", str(out), str(spec_file)]) == 3
     payload = json.loads(out.read_text())
     assert payload["flags"]["budget_exceeded"] is True
-    assert payload["rows"]  # partial rows survive
+    assert [row["e"] for row in payload["rows"]] == [1]  # partial rows survive
 
     assert main(["volume", str(tmp_path / "missing.spec")]) == 2
 
@@ -230,8 +229,8 @@ def test_cli_theorem_violation_exits_4_with_its_witness(tmp_path, capsys, monkey
     sizes = invariants.escape_sizes
 
     def shrunk(*args):
-        for e, size, positive in sizes(*args):
-            yield e, size, 0 if e == 2 else positive
+        for e, size, positive, singles in sizes(*args):
+            yield e, size, 0 if e == 2 else positive, singles
 
     monkeypatch.setattr(invariants, "escape_sizes", shrunk)
     spec_file = tmp_path / "f.spec"
@@ -416,6 +415,44 @@ def test_cli_exponent_overflow_is_a_user_error(tmp_path, capsys):
         for row in rows:
             q = 7 ** row["e"]
             assert Fraction(int(row["num"]), int(row["den"])) == Fraction(-(-5 * q // 6) - 1, q)
+
+
+def test_cli_a_large_characteristic_answers_at_once_or_stops_at_the_budget(tmp_path, capsys):
+    """Over F_p with p = 2^31 - 1 every digit of x leads the root automaton
+    from (1) back to (1), which the two corners of [0, p) settle: level 1
+    is answered at once. Asked for a million levels, the run stops at its
+    budget, which each level's pushed count charges by its bits, with exit
+    3 and the rows nu(p^e) = p^e - 1 written up to there."""
+    p = 2**31 - 1
+    spec_file = tmp_path / "p.spec"
+    spec_file.write_text(f"p={p}; ring x; J: x; seq: x; e: 1..1")
+    assert main(["threshold", str(spec_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"e": 1, "num": str(p - 1), "den": str(p)}]
+    spec_file.write_text(f"p={p}; ring x; J: x; seq: x; e: 1..1000000; budget=20000")
+    assert main(["threshold", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: membership-call budget 20000 exceeded\n"
+    payload = json.loads(captured.out)
+    assert payload["flags"] == {"budget_exceeded": True}
+    levels = [row["e"] for row in payload["rows"]]
+    assert levels == list(range(1, 37))
+    for row in payload["rows"]:
+        assert (int(row["num"]), int(row["den"])) == (p ** row["e"] - 1, p ** row["e"])
+
+
+def test_cli_writes_rows_longer_than_the_default_digit_limit(tmp_path, capsys):
+    """7^6000 has 5,071 digits, past the 4,300 that Python's str allows by
+    default; the cusp's row at that level is still written in full, given
+    a budget for its counts' bits. Its digits are checked by count and by
+    their last 18."""
+    spec_file = tmp_path / "cusp.spec"
+    spec_file.write_text("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 6000..6000; budget=1000000000")
+    assert main(["threshold", str(spec_file)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    q = 7**6000
+    assert len(row["den"]) == 5071 and int(row["den"][-18:]) == q % 10**18
+    assert int(row["num"][-18:]) == (-(-5 * q // 6) - 1) % 10**18
 
 
 def test_cli_hk_keeps_its_rows_on_an_exponent_overflow(tmp_path, capsys):

@@ -38,6 +38,7 @@ from frobvol.regions import (
     downset_csv,
     escape_set,
     escape_sets,
+    escape_sizes,
     escapes,
     staircase_svg,
     verify_cover,
@@ -708,19 +709,22 @@ def test_a_sweep_charges_every_probe(worked, R2):
 
 def test_nu_charges_each_automaton_edge_once():
     """nu of the cusp over F_3 is counted on its Frobenius-root automaton:
-    two states, (1) and (x, y), and p = 3 digit edges from each, each
-    charged once however high the level. 4373 is 12222222 in base 3."""
+    two states, (1) and (x, y), and p = 3 digit edges from each, 6 edges
+    charged once however high the level. The two weights charge 3
+    reductions, and each level the counts pushed up, by their bits: 2 at
+    level 1, 164 up to level 8, 4,860 up to level 40. 4373 is 12222222 in
+    base 3."""
     R = PolynomialRing(3, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
-    for e, value, edges in ((1, 1, 3), (8, 4373, 6), (40, 2 * 3**39 - 1, 6)):
+    for e, value, edges, pushed in ((1, 1, 3, 2), (8, 4373, 6, 164), (40, 2 * 3**39 - 1, 6, 4860)):
         counter = BudgetCounter(10**6)
         assert nu(cusp, m, e, budget=counter) == value
-        assert counter.used == edges
+        assert counter.used == edges + 3 + pushed
 
 
 def test_a_one_entry_volume_table_charges_like_the_threshold_table():
     """Over levels 7..8 both tables count the cusp on one automaton, as
-    `nu` does, so each charges the same 6 edges."""
+    `nu` does, so each charges what `nu` at level 8 charges: 173."""
     R = PolynomialRing(3, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
     used = []
@@ -732,7 +736,28 @@ def test_a_one_entry_volume_table_charges_like_the_threshold_table():
         counter = BudgetCounter(10**6)
         table(counter)
         used.append(counter.used)
-    assert used == [6, 6]
+    assert used == [173, 173]
+
+
+def test_a_large_characteristic_costs_about_log_p_edges():
+    """Over F_p with p = 2^31 - 1 every digit of x leads from (1) back to
+    (1), so the two corners of [0, p) settle the whole box: nu(x, (x), e)
+    = p^e - 1 from 2 edges, 2 weight reductions and one pushed count a
+    level, charged by its bits (1, 31 and 62 up to level 3), where
+    enumerating the digits would take p edges. The
+    cusp over F_211 (p = 1 mod 6, so nu = ceil(5q/6) - 1) needs more
+    boxes, still far fewer than the 2 * 211 edges of its two states."""
+    p = 2**31 - 1
+    R = PolynomialRing(p, ["x"])
+    x = Ideal(R, list(R.gens()))
+    counter = BudgetCounter(10**6)
+    assert nu(x, x, 3, budget=counter) == p**3 - 1
+    assert counter.used == 2 + 2 + 1 + 31 + 62
+    R = PolynomialRing(211, ["x", "y"])
+    cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
+    counter = BudgetCounter(10**6)
+    assert nu(cusp, m, 2, budget=counter) == -(-5 * 211**2 // 6) - 1
+    assert counter.used < 100
 
 
 # -- the Frobenius-root automaton ----------------------------------------------
@@ -771,16 +796,36 @@ def test_the_root_automaton_counts_what_the_sweep_finds(case):
     """A principal sequence over a polynomial ring is counted on its
     Frobenius-root automaton (`regions.escape_sizes`). At every level the
     volume table's rows equal the size and the positive size of a cold
-    `escape_set`, a sweep, and `nu` of each entry equals the maximal point
-    of the entry's own cold escape set."""
+    `escape_set`, a sweep; the size of each entry alone, which the gap
+    bound reads, equals that of the entry's own cold escape set, and `nu`
+    of the entry its maximal point."""
     seq, fam, top = case
     table = volume_table(seq, fam, range(top + 1))
-    for (e, row), (_, tilde) in zip(table.rows, table.tilde_rows):
+    sizes = escape_sizes(seq, fam, range(top + 1))
+    for (e, row), (_, tilde), (_, _, _, singles) in zip(table.rows, table.tilde_rows, sizes):
         cold = escape_set(seq, fam, e)
         denom = fam.p ** (e * seq.t)
         assert (row * denom, tilde * denom) == (cold.size, cold.positive_size)
-        for I in seq.entries:
-            assert nu(I, fam.base, e) == escape_set(IdealSequence([I]), fam, e).max_points[0][0]
+        for I, single in zip(seq.entries, singles):
+            alone = escape_set(IdealSequence([I]), fam, e)
+            assert (single, nu(I, fam.base, e)) == (alone.size, alone.max_points[0][0])
+
+
+def test_a_swept_sequence_reads_each_entry_alone_off_its_axes():
+    """Where `escape_sizes` sweeps (an entry with two generators, a
+    quotient ring), the size of each entry alone is the number of points
+    of the escape set on that entry's axis, and equals the entry's own
+    cold escape set."""
+    R = PolynomialRing(2, ["x", "y"])
+    cases = [(seq_of(R, ["x", "y^2+x"], ["y"]), PFamily.frobenius(Ideal(R, list(R.gens()))),
+              None, 3)]
+    R = PolynomialRing(3, ["x", "y", "z"])
+    cases.append((seq_of(R, ["x"], ["y+z"]), PFamily.frobenius(Ideal(R, list(R.gens()))),
+                  Ideal(R, [R.poly("x*y-z^2")]), 2))
+    for seq, fam, pres, top in cases:
+        for e, _, _, singles in escape_sizes(seq, fam, range(top + 1), pres):
+            assert singles == tuple(escape_set(IdealSequence([I]), fam, e, pres).size
+                                    for I in seq.entries)
 
 
 # -- every entry is split into its generators ---------------------------------

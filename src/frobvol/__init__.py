@@ -67,7 +67,6 @@ from .regions import (
     axis_bounds,
     border_points,
     box_region,
-    check_hypothesis,
     downset_csv,
     escape_set,
     escape_sets,

@@ -61,7 +61,7 @@ from .regions import (
     DEFAULT_BUDGET,
     IdealSequence,
     PFamily,
-    check_hypothesis,
+    containment_exponents,
     downset_csv,
     escape_sets,
     staircase_svg,
@@ -275,13 +275,13 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
     # validate the radical hypothesis up front, citing the offending generator
     if spec.family_levels is None and len(spec.j_parts) > 1:
         for part in spec.j_parts:
-            check_hypothesis(
+            containment_exponents(
                 spec.sequence(),
                 PFamily.frobenius(Ideal(ring, part)),
                 spec.presentation(),
             )
     else:
-        check_hypothesis(spec.sequence(), spec.family(), spec.presentation())
+        containment_exponents(spec.sequence(), spec.family(), spec.presentation())
     return spec
 
 

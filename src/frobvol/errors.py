@@ -47,7 +47,7 @@ class NotPrimaryError(FrobvolError, ValueError):
 
 
 class BudgetExceededError(FrobvolError, RuntimeError):
-    """Enumeration exceeded its budget of membership probes and automaton edges."""
+    """Enumeration exceeded its budget (`regions.BudgetCounter` units)."""
 
     exit_code = 3
 

@@ -34,10 +34,11 @@ sets, containment exponents, the Fedder test) is read from it. A sweep
 links each level's table to the table one level down, so a digit step
 reads its high digits from the smaller normal forms there.
 
-`groebner_basis`, `frobenius_basis` and `power_table` cache what they build
-for the life of the process (`functools.cache`, keyed on the arguments as
-passed, so `f(J)` and `f(J, None)` are separate entries). Each exposes
-`cache_info()` for hit and miss counts and `cache_clear()` to empty its cache.
+`groebner_basis`, `frobenius_basis`, `power_table` and
+`power_containment_index`, the package's only process-wide caches, keep
+what they build for the life of the process (`functools.cache`, keyed on
+the ideals, bases and ints as passed, so `f(J)` and `f(J, None)` are
+separate entries). Each has `cache_info()` and `cache_clear()`.
 A reduced basis is unique, so bases compare and hash by content, and
 `power_table` shares one table among equal level ideals.
 """
@@ -643,24 +644,24 @@ def radical_membership(f: Polynomial, J: Ideal, pres: Ideal | None = None) -> bo
     return gb.contains_one
 
 
+@functools.cache
 def power_containment_index(I: Ideal, J: Ideal, pres: Ideal | None = None) -> int:
-    """Least k >= 1 with I^k contained in J, by incremental search.
+    """Least k >= 1 with I^k contained in J, by incremental search; cached.
 
     Some power lands exactly when every generator of I lies in the radical
-    of J. The search checks that only once it passes 512 powers, so the
-    usual case runs no Buchberger; a generator outside the radical raises
-    HypothesisViolatedError.
+    of J. That is decided first, so the search always ends; a generator
+    outside raises HypothesisViolatedError before any power is built. This
+    is the package's one check of the radical hypothesis.
     """
+    for g in I.gens:
+        if not radical_membership(g, J, pres):
+            raise HypothesisViolatedError(
+                f"generator {g} is not in the radical of {J!r}, so no power of "
+                f"{I!r} lies in it"
+            )
     table = power_table(I, groebner_basis(J, pres))
     k = 1
     while table.power(k):
-        if k == 512:
-            for g in I.gens:
-                if not radical_membership(g, J, pres):
-                    raise HypothesisViolatedError(
-                        f"generator {g} is not in the radical of {J!r}, so no power of "
-                        f"{I!r} lies in it"
-                    )
         k += 1
     return k
 

@@ -37,6 +37,7 @@ from .regions import (
     IdealSequence,
     PFamily,
     _as_budget,
+    _flat,
     box_region,
     containment_exponents,
     escape_set,
@@ -213,9 +214,10 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
 
     The sizes of the sequence and (for t >= 2) of each entry alone come
     from `regions.escape_sizes`. Each row also records the exact gap bound
-    between the two counts; over a polynomial ring the positive-normalized
-    rows must be nondecreasing, and a violation is reported as a bug, not a
-    result.
+    between the two counts; over a polynomial ring with a Frobenius family
+    (`regions._flat`: flat Frobenius and J_{p^(e+1)} = J_{p^e}^[p]) the
+    positive-normalized rows must be nondecreasing, and a violation is
+    reported as a bug, not a result.
     A budget exit or an exponent overflow carries the rows finished before
     it (`_cut_short`).
     """
@@ -238,7 +240,7 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
             gap_notes.append({"e": e, "gap": _digits(gap), "bound": _digits(bound)})
     tvals = [v for _, v in tilde_rows]
     nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))
-    if (pres is None or pres.is_zero) and not nondecreasing:
+    if _flat(fam, pres) and not nondecreasing:
         bad = next(
             (tilde_rows[i][0], tilde_rows[i + 1][0])
             for i in range(len(tvals) - 1)

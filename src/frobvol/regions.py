@@ -15,7 +15,6 @@ ring is counted on its Frobenius-root automaton instead of swept.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -34,15 +33,14 @@ from .groebner import (
     ideal_contains,
     power_containment_index,
     power_table,
-    radical_membership,
 )
 
 DEFAULT_BUDGET = 10**7
 
 
 class BudgetCounter:
-    """Counts membership probes and root-automaton edges; trips loudly
-    instead of hanging."""
+    """Counts sweep probes and root-automaton edges, weight reductions and
+    count bits; trips loudly instead of hanging."""
 
     __slots__ = ("limit", "used")
 
@@ -53,9 +51,7 @@ class BudgetCounter:
     def charge(self, n: int = 1):
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceededError(
-                f"membership-call budget {self.limit} exceeded"
-            )
+            raise BudgetExceededError(f"budget {self.limit} exceeded")
 
 
 def _as_budget(budget) -> BudgetCounter:
@@ -73,7 +69,7 @@ def _as_budget(budget) -> BudgetCounter:
 class IdealSequence:
     """The tuple I_1, ..., I_t; `principal` when every entry has one generator."""
 
-    __slots__ = ("ring", "entries", "_key")
+    __slots__ = ("ring", "entries")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -89,7 +85,6 @@ class IdealSequence:
                 raise BadInputError("sequence entries must be nonzero ideals")
         self.ring = ring
         self.entries = entries
-        self._key = None
 
     @property
     def t(self) -> int:
@@ -108,17 +103,6 @@ class IdealSequence:
             raise BadInputError("cannot truncate a length-1 sequence")
         return IdealSequence(self.entries[:-1])
 
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(I.key() for I in self.entries)
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, IdealSequence) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"IdealSequence{self.entries!r}"
 
@@ -127,14 +111,13 @@ class PFamily:
     """A p-family of reference ideals: Frobenius powers of a fixed ideal, or
     explicitly listed levels J_{p^0}, J_{p^1}, ... (contiguous from 0)."""
 
-    __slots__ = ("ring", "kind", "base", "levels", "_key")
+    __slots__ = ("ring", "kind", "base", "levels")
 
     def __init__(self, ring, kind, base, levels):
         self.ring = ring
         self.kind = kind
         self.base = base
         self.levels = levels
-        self._key = None
 
     @classmethod
     def frobenius(cls, J: Ideal) -> "PFamily":
@@ -196,20 +179,6 @@ class PFamily:
         """J_{p^0}, the reference for the radical hypothesis and bounds."""
         return self.level_ideal(0)
 
-    def key(self) -> tuple:
-        if self._key is None:
-            if self.kind == "frobenius":
-                self._key = ("frobenius", self.base.key())
-            else:
-                self._key = ("explicit", tuple(J.key() for J in self.levels))
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, PFamily) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         if self.kind == "frobenius":
             return f"PFamily.frobenius({self.base!r})"
@@ -220,29 +189,14 @@ class PFamily:
 # Hypothesis checks and finiteness bounds
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def check_hypothesis(seq: IdealSequence, fam: PFamily, pres=None):
-    """Validate that every sequence generator lies in the radical of J_{p^0}.
-
-    Raises HypothesisViolatedError naming the offending generator. Also
-    rejects a unit reference ideal (escape sets need a proper target).
-    Cached: a passing check is not repeated for equal arguments.
-    """
+def containment_exponents(seq: IdealSequence, fam: PFamily, pres=None) -> tuple:
+    """Per-entry least l with I_n^l inside J_{p^0}; drives all finiteness
+    bounds, and is the hypothesis check: it raises HypothesisViolatedError
+    on a unit J_{p^0}, or naming a generator outside its radical
+    (`power_containment_index`, which decides that once per entry)."""
     J0 = fam.base_level()
     if groebner_basis(J0, pres).contains_one:
         raise HypothesisViolatedError("reference ideal must be proper")
-    for n, I in enumerate(seq.entries):
-        for g in I.gens:
-            if not radical_membership(g, J0, pres):
-                raise HypothesisViolatedError(
-                    f"generator {g} of sequence entry {n + 1} is not in the "
-                    f"radical of the level-0 reference ideal"
-                )
-
-
-def containment_exponents(seq: IdealSequence, fam: PFamily, pres=None) -> tuple:
-    """Per-entry least l with I_n^l inside J_{p^0}; drives all finiteness bounds."""
-    J0 = fam.base_level()
     return tuple(power_containment_index(I, J0, pres) for I in seq.entries)
 
 
@@ -265,7 +219,7 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
         raise BadInputError(f"point arity {len(point)} != sequence length {seq.t}")
     if any(a < 0 for a in point):
         raise BadInputError(f"negative exponent in {point}")
-    check_hypothesis(seq, fam, pres)
+    containment_exponents(seq, fam, pres)
     counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     counter.charge()
@@ -314,9 +268,6 @@ class DownSet:
     def points(self) -> list:
         """All points, sorted; intended for export and small-instance oracles."""
         return [b + (a,) for b, top in _down_set_rows(self.max_points) for a in range(top + 1)]
-
-    def is_empty(self) -> bool:
-        return self.size == 0
 
     def __eq__(self, other):
         return (
@@ -389,7 +340,6 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
     rows of level e - 1 if they are there (`_principal_escape_set`), and
     leaves its own in their place. `escape_sets` passes one.
     """
-    check_hypothesis(seq, fam, pres)
     counter = _as_budget(budget)
     if seq.principal:
         return _principal_escape_set(seq, fam, e, pres, counter, carry)
@@ -437,7 +387,7 @@ def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=Non
             # does not compile its module (about 2 ms from source)
             from .automaton import RootAutomaton
 
-            check_hypothesis(seq, fam, pres)
+            containment_exponents(seq, fam, pres)
             automaton = RootAutomaton(seq.entries, fam.level_basis(0, pres), counter)
         if e < 0:
             raise BadLevelError(f"negative level {e}")
@@ -496,11 +446,11 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     there; for one entry it then spans p values (Mustata-Takagi-Watanabe
     2005).
     """
+    bounds = axis_bounds(seq, fam, e, pres)  # checks the hypothesis first
     basis = fam.level_basis(e, pres)
     powers = _power_tables(seq, fam, e, pres)
     t = seq.t
     p = fam.p
-    bounds = axis_bounds(seq, fam, e, pres)
     rows: dict = {}
     lower = None if carry is None else carry.pop(e - 1, None)
     flat = _flat(fam, pres)

@@ -99,6 +99,13 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
      "exponent beyond 2^63-1 (line 4, column 12)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x^4611686018427387904*x^4611686018427387904",
      "exponent beyond 2^63-1 (line 1, column 51)"),
+    # the radical hypothesis, checked once for the family and once for each
+    # part of a union spec, and a unit reference ideal
+    ("volume", "p=2; ring x,y; J: x; seq: y",
+     "generator y is not in the radical of (x), so no power of (y) lies in it"),
+    ("check union_decomposition", "p=3; ring x,y; J: x,y; J: x; seq: x; y+x^2",
+     "generator x^2 + y is not in the radical of (x), so no power of (x^2 + y) lies in it"),
+    ("threshold", "p=2; ring x,y; J: 1; seq: x", "reference ideal must be proper"),
 ])
 def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
     """Each grammar or input error ends the run with exit 2, an empty stdout
@@ -135,6 +142,23 @@ def test_cli_volume(tmp_path):
     assert code == 0
     payload = json.loads(data)
     assert all(row["num"] == "3" and row["den"] == "4" for row in payload["rows"])
+
+
+def test_cli_volume_on_an_explicit_family_above_the_bracket_powers(tmp_path, capsys):
+    """J_(e+1) = (x, y^2) holds J_e^[2] = (x^2, y^4) but is larger, so the
+    positive rows 1, 1/2, 1/4 may fall: the table is written, flagged, with
+    exit 0. The escape set of x^2 + y is [0, 1] at every level."""
+    spec_file = tmp_path / "explicit.spec"
+    spec_file.write_text(
+        "p=2; ring x,y; family: e0: x,y^2; e1: x,y^2; e2: x,y^2; seq: x^2+y; e: 0..2")
+    assert main(["volume", str(spec_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["flags"]["tilde_nondecreasing"] is False
+    assert [(r["num"], r["den"]) for r in payload["rows"]] == [("2", "1"), ("1", "1"), ("1", "2")]
+    assert [(r["num"], r["den"]) for r in payload["rows_tilde"]] == [
+        ("1", "1"), ("1", "2"), ("1", "4")]
 
 
 def test_cli_volume_f_sequence(tmp_path):
@@ -432,7 +456,7 @@ def test_cli_a_large_characteristic_answers_at_once_or_stops_at_the_budget(tmp_p
     spec_file.write_text(f"p={p}; ring x; J: x; seq: x; e: 1..1000000; budget=20000")
     assert main(["threshold", str(spec_file)]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: membership-call budget 20000 exceeded\n"
+    assert captured.err == "error: budget 20000 exceeded\n"
     payload = json.loads(captured.out)
     assert payload["flags"] == {"budget_exceeded": True}
     levels = [row["e"] for row in payload["rows"]]

@@ -326,6 +326,16 @@ def test_power_containment_index(R2):
         power_containment_index(Ideal(R2, [x]), Ideal(R2, [y]))
 
 
+def test_the_hypothesis_is_decided_before_powers_are_built():
+    """No power of y+z+1 lies in (x): the radical test says so before the
+    search builds any power above the first, so the search always ends."""
+    R = PolynomialRing(5, ["x", "y", "z"])
+    I, J = Ideal(R, [R.poly("y+z+1")]), Ideal(R, [R.poly("x")])
+    with pytest.raises(HypothesisViolatedError, match=r"generator y \+ z \+ 1 is not in"):
+        power_containment_index(I, J)
+    assert max(power_table(I, groebner_basis(J)).pows) == 1
+
+
 _CONTAINMENT_TARGETS = (["x", "y"], ["x^2", "y"], ["x^2+y^2", "x*y"])
 
 

@@ -320,6 +320,46 @@ def test_volume_monotone_flag_quotient(R2, m2):
     assert "tilde_nondecreasing" in table.flags
 
 
+@st.composite
+def explicit_family_cases(draw):
+    """(seq, fam, e): one or two principal entries with no constant term
+    from `oracles.random_poly` (degree at most 2) over F_p[x,y], p in
+    {2, 3}, and an explicit monomial p-family with levels 0..3. Level 0
+    holds x^a and y^b (a, b <= 2), so its radical is (x, y); each next
+    level is the bracket p-th power of the one before plus up to two
+    nonconstant monomials, so J_e^[p] lies in J_(e+1) but need not equal
+    it. e <= 1 is the fixed level of the refinement check."""
+    p = draw(st.sampled_from([2, 3]))
+    R = PolynomialRing(p, ["x", "y"])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = [Ideal(R, [random_poly(R, rng, max_degree=2, no_constant=True)])
+               for _ in range(draw(st.integers(1, 2)))]
+    x, y = R.gens()
+    levels = [Ideal(R, [x ** draw(st.integers(1, 2)), y ** draw(st.integers(1, 2))])]
+    for e in range(1, 4):
+        extra = []
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.tuples(st.integers(0, 2 * p**e), st.integers(0, 2 * p**e)))
+            if a or b:
+                extra.append(x ** a * y ** b)
+        levels.append(Ideal(R, list(frobenius_power(levels[-1], p).gens) + extra))
+    return IdealSequence(entries), PFamily.explicit(levels), draw(st.integers(0, 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(explicit_family_cases())
+def test_the_checkers_hold_on_explicit_families(case):
+    """On an explicit family the volume table raises nothing: the gap bound
+    holds, and the positive rows need not rise, since J_(e+1) may be larger
+    than J_e^[p]. The plain rows never rise in any ring or family:
+    V_(e+1) lies in p * V_e + [0, p)^t. The level refinement bound holds."""
+    seq, fam, e = case
+    table = volume_table(seq, fam, range(4))
+    values = [v for _, v in table.rows]
+    assert all(a >= b for a, b in zip(values, values[1:])), table.rows
+    assert check_level_refinement_bound(seq, fam, e, 1, 1).ok
+
+
 def test_volume_json_schema(R2, m2):
     table = volume_table(seq_of(R2, ["x"], ["y^2"]), PFamily.frobenius(m2), range(1, 3))
     payload = json.loads(table.to_json())

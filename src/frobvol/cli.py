@@ -61,7 +61,6 @@ from .regions import (
     DEFAULT_BUDGET,
     IdealSequence,
     PFamily,
-    containment_exponents,
     downset_csv,
     escape_sets,
     staircase_svg,
@@ -168,12 +167,13 @@ def _statements(text: str) -> list:
 
 
 def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
-    """Parse and fully validate a problem spec.
+    """Parse a problem spec.
 
     Raises SpecParseError / PolyParseError with positions, NonPrimeError for a
-    composite p, and HypothesisViolatedError when a sequence generator is not
-    in the radical of the level-0 reference ideal. A polynomial error names
-    the offending text; any other error names its statement.
+    composite p, and BadInputError for family levels that are not a p-family.
+    A polynomial error names the offending text; any other error names its
+    statement. The radical hypothesis is not checked here: each command that
+    reads the sequence against J checks it through `containment_exponents`.
     """
     found = {}
     j_parts_raw = []
@@ -272,16 +272,8 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
             raise SpecParseError("budget must be positive", line_b, col_b)
 
     spec = ProblemSpec(ring, present, j_parts, family_levels, seq_entries, e_lo, e_hi, budget)
-    # validate the radical hypothesis up front, citing the offending generator
-    if spec.family_levels is None and len(spec.j_parts) > 1:
-        for part in spec.j_parts:
-            containment_exponents(
-                spec.sequence(),
-                PFamily.frobenius(Ideal(ring, part)),
-                spec.presentation(),
-            )
-    else:
-        containment_exponents(spec.sequence(), spec.family(), spec.presentation())
+    if family_levels is not None:
+        spec.family()  # a family whose levels are not a p-family is malformed input
     return spec
 
 

@@ -18,15 +18,16 @@ a divisor's tail carries each term's key offset from its leading monomial
 `GroebnerBasis.reduce_products` is the product kernel of every power and
 every prefix product of an escape-set sweep: the distinct nonzero normal
 forms of all pairwise products of two polynomial lists, each formed by one
-pass of `GroebnerBasis._product`. On a monomial basis that pass multiplies
-and truncates, so no term inside the ideal is ever stored, and a product
-with a one-term factor is a shift whose survivors are kept as formed; on any
-other basis it forms the full product and hands it to `_divide`. A digit
-step of a power table is the same pass with the high factor's exponents
-scaled by p. `GroebnerBasis.meets` is the membership probe: whether some such
-product lies outside the ideal. It is the same pass, with one private early
-exit: a shift on a monomial basis returns at its first surviving term.
-So `_product` is the one loop here that multiplies two polynomials.
+`GroebnerBasis._product`. On a monomial basis that is one
+`PolynomialRing.multiply` cut by the leading monomials, so no term inside
+the ideal is ever stored; on any other basis the full product goes to
+`_divide`. A digit step of a power table is the same call with the high
+factor's exponents scaled by p. `GroebnerBasis.meets` is the membership
+probe: whether some such product lies outside the ideal. It is the same
+call, with one early exit: a shift on a monomial basis returns at its first
+surviving term. `_product` only chooses between fused truncation and
+`_divide`; the product loop itself is `PolynomialRing.multiply`, shared
+with `Polynomial.__mul__` and `Polynomial.frobenius`.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
@@ -181,64 +182,17 @@ class GroebnerBasis:
 
     def _product(self, u: dict, v: dict, q: int = 1, _first: bool = False) -> dict:
         """NF(u^[q] * v) as a coefficient map, for the coefficient maps u and
-        v of two polynomials and q = 1 or p. u^[q] is u with its exponents
-        scaled by q, which is u^p when q = p (c^p = c in F_p); the scaling
-        raises `ExponentOverflowError` where `Polynomial.frobenius` would,
-        against the ring's `frobenius_limit`.
-
-        Every monomial field holds at most MAX_EXPONENT, so a field of a
-        packed product sets its guard bit exactly when it overflows; every
-        distinct product monomial is checked when first formed. On a
-        monomial basis the product and the reduction are fused: a term
-        inside the ideal is dropped as soon as it is formed, and the
-        survivors' coefficients are reduced mod p, dropping those that
-        vanish. When one factor has one term the product is a shift of the
-        other: its monomials are distinct and its coefficients nonzero,
-        because p is prime, so each survivor is kept as it is formed, with
-        no lookup of earlier terms, and with `_first` (only `meets` passes
-        it) the pass returns at the first survivor, whose presence settles
-        that the product is nonzero. On any other basis the full product
-        goes to `_divide`. The kept monomials are ints allocated in this
-        pass, so a power table that keeps them holds no int shared with a
-        factor or with the pass's garbage.
+        v of two polynomials and q = 1 or p: one `PolynomialRing.multiply`.
+        On a monomial basis the product and the reduction are fused: the
+        leading monomials are the cut, so no term inside the ideal is
+        stored, and with `_first` (only `meets` passes it) a shift returns
+        at its first survivor. On any other basis the full product goes to
+        `_divide`.
         """
         ring = self.ring
-        p, guard, limit = ring.p, ring.guard, ring.frobenius_limit
-        cut = self.leading_monomials if self.is_monomial else ()
-        shift = self.is_monomial and (len(u) == 1 or len(v) == 1)
-        stop = shift and _first
-        acc = {}
-        dead = set()
-        for m1, c1 in u.items():
-            if q != 1:
-                if (limit - m1) & guard != guard:
-                    raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
-                m1 *= q
-            for m2, c2 in v.items():
-                m = m1 + m2
-                if not shift:
-                    c = acc.get(m)
-                    if c is not None:
-                        acc[m] = c + c1 * c2
-                        continue
-                    if m in dead:
-                        continue
-                if m & guard:
-                    raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
-                g = m | guard
-                for lm in cut:
-                    if (g - lm) & guard == guard:
-                        dead.add(m)
-                        break
-                else:
-                    if stop:
-                        return {m: c1 * c2 % p}
-                    acc[m] = c1 * c2
-        if shift:
-            return {m: c % p for m, c in acc.items()}
         if self.is_monomial:
-            return {m: c % p for m, c in acc.items() if c % p}
-        return dict(_divide(acc, self.leading_monomials, self._tails, ring))
+            return ring.multiply(u, v, q, self.leading_monomials, _first)
+        return dict(_divide(ring.multiply(u, v, q), self.leading_monomials, self._tails, ring))
 
     def meets(self, left, right) -> bool:
         """Whether some product u*v, u in `left` and v in `right`, lies
@@ -542,12 +496,13 @@ class PowerTable:
         L', then in characteristic p, g^p = f^(ap) + h^p and h^p lies in
         L'^[p], which lies in L (and L' = L is the case without `below`).
         Normal forms are unique, so either route gives the same entry.
-        The step is one pass of `GroebnerBasis._product` on every basis:
-        g's exponents are scaled by p inside the product loop, against the
-        ring's `frobenius_limit`, and the product is truncated or divided as
-        it is formed. g is scaled even when NF(f^(k%p)) is 0, so an exponent
-        overflow raises exactly where g^p would. The kept monomials are
-        allocated in that pass, so the table pins no product garbage.
+        The step is one `GroebnerBasis._product` on every basis: g's
+        exponents are scaled by p inside `PolynomialRing.multiply`, against
+        the ring's `frobenius_limit`, and the product is truncated as it is
+        formed or then divided. g is scaled even when NF(f^(k%p)) is 0, so
+        an exponent overflow raises exactly where g^p would. The kept
+        monomials are allocated in that call, so the table pins no product
+        garbage.
         Every other power takes the step I^k = I^(k-1) * I; for several
         generators (I^a)^[p] is only contained in I^(ap), so the digit step
         does not apply. `regions.escape_set` splits its entries into their

@@ -7,10 +7,18 @@ ints, and overflow and divisibility are read off the guard bits of the
 fields. Exponent tuples appear only at the edges: `from_dict` and `monomial`
 take them, and printing goes through `PolynomialRing.unpack`; the parser
 multiplies one-term polynomials. The characteristic is the int `ring.p`.
+
+`PolynomialRing.multiply` is the package's one product loop, and the one
+place that scales exponents by q: `Polynomial.__mul__`, `Polynomial.frobenius`
+and `GroebnerBasis._product` (every power, probe, prefix product and digit
+step) each make one call to it, and its guard-bit checks raise every
+`ExponentOverflowError` of a product or a Frobenius power.
+
 Monomial orders rank exponent tuples; `PolynomialRing.key` ranks a packed
-monomial by them. Order keys are ints, affine in the exponents, so a kernel
-can negate them for a min-heap and move a shifted term's key by a fixed
-offset. All values are hashable and safe to share once constructed.
+monomial by the key of its unpacked exponents. Order keys are ints, affine
+in the exponents, so a kernel can negate them for a min-heap and move a
+shifted term's key by a fixed offset. All values are hashable and safe to
+share once constructed.
 """
 
 from __future__ import annotations
@@ -161,7 +169,7 @@ class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order; p is a prime in [2, 2^31)."""
 
     __slots__ = ("p", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
-                 "frobenius_limit", "_top", "_pairs")
+                 "frobenius_limit")
 
     def __init__(self, p: int, variables, order="grevlex"):
         if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
@@ -187,10 +195,6 @@ class PolynomialRing:
         self._packer = struct.Struct(f"<{len(variables)}Q")
         self.guard = self.pack((MAX_EXPONENT + 1,) * len(variables))
         self.frobenius_limit = self.scale_limit(self.p)
-        # a grevlex key is read off the packed int (`key`); 0 means unpack
-        n = len(variables)
-        self._top = 64 * n if type(order) is GRevLex else 0
-        self._pairs = sum(((1 << 64) - 1) << 128 * i for i in range((n + 1) // 2))
 
     @property
     def nvars(self) -> int:
@@ -262,15 +266,67 @@ class PolynomialRing:
         return self._packer.unpack(packed.to_bytes(self._packer.size, "little"))
 
     def key(self, packed: int) -> int:
-        """Order key of a packed monomial; larger key means larger monomial.
-        The grevlex key of m of degree d is ((d + 1) << 64n) - m - 1; d sums
-        the fields in pairs, in 128-bit blocks, modulo 2^128 - 1, which stays
-        exact where three fields near 2^63 would wrap modulo 2^64 - 1."""
-        if self._top:
-            pairs = self._pairs
-            degree = ((packed & pairs) + (packed >> 64 & pairs)) % ((1 << 128) - 1)
-            return ((degree + 1) << self._top) - packed - 1
+        """Order key of a packed monomial; larger key means larger monomial."""
         return self.order.key(self.unpack(packed))
+
+    def multiply(self, u: dict, v: dict, q: int = 1, cut=(), first: bool = False) -> dict:
+        """The coefficient map of u^[q] * v without the terms that a packed
+        monomial of `cut` divides, for the coefficient maps u and v of two
+        polynomials and q >= 1. u^[q] is u with its exponents scaled by q,
+        which is u^q when q is a power of p (c^p = c in F_p). Scaling a
+        monomial past MAX_EXPONENT raises `ExponentOverflowError`, checked
+        against `frobenius_limit` when q = p and `scale_limit(q)` otherwise.
+
+        Every monomial field holds at most MAX_EXPONENT, so a field of a
+        packed product sets its guard bit exactly when it overflows; every
+        distinct product monomial is checked when first formed. A term that
+        a monomial of `cut` divides is dropped as soon as it is formed, so
+        a truncated product never stores it, and the survivors'
+        coefficients are reduced mod p, dropping those that vanish. When
+        one factor has one term the product is a shift of the other: its
+        monomials are distinct and its coefficients nonzero, because p is
+        prime, so each survivor is kept as it is formed, with no lookup of
+        earlier terms, and with `first` the pass returns at the first
+        survivor, whose presence settles that the product is nonzero. The
+        kept monomials are ints allocated in this pass, so a table that
+        keeps them holds no int shared with a factor or with the pass's
+        garbage.
+        """
+        p, guard = self.p, self.guard
+        if q != 1:
+            limit = self.frobenius_limit if q == p else self.scale_limit(q)
+        shift = len(u) == 1 or len(v) == 1
+        stop = shift and first
+        acc = {}
+        dead = set()
+        for m1, c1 in u.items():
+            if q != 1:
+                if (limit - m1) & guard != guard:
+                    raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
+                m1 *= q
+            for m2, c2 in v.items():
+                m = m1 + m2
+                if not shift:
+                    c = acc.get(m)
+                    if c is not None:
+                        acc[m] = c + c1 * c2
+                        continue
+                    if m in dead:
+                        continue
+                if m & guard:
+                    raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
+                g = m | guard
+                for lm in cut:
+                    if (g - lm) & guard == guard:
+                        dead.add(m)
+                        break
+                else:
+                    if stop:
+                        return {m: c1 * c2 % p}
+                    acc[m] = c1 * c2
+        if shift:
+            return {m: c % p for m, c in acc.items()}
+        return {m: c % p for m, c in acc.items() if c % p}
 
     def poly(self, text: str, line: int = 1, column: int = 1) -> "Polynomial":
         return parse_polynomial(text, self, line=line, column=column)
@@ -394,8 +450,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: p - c for m, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -409,38 +464,17 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.ring.p
-            if c == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: (v * c) % self.ring.p for m, v in self.coeffs.items()})
+            other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        if not self.coeffs or not other.coeffs:
-            return self.ring.zero()
-        p, guard = self.ring.p, self.ring.guard
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        # fields hold at most MAX_EXPONENT, so a sum sets a guard bit exactly
-        # where it overflows and never carries into the next field
-        if any(m & guard for m in out):
-            raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
-        return Polynomial(self.ring, {m: v % p for m, v in out.items() if v % p})
+        return Polynomial(self.ring, self.ring.multiply(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def frobenius(self, q: int) -> "Polynomial":
         """Image under x_i -> x_i^q; equals self**q when q is a power of p."""
-        if q == 1:
-            return self
-        ring = self.ring
-        limit = ring.scale_limit(q)
-        if any((limit - m) & ring.guard != ring.guard for m in self.coeffs):
-            raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
-        return Polynomial(ring, {m * q: c for m, c in self.coeffs.items()})
+        return Polynomial(self.ring, self.ring.multiply(self.coeffs, {0: 1}, q))
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:

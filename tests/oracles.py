@@ -3,7 +3,9 @@
 Nothing here shares code paths with the fast implementations: membership is
 decided by degree-bounded linear algebra over F_p, escape sets by exhaustive
 cell-by-cell ideal containment built from raw generator products, staircase
-counts by enumerating a bounding box.
+counts by enumerating a bounding box. Products, powers and bracket powers are
+formed term by term on exponent tuples (`product`) and canonicalized by
+`PolynomialRing.from_dict`, never by the packed product loop.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 from frobvol.groebner import (
     Ideal,
     _dedup,
-    frobenius_power,
     groebner_basis,
     ideal_contains,
 )
@@ -25,12 +26,61 @@ def ideal_equal(a: Ideal, b: Ideal, pres: Ideal | None = None) -> bool:
     return ideal_contains(a, b, pres) and ideal_contains(b, a, pres)
 
 
+def exponents(f) -> dict:
+    """The terms of f keyed on exponent tuples instead of packed monomials."""
+    return {f.ring.unpack(m): c for m, c in f.coeffs.items()}
+
+
+def product(f, g, q: int = 1):
+    """f^[q] * g, term by term on exponent tuples, where f^[q] is f with
+    every exponent scaled by q. An exponent past 2^63 - 1 raises in
+    `from_dict`, whatever its coefficient."""
+    raw = {}
+    right = exponents(g).items()
+    for a, c in exponents(f).items():
+        a = [q * x for x in a]
+        for b, d in right:
+            m = tuple(map(int.__add__, a, b))
+            raw[m] = raw.get(m, 0) + c * d
+    return f.ring.from_dict(raw)
+
+
+def bracket_power(f, q: int):
+    """f with every exponent scaled by q: f^q when q is a power of p."""
+    return product(f, f.ring.one(), q)
+
+
+def power(f, k: int):
+    """f^k from the base-p digits d_i of k: the product of the bracket
+    powers (f^d_i)^[p^i], each f^d_i by repeated multiplication."""
+    p = f.ring.p
+    result, q = f.ring.one(), 1
+    while k:
+        k, d = divmod(k, p)
+        result = product(naive_power(f, d), result, q)
+        q *= p
+    return result
+
+
+def naive_power(f, k: int):
+    """Repeated multiplication, no Frobenius shortcut."""
+    result = f.ring.one()
+    for _ in range(k):
+        result = product(result, f)
+    return result
+
+
+def bracket_ideal(J: Ideal, q: int) -> Ideal:
+    """The bracket power J^[q] on generators."""
+    return Ideal(J.ring, [bracket_power(g, q) for g in J.gens])
+
+
 def ideal_product(*ideals: Ideal) -> Ideal:
     """The product on generator sets, deduplicated; one ring throughout."""
     ring = ideals[0].ring
     gens = [ring.one()]
     for I in ideals:
-        gens = list(_dedup(u * v for u in gens for v in I.gens))
+        gens = list(_dedup(product(u, v) for u in gens for v in I.gens))
     return Ideal(ring, gens)
 
 
@@ -41,10 +91,10 @@ def ideal_power(I: Ideal, a: int) -> Ideal:
     sq = I.gens
     while a:
         if a & 1:
-            result = _dedup(u * v for u in result for v in sq)
+            result = _dedup(product(u, v) for u in result for v in sq)
         a >>= 1
         if a:
-            sq = _dedup(u * v for u in sq for v in sq)
+            sq = _dedup(product(u, v) for u in sq for v in sq)
     return Ideal(ring, result)
 
 
@@ -56,11 +106,6 @@ def region_volume(ds) -> Fraction:
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True when x^a divides x^b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def exponents(f) -> dict:
-    """The terms of f keyed on exponent tuples instead of packed monomials."""
-    return {f.ring.unpack(m): c for m, c in f.coeffs.items()}
 
 
 def monomials_up_to(nvars: int, degree: int):
@@ -155,7 +200,7 @@ def brute_force_nu(I: Ideal, J: Ideal, e: int, pres=None) -> int:
     """Largest k with I^k outside J^[p^e], from raw generator-set powers
     tested for k = 0, 1, ... until one lies inside (containment is
     monotone in k)."""
-    Jq = frobenius_power(J, I.ring.p ** e)
+    Jq = bracket_ideal(J, I.ring.p ** e)
     k = 0
     while not ideal_contains(ideal_power(I, k), Jq, pres):
         k += 1
@@ -168,8 +213,8 @@ def brute_force_escape_points(seq, fam, e: int, pres=None) -> set:
     Each cell is decided from scratch: raw generator-set powers, raw pairwise
     products, containment through a Groebner basis of the level ideal.
     """
-    level = fam.level_ideal(e)
     q = fam.p ** e
+    level = bracket_ideal(fam.base, q) if fam.kind == "frobenius" else fam.level_ideal(e)
     bounds = []
     for I in seq.entries:
         ell = brute_force_ell(I, fam.base_level(), pres)
@@ -220,14 +265,6 @@ def downset_size_inclusion_exclusion(max_points) -> int:
                 size *= v + 1
             total += (-1) ** (r + 1) * size
     return total
-
-
-def naive_power(f, k: int):
-    """Repeated multiplication, no Frobenius shortcut."""
-    result = f.ring.one()
-    for _ in range(k):
-        result = result * f
-    return result
 
 
 def random_poly(ring, rng, max_degree=3, max_terms=3, no_constant=False):

@@ -37,9 +37,20 @@ def test_parse_rejects_nonprime():
         parse_spec("p=4; ring x,y; J: x,y; seq: x; e: 1..2")
 
 
-def test_parse_rejects_radical_violation():
-    with pytest.raises(HypothesisViolatedError):
-        parse_spec("p=2; ring x,y; J: x; seq: y; e: 1..2")
+def test_the_radical_hypothesis_is_checked_by_the_commands_not_the_parser(tmp_path, capsys):
+    """`parse_spec` only parses. `containment_exponents`, which every command
+    that reads the sequence against J calls, raises; `hk` reads only J and
+    `fedder` tests against m, so both answer a sequence outside the radical."""
+    spec = parse_spec("p=2; ring x,y; J: x; seq: y; e: 1..2")
+    with pytest.raises(HypothesisViolatedError,
+                       match=r"^generator y is not in the radical of \(x\), so no power"):
+        regions.containment_exponents(spec.sequence(), spec.family(), spec.presentation())
+    spec_file = tmp_path / "outside.spec"
+    spec_file.write_text("p=3; ring x,y; J: x,y; seq: y+1; e: 1..2")
+    for command in ("hk", "fedder"):
+        assert main([command, str(spec_file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["kind"] == command
 
 
 def test_parse_syntax_errors():
@@ -99,8 +110,8 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
      "exponent beyond 2^63-1 (line 4, column 12)"),
     ("threshold", "p=2; ring x,y; J: x,y; seq: x^4611686018427387904*x^4611686018427387904",
      "exponent beyond 2^63-1 (line 1, column 51)"),
-    # the radical hypothesis, checked once for the family and once for each
-    # part of a union spec, and a unit reference ideal
+    # the radical hypothesis, checked by the command for the family and for
+    # each part of a union spec, and a unit reference ideal
     ("volume", "p=2; ring x,y; J: x; seq: y",
      "generator y is not in the radical of (x), so no power of (y) lies in it"),
     ("check union_decomposition", "p=3; ring x,y; J: x,y; J: x; seq: x; y+x^2",
@@ -495,7 +506,7 @@ def test_cli_hk_keeps_its_rows_on_an_exponent_overflow(tmp_path, capsys):
         (e, "1", "1") for e in range(1, 23)]
 
 
-def test_cli_threshold_searches_containment_past_512_powers(tmp_path, capsys):
+def test_cli_threshold_searches_600_powers_for_containment(tmp_path, capsys):
     """x^k lies in (x^(600q), y^q) exactly when k >= 600q, so the row bound
     of level 0 needs 600 powers of x; nu(q) = 600q - 1."""
     spec_file = tmp_path / "deep.spec"

@@ -55,6 +55,7 @@ from oracles import (
     ideal_power,
     least_uncovered,
     monomial_escape_rows,
+    power,
     random_poly,
     region_volume,
     rows_summary,
@@ -589,7 +590,7 @@ def power_cases(draw, ngens, max_k=None):
 @given(power_cases(ngens=1))
 def test_principal_entry_power_matches_direct_power(case):
     table, I, k = case
-    assert table.power(k) == _dedup([table.basis.reduce(I.gens[0] ** k)])
+    assert table.power(k) == _dedup([table.basis.reduce(power(I.gens[0], k))])
 
 
 # ideal_power of two generators grows fast, so k stays small but crosses p

@@ -9,14 +9,16 @@ from frobvol.errors import (
     PolyParseError,
     RingMismatchError,
 )
+from frobvol.groebner import Ideal, groebner_basis
 from frobvol.ring import (
     MAX_EXPONENT,
     EliminationOrder,
     GRevLex,
     Lex,
+    Polynomial,
     PolynomialRing,
 )
-from oracles import naive_power, random_poly
+from oracles import bracket_power, exponents, naive_power, product, random_poly
 
 
 def test_ring_characteristic_is_a_checked_prime():
@@ -64,9 +66,88 @@ def test_power_matches_naive_and_frobenius():
             f = random_poly(ring, rng)
             for e in range(5):
                 q = p**e
-                assert f**q == f.frobenius(q)
+                assert f**q == f.frobenius(q) == bracket_power(f, q)
             for k in (0, 1, 2, 3, 5, p, p * 2, p**2):
                 assert f**k == naive_power(f, k)
+
+
+@st.composite
+def product_loop_cases(draw):
+    """(f, g, c, monomial basis, general basis) over F_p[x_1..x_n], p in
+    {2, 3, 5, 7} and n <= 3. An exponent is small or within a few of
+    2^63 - 1, of (2^63 - 1)/p or of (2^63 - 1)/p^2; c is an int. The
+    monomial basis may hold such exponents. The general basis is principal:
+    a leading monomial with one such exponent, so a division takes few
+    steps, over one or two small terms."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    R = PolynomialRing(p, ["x", "y", "z"][:nvars])
+    near = st.builds(lambda a, d: min(a + d, MAX_EXPONENT),
+                     st.sampled_from([MAX_EXPONENT, MAX_EXPONENT // p, MAX_EXPONENT // p**2]),
+                     st.integers(-3, 3))
+    small = st.tuples(*[st.integers(0, 3)] * nvars)
+    mono = st.tuples(*[st.one_of(st.integers(0, 3), near)] * nvars)
+
+    def poly(monos, min_size=1):
+        return R.from_dict(draw(st.dictionaries(monos, st.integers(1, p - 1),
+                                                min_size=min_size, max_size=3)))
+
+    f, g, c = poly(mono), poly(mono), draw(st.integers(-2 * p, 2 * p))
+    monomial = groebner_basis(Ideal(R, [R.from_dict({m: 1}) for m in draw(
+        st.lists(st.one_of(small, mono), min_size=1, max_size=3))]))
+    lead = list(draw(mono))
+    lead[draw(st.integers(0, nvars - 1))] = draw(near)
+    general = groebner_basis(Ideal(R, [R.monomial(lead) + poly(small)]))
+    return f, g, c, monomial, general
+
+
+def _outcome(call):
+    """The polynomial `call` returns, or the message of its exponent overflow."""
+    try:
+        return call()
+    except ExponentOverflowError as exc:
+        return str(exc)
+
+
+def _first_overflow(f, g, q):
+    """The message for f^[q] * g at its first term past 2^63 - 1, taking the
+    terms of f in order and, under each, the scaled term and then its
+    products with the terms of g in order; None when no term passes."""
+    for a in exponents(f):
+        if max(a) * q > MAX_EXPONENT:
+            return f"exponent beyond 2^63-1 scaling by {q}"
+        for b in exponents(g):
+            if max(q * x + y for x, y in zip(a, b)) > MAX_EXPONENT:
+                return "exponent beyond 2^63-1 in a product"
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(product_loop_cases())
+def test_products_and_bracket_powers_match_the_oracle_up_to_the_exponent_ceiling(case):
+    """f * g, f * c, f^[p], f^[p^2] and one product step on a monomial and on
+    a general basis each equal the oracle's product on exponent tuples (the
+    basis's normal form of it), or raise where its first term passes 2^63 - 1,
+    with the message of that term: a scaled exponent of f or a product."""
+    f, g, c, monomial, general = case
+    R, p = f.ring, f.ring.p
+
+    def expected(left, right, q=1, basis=None):
+        message = _first_overflow(left, right, q)
+        if message is not None:
+            return message
+        if basis is None:
+            return product(left, right, q)
+        return _outcome(lambda: basis.reduce(product(left, right, q)))
+
+    assert _outcome(lambda: f * g) == expected(f, g)
+    assert _outcome(lambda: f * c) == expected(f, R.constant(c))
+    for q in (p, p * p):
+        assert _outcome(lambda: f.frobenius(q)) == expected(f, R.one(), q)
+    for basis in (monomial, general):
+        for q in (1, p):
+            got = _outcome(lambda: Polynomial(R, basis._product(f.coeffs, g.coeffs, q)))
+            assert got == expected(f, g, q, basis)
 
 
 def test_ring_axioms_random():
@@ -117,9 +198,9 @@ _EXPONENTS = st.one_of(st.integers(0, 12), st.integers(MAX_EXPONENT - 12, MAX_EX
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.sampled_from(["grevlex", "lex", "elim"]), st.lists(_EXPONENTS, min_size=n, max_size=n))))
 def test_a_packed_key_is_the_order_key_of_its_exponents(case):
-    """`PolynomialRing.key` reads a grevlex key off the packed int, and its
-    degree stays exact where three or more fields near 2^63 add up past
-    2^64 - 1; lex and elimination keys rank the unpacked exponents."""
+    """`PolynomialRing.key` of a packed monomial is the order key of its
+    exponents: pack and unpack round-trip every exponent up to 2^63 - 1, in
+    every field, under grevlex, lex and elimination orders."""
     kind, exps = case
     names = ["x", "y", "z", "u"][:len(exps)]
     if kind == "elim":
@@ -134,6 +215,8 @@ def test_a_packed_key_is_the_order_key_of_its_exponents(case):
 
 
 def test_a_grevlex_key_past_two_to_the_64_is_exact():
+    """`GRevLex.key` stays exact and ordered where the degree of three
+    fields near 2^63 passes 2^64 - 1."""
     R = PolynomialRing(2, ["x", "y", "z"])
     top, near = (MAX_EXPONENT,) * 3, (MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT - 1)
     assert sum(top) > 2**64

@@ -8,37 +8,39 @@ Michigan Math. J. 57, 2008). Write a = q h + r with r in [0, q)^t and the
 digit vectors of r as d_0, d_1, ... from the lowest; with K_0 = (1) and
 K_(j+1) = (K_j f^(d_j))^[1/p], f^a escapes J^[q] exactly when f^h K_e does
 not lie in J. So |V_e| = sum over the states K of c_e(K) w(K), where
-c_e(K) digit strings lead to K and w(K) = #{h : f^h K not in J}. A state
-is a reduced Groebner basis, so equal ideals are one state, and there are
-finitely many: their generators have degree at most the sum of the
-deg f_i (ibid.), the p-fractal of Monsky-Teixeira (J. Algebra 280, 2004).
+c_e(K) digit strings lead to K and w(K) = #{h : f^h K not in J}, a
+level-0 escape set, swept from K (`regions._principal_escape_set`). A
+state is a reduced Groebner basis, so equal ideals are one state, and
+there are finitely many: their generators have degree at most the sum of
+the deg f_i (ibid.), the p-fractal of Monsky-Teixeira (J. Algebra 280,
+2004).
 """
 
 from __future__ import annotations
 
-import itertools
 from math import prod
 
-from .groebner import GroebnerBasis, buchberger, power_table
+from .groebner import GroebnerBasis, buchberger
+from .regions import IdealSequence, _principal_escape_set
 from .ring import Polynomial
 
 
 class RootAutomaton:
-    """The automaton of the principal `entries` against the ideal J of
-    `basis`. Counts are pushed level by level from the states reached, so
-    only those states are explored, and only the last level's counts are
-    kept. All the work is charged to `counter`: each new edge (one root
-    and one `buchberger`), each reduction a weight makes, and each count
+    """The automaton of the principal `entries` against the Frobenius
+    family `fam`. Counts are pushed level by level from the states reached,
+    so only those states are explored, and only the last level's counts
+    are kept. All the work is charged to `counter`: each new edge (one root
+    and one `buchberger`), each probe of a weight's sweep, and each count
     pushed from a state to a target, once per bit of the count, since the
     rows of a level are as long as its counts. The sub-sequence of the
     entries in a bitmask T walks the same edges with digits zero off T,
     and the positive size is the inclusion-exclusion of the sub-sequences'
     sizes."""
 
-    def __init__(self, entries, basis: GroebnerBasis, counter):
-        self.ring, self.basis, self.counter = basis.ring, basis, counter
+    def __init__(self, entries, fam, counter):
+        self.entries, self.fam, self.counter = entries, fam, counter
+        self.ring, self.basis = fam.ring, fam.level_basis(0)
         self.gens = [I.gens[0] for I in entries]
-        self.tables = [power_table(I, basis) for I in entries]
         unit = GroebnerBasis(self.ring, [self.ring.one()])
         self.states = {unit: 0}
         self.bases = [unit]
@@ -134,24 +136,16 @@ class RootAutomaton:
 
     def weight(self, k: int, T: int) -> int:
         """#{h in N^T : f^h K not in J} for the state K = k: the level-0
-        escape set of the sub-sequence T with K as its prefix, each axis
-        read from its entry's power table modulo J."""
+        escape set of the sub-sequence T swept from K's normal forms modulo
+        J (`regions._principal_escape_set`). The sweep assumes that its
+        empty prefix escapes, so a K inside J, whose weight is 0, is told
+        by one probe charged before it."""
         if (k, T) not in self.weights:
-            basis = self.basis
-            axes = [table for j, table in enumerate(self.tables) if T >> j & 1]
-
-            def count(i: int, polys) -> int:
-                if i == len(axes):
-                    return 1
-                total = 0
-                for h in itertools.count():
-                    self.counter.charge()
-                    below = basis.reduce_products(polys, axes[i].power(h))
-                    if not below:
-                        return total
-                    total += count(i + 1, below)
-
-            self.weights[k, T] = count(0, self.bases[k].polys)
+            self.counter.charge()
+            start = self.basis.reduce_products(self.bases[k].polys, (self.ring.one(),))
+            sub = IdealSequence(I for j, I in enumerate(self.entries) if T >> j & 1)
+            self.weights[k, T] = _principal_escape_set(
+                sub, self.fam, 0, None, self.counter, start=start).size if start else 0
         return self.weights[k, T]
 
 

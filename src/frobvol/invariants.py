@@ -199,7 +199,7 @@ def threshold_table(I: Ideal, J: Ideal, levels, pres=None, budget=None) -> Estim
         for e, size, _, _ in escape_sizes(IdealSequence([I]), PFamily.frobenius(J), levels, pres,
                                           budget):
             rows.append((e, Fraction(size - 1, p ** e)))
-    vals = [v for _, v in rows]
+    vals = [v for _, v in sorted(rows)]
     return _finished("threshold", p, 1, rows,
                      nondecreasing=all(a <= b for a, b in zip(vals, vals[1:])))
 
@@ -216,8 +216,8 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
     from `regions.escape_sizes`. Each row also records the exact gap bound
     between the two counts; over a polynomial ring with a Frobenius family
     (`regions._flat`: flat Frobenius and J_{p^(e+1)} = J_{p^e}^[p]) the
-    positive-normalized rows must be nondecreasing, and a violation is
-    reported as a bug, not a result.
+    positive-normalized rows must be nondecreasing in level order, and a
+    violation is reported as a bug, not a result.
     A budget exit or an exponent overflow carries the rows finished before
     it (`_cut_short`).
     """
@@ -238,17 +238,14 @@ def volume_table(seq: IdealSequence, fam: PFamily, levels, pres=None,
                     witness=(e, gap, bound),
                 )
             gap_notes.append({"e": e, "gap": _digits(gap), "bound": _digits(bound)})
-    tvals = [v for _, v in tilde_rows]
-    nondecreasing = all(a <= b for a, b in zip(tvals, tvals[1:]))
+    tilde_rows.sort()  # judged in level order, whatever order the levels came in
+    gap_notes.sort(key=lambda note: note["e"])
+    steps = list(zip(tilde_rows, tilde_rows[1:]))
+    nondecreasing = all(a <= b for (_, a), (_, b) in steps)
     if _flat(fam, pres) and not nondecreasing:
-        bad = next(
-            (tilde_rows[i][0], tilde_rows[i + 1][0])
-            for i in range(len(tvals) - 1)
-            if tvals[i] > tvals[i + 1]
-        )
         raise TheoremViolationError(
             "positive-normalized volume rows decreased over a polynomial ring",
-            witness=bad,
+            witness=next((d, e) for (d, a), (e, b) in steps if a > b),
         )
     return _finished("volume", p, t, rows, tilde_rows,
                      tilde_nondecreasing=nondecreasing, gap_bounds=gap_notes)
@@ -336,9 +333,11 @@ def fpure_ci_label(f_seq, e_max: int, pres=None):
     means volume rows of exactly 1 up to e_max. Requires a polynomial
     ambient ring.
     """
+    f_seq = list(f_seq)
+    if not f_seq:
+        raise BadInputError("need at least one element")
     if pres is not None and not pres.is_zero:
         return None
-    f_seq = list(f_seq)
     ring = f_seq[0].ring
     if (
         is_parameter_sequence(f_seq, pres)

@@ -39,8 +39,8 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetCounter:
-    """Counts sweep probes and root-automaton edges, weight reductions and
-    count bits; trips loudly instead of hanging."""
+    """Counts sweep probes and the root automaton's edges and count bits
+    (its weights are sweeps); trips loudly instead of hanging."""
 
     __slots__ = ("limit", "used")
 
@@ -388,7 +388,7 @@ def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=Non
             from .automaton import RootAutomaton
 
             containment_exponents(seq, fam, pres)
-            automaton = RootAutomaton(seq.entries, fam.level_basis(0, pres), counter)
+            automaton = RootAutomaton(seq.entries, fam, counter)
         if e < 0:
             raise BadLevelError(f"negative level {e}")
         yield (e, *automaton.sizes(e))
@@ -422,7 +422,7 @@ def _power_tables(seq: IdealSequence, fam: PFamily, e: int, pres) -> list:
 
 
 def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
-                          counter: BudgetCounter, carry=None) -> DownSet:
+                          counter: BudgetCounter, carry=None, start=None) -> DownSet:
     """The escape set of a principal sequence.
 
     Depth-first sweep over prefixes; on the last axis the feasible values form
@@ -431,11 +431,14 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     so m is at most the row of every prefix one step lower on some axis, and
     the sweep has found those rows already: each search runs up to the least
     of them (the axis bound for the first row), testing that top first.
-    Each prefix product is formed once and reused by every probe below it;
-    the empty prefix is the unit (None), so a probe on the first axis reads
-    the power table as it is. A probe on the last axis only asks whether
-    the prefix meets the power outside the level ideal
-    (`GroebnerBasis.meets`), which stops at the first surviving term.
+    Each prefix product is formed once and reused by every probe below it.
+    The empty prefix is `start`, the nonzero normal forms of an ideal K
+    outside the level ideal, and the sweep finds the a with K f^a outside
+    it (the root automaton's weights); by default it is the unit, None,
+    and a probe on the first axis reads the power table as it is. A probe
+    on the last axis only asks whether the prefix meets the power outside
+    the level ideal (`GroebnerBasis.meets`), which stops at the first
+    surviving term.
 
     Given the rows at level e - 1 in `carry`, the row of a prefix b is
     at most p * row_(e-1)(floor(b/p)) + p - 1 in every ring and family: if
@@ -498,7 +501,7 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
             sweep(i + 1, prefix + (a,), polys)
             a += 1
 
-    sweep(0, (), None)
+    sweep(0, (), start)
     if carry is not None:
         carry.clear()
         carry[e] = rows

@@ -318,7 +318,8 @@ class PolynomialRing:
                 g = m | guard
                 for lm in cut:
                     if (g - lm) & guard == guard:
-                        dead.add(m)
+                        if not shift:  # a shift forms each monomial once
+                            dead.add(m)
                         break
                 else:
                     if stop:

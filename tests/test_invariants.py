@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobvol.invariants as invariants
-from frobvol.errors import BudgetExceededError, HypothesisViolatedError, NotPrimaryError
+from frobvol.errors import (
+    BadInputError,
+    BudgetExceededError,
+    HypothesisViolatedError,
+    NotPrimaryError,
+)
 from frobvol.groebner import (
     Ideal,
     frobenius_power,
@@ -288,6 +293,21 @@ def test_threshold_tables(R2, m2):
     assert [str(v) for _, v in table.rows] == ["1/2", "1", "5/4", "11/8"]
 
 
+def test_tables_judge_their_rows_in_level_order(R2, m2):
+    """Levels passed out of order are compared in level order: the positive
+    rows of (x; y^2+x), 0 at level 1 and 33/64 at level 3, do not
+    decrease, and the threshold rows of (x, y^2+x), 1/2, 1 and 5/4, do not
+    either. The gap bounds are written in level order too."""
+    x, _ = R2.gens()
+    table = volume_table(seq_of(R2, ["x"], ["y^2+x"]), PFamily.frobenius(m2), [3, 1])
+    assert table.tilde_rows == [(1, 0), (3, Fraction(33, 64))]
+    assert table.flags["tilde_nondecreasing"] is True
+    assert [note["e"] for note in table.flags["gap_bounds"]] == [1, 3]
+    table = threshold_table(Ideal(R2, [x, R2.poly("y^2+x")]), m2, [3, 1, 2])
+    assert [str(v) for _, v in table.rows] == ["1/2", "1", "5/4"]
+    assert table.flags["nondecreasing"] is True
+
+
 # -- volume tables -----------------------------------------------------------
 
 def test_volume_tables_worked_example(R2, m2):
@@ -402,6 +422,9 @@ def test_fedder_examples(R2):
     assert fedder_criterion([x, y], 1) is True
     assert fedder_criterion([R2.poly("x^2")], 1) is False
     assert fedder_criterion([R2.poly("x+y")], 2) is True
+    for empty in (lambda: fedder_criterion([], 1), lambda: fpure_ci_label([], 1)):
+        with pytest.raises(BadInputError, match="need at least one element"):
+            empty()
 
 
 def test_fedder_reads_every_entry_of_the_corner():

@@ -726,21 +726,23 @@ def test_a_sweep_charges_every_probe(worked, R2):
 def test_nu_charges_each_automaton_edge_once():
     """nu of the cusp over F_3 is counted on its Frobenius-root automaton:
     two states, (1) and (x, y), and p = 3 digit edges from each, 6 edges
-    charged once however high the level. The two weights charge 3
-    reductions, and each level the counts pushed up, by their bits: 2 at
-    level 1, 164 up to level 8, 4,860 up to level 40. 4373 is 12222222 in
-    base 3."""
+    charged once however high the level. The weights are charged as sweep
+    probes: each state's one probe of whether it lies in J, and no probe
+    of the sweep from (1), whose one row the axis bound 1 settles; each
+    level the counts pushed up, by their bits: 2 at level 1, 164 up to
+    level 8, 4,860 up to level 40. 4373 is 12222222 in base 3."""
     R = PolynomialRing(3, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
     for e, value, edges, pushed in ((1, 1, 3, 2), (8, 4373, 6, 164), (40, 2 * 3**39 - 1, 6, 4860)):
         counter = BudgetCounter(10**6)
         assert nu(cusp, m, e, budget=counter) == value
-        assert counter.used == edges + 3 + pushed
+        assert counter.used == edges + 2 + pushed
 
 
 def test_a_one_entry_volume_table_charges_like_the_threshold_table():
     """Over levels 7..8 both tables count the cusp on one automaton, as
-    `nu` does, so each charges what `nu` at level 8 charges: 173."""
+    `nu` does, so each charges what `nu` at level 8 charges: 172, its
+    weights charged as sweep probes."""
     R = PolynomialRing(3, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
     used = []
@@ -752,13 +754,14 @@ def test_a_one_entry_volume_table_charges_like_the_threshold_table():
         counter = BudgetCounter(10**6)
         table(counter)
         used.append(counter.used)
-    assert used == [173, 173]
+    assert used == [172, 172]
 
 
 def test_a_large_characteristic_costs_about_log_p_edges():
     """Over F_p with p = 2^31 - 1 every digit of x leads from (1) back to
     (1), so the two corners of [0, p) settle the whole box: nu(x, (x), e)
-    = p^e - 1 from 2 edges, 2 weight reductions and one pushed count a
+    = p^e - 1 from 2 edges, one sweep probe for the weight of (1) (it
+    escapes (x); the axis bound 1 settles its row) and one pushed count a
     level, charged by its bits (1, 31 and 62 up to level 3), where
     enumerating the digits would take p edges. The
     cusp over F_211 (p = 1 mod 6, so nu = ceil(5q/6) - 1) needs more
@@ -768,12 +771,32 @@ def test_a_large_characteristic_costs_about_log_p_edges():
     x = Ideal(R, list(R.gens()))
     counter = BudgetCounter(10**6)
     assert nu(x, x, 3, budget=counter) == p**3 - 1
-    assert counter.used == 2 + 2 + 1 + 31 + 62
+    assert counter.used == 2 + 1 + 1 + 31 + 62
     R = PolynomialRing(211, ["x", "y"])
     cusp, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, list(R.gens()))
     counter = BudgetCounter(10**6)
     assert nu(cusp, m, 2, budget=counter) == -(-5 * 211**2 // 6) - 1
     assert counter.used < 100
+
+
+def test_a_weight_is_one_sweep_of_its_state():
+    """(x; y) against (x^200, y^200) over F_2 has one state, (1), reached by
+    all 4 of its edges. Each weight is one level-0 sweep from (1), charged
+    as its probes: 2 for each entry alone and 401 for both (200 rows of
+    one probe each, the 200 probes of the first axis and the probe of
+    whether (1) lies in J), 21 bits of pushed counts up to level 3; 430 in
+    all, where counting the 40,000 points of the weight one by one charged
+    40,828. The rows are the closed form's."""
+    R = PolynomialRing(2, ["x", "y"])
+    seq = seq_of(R, ["x"], ["y"])
+    fam = PFamily.frobenius(Ideal(R, [R.poly("x^200"), R.poly("y^200")]))
+    counter = BudgetCounter(10**6)
+    table = volume_table(seq, fam, range(1, 4), budget=counter)
+    assert counter.used == 430
+    alphas, betas = [(1, 0), (0, 1)], [(200, 0), (0, 200)]
+    for (e, row), (_, tilde) in zip(table.rows, table.tilde_rows):
+        size, positive, _ = rows_summary(monomial_escape_rows(alphas, betas, 2 ** e))
+        assert (row * 4 ** e, tilde * 4 ** e) == (size, positive)
 
 
 # -- the Frobenius-root automaton ----------------------------------------------

@@ -47,12 +47,15 @@ def test_trace_runner_spans_the_csv_export(tmp_path):
 @pytest.mark.parametrize("line, expected", [
     ("threshold @ex_g.e1-7", {"invariants.tables", "regions.escape_set"}),
     ("hk @a1.e1-4", {"invariants.tables", "groebner.staircase"}),
+    ("volume @ex_g.e1-4", {"invariants.tables"}),
     ("check threshold_bounds --e 2 @ex_g.e1-4",
      {"invariants.checks", "invariants.nu", "regions.escape_set"}),
 ])
 def test_trace_runner_spans_the_tables_lengths_and_nu(tmp_path, line, expected):
     """The tracer wraps `nu`, `staircase_count_of`, `escape_set` and the
-    table functions by name; "@name" stands for bench/specs/name.spec."""
+    table functions by name; `volume` of a principal sequence counts on
+    the root automaton, with no sweep of its own. "@name" stands for
+    bench/specs/name.spec."""
     args = [str(BENCH / "specs" / f"{t[1:]}.spec") if t.startswith("@") else t
             for t in line.split()]
     assert {"cli.main"} | expected <= traced_spans(tmp_path, *args)

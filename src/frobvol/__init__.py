@@ -76,9 +76,6 @@ from .regions import (
     verify_cover,
 )
 from .ring import (
-    GRevLex,
-    Lex,
-    MonomialOrder,
     Polynomial,
     PolynomialRing,
     parse_polynomial,

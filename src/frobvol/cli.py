@@ -15,14 +15,17 @@ Spec grammar (statements separated by ';' or newlines):
 A spec error names the line and column of the offending text: inside a
 polynomial list the bad piece or token, otherwise its statement.
 
-Exit codes: 0 success, 2 hypothesis/input violation, 3 budget exceeded,
-4 internal check failure (a theorem checker came out false). A library
-error carries its own code (`errors.FrobvolError.exit_code`).
+Exit codes: 0 success, 2 hypothesis/input violation or an unreadable spec
+or unwritable output file, 3 budget exceeded, 4 internal check failure (a
+theorem checker came out false), 1 with no message when the reader of
+stdout closes it before the output is written. A library error carries its
+own code (`errors.FrobvolError.exit_code`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -166,7 +169,7 @@ def _statements(text: str) -> list:
     return statements
 
 
-def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
+def parse_spec(text: str) -> ProblemSpec:
     """Parse a problem spec.
 
     Raises SpecParseError / PolyParseError with positions, NonPrimeError for a
@@ -200,7 +203,7 @@ def parse_spec(text: str, order: str | None = None) -> ProblemSpec:
     if not variables:
         raise SpecParseError("empty variable list", line_r, col_r)
     try:
-        ring = PolynomialRing(p, variables, order or "grevlex")
+        ring = PolynomialRing(p, variables)
     except NonPrimeError:
         raise NonPrimeError(f"p={p} is not prime (line {line})")
     except ValueError as exc:
@@ -404,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("specfile", help="problem spec file")
         sp.add_argument(f"--{output}", dest="out", default=None,
                         help=f"write {output.upper()} here instead of stdout")
-        sp.add_argument("--order", choices=("lex", "grevlex"), default=None)
         return sp
 
     add("vset", output="csv", help="enumerate escape sets, one CSV row per lattice point")
@@ -437,7 +439,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read {args.specfile}: {exc}", file=sys.stderr)
         return 2
     try:
-        spec = parse_spec(text, order=args.order)
+        spec = parse_spec(text)
         payload, code = _dispatch(spec, args)
     except FrobvolError as exc:
         print(exc.message(), file=sys.stderr)
@@ -448,10 +450,22 @@ def main(argv=None) -> int:
         payload = exc.partial.to_json()
     write = payload if callable(payload) else lambda out: out.write(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as out:
-            write(out)
-    else:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as out:
+                write(out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
+        return code
+    try:
         write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point it at devnull so
+        # that the interpreter's last flush does not fail again, and exit 1
+        # as Python does on EPIPE (the pattern of the `signal` module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -31,9 +31,12 @@ with `Polynomial.__mul__` and `Polynomial.frobenius`.
 
 `PowerTable` holds the normal forms of the powers I^k of one ideal modulo
 one basis; every power of an ideal modulo an ideal (entry powers of escape
-sets, containment exponents, the Fedder test) is read from it. A sweep
-links each level's table to the table one level down, so a digit step
-reads its high digits from the smaller normal forms there.
+sets, containment exponents, the Fedder test) is read from it. A power is
+one product of two smaller ones: a digit step for a principal ideal past
+the characteristic, else I^(k-1) * I when I^(k-1) is held, else the two
+halves of k, so a power costs O(log k) products at any characteristic. A
+sweep links each level's table to the table one level down, so a digit
+step reads its high digits from the smaller normal forms there.
 
 `groebner_basis`, `frobenius_basis`, `power_table` and
 `power_containment_index`, the package's only process-wide caches, keep
@@ -89,7 +92,7 @@ class Ideal:
             self._key = (
                 self.ring.p,
                 self.ring.variables,
-                self.ring.order._signature(),
+                self.ring.naux,
                 tuple(g.key() for g in self.gens),
             )
         return self._key
@@ -225,7 +228,8 @@ def _tail(lm: int, terms, ring: PolynomialRing) -> tuple:
     """A monic divisor's tail in the form `_divide` reads: (packed monomial,
     coefficient, key offset) for each term (m, c) of `terms`, where the
     offset key(m) - key(lm) moves an order key by the shift that takes the
-    leading monomial lm to a cancelled term (`MonomialOrder`)."""
+    leading monomial lm to a cancelled term, since order keys are affine in
+    the exponents."""
     key = ring.key
     k = key(lm)
     return tuple((m, c, key(m) - k) for m, c in terms)
@@ -503,7 +507,11 @@ class PowerTable:
         an exponent overflow raises exactly where g^p would. The kept
         monomials are allocated in that call, so the table pins no product
         garbage.
-        Every other power takes the step I^k = I^(k-1) * I; for several
+        Every other power is one product of two cached powers: the step
+        I^k = I^(k-1) * I when k - 1 is cached, and I^k = I^a * I^(k-a)
+        with a = floor(k/2) otherwise, which is exact for any ideal. So a
+        power far above every cached one costs O(log k) products, not k,
+        and a table read at a large characteristic stays small. For several
         generators (I^a)^[p] is only contained in I^(ap), so the digit step
         does not apply. `regions.escape_set` splits its entries into their
         generators, so only `regions.escapes` and `power_containment_index`
@@ -520,11 +528,11 @@ class PowerTable:
             out = basis._product(high[0].coeffs, low[0].coeffs if low else {}, p) if high else {}
             pows[k] = (Polynomial(basis.ring, out),) if out else ()
             return pows[k]
-        j = k - 1
-        while j not in pows:
-            j -= 1
-        for j in range(j + 1, k + 1):
-            pows[j] = basis.reduce_products(pows[j - 1], pows[1])
+        if k - 1 in pows:
+            pows[k] = basis.reduce_products(pows[k - 1], pows[1])
+        else:
+            a = k // 2
+            pows[k] = basis.reduce_products(self.power(a), self.power(k - a))
         return pows[k]
 
 

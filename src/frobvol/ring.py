@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: monomial orders and sparse polynomials over F_p.
+"""Exact arithmetic layer: the monomial order and sparse polynomials over F_p.
 
 A polynomial is an immutable sparse map from monomial to nonzero coefficient
 in F_p. Each monomial is one int packed by `PolynomialRing.pack`, 64 bits per
@@ -14,11 +14,13 @@ and `GroebnerBasis._product` (every power, probe, prefix product and digit
 step) each make one call to it, and its guard-bit checks raise every
 `ExponentOverflowError` of a product or a Frobenius power.
 
-Monomial orders rank exponent tuples; `PolynomialRing.key` ranks a packed
-monomial by the key of its unpacked exponents. Order keys are ints, affine
-in the exponents, so a kernel can negate them for a min-heap and move a
-shifted term's key by a fixed offset. All values are hashable and safe to
-share once constructed.
+A ring's monomials are ordered by grevlex: `PolynomialRing.key` ranks a
+packed monomial by the grevlex key of its unpacked exponents. Only the
+rings that `PolynomialRing.extended` builds for elimination put a grevlex
+block of auxiliary variables above it. Order keys are ints, affine in the
+exponents, so a kernel can negate them for a min-heap and move a shifted
+term's key by a fixed offset. All values are hashable and safe to share
+once constructed.
 """
 
 from __future__ import annotations
@@ -50,112 +52,20 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Monomial orders
+# The monomial order
 # ---------------------------------------------------------------------------
 
-class MonomialOrder:
-    """Total order on exponent tuples, compatible with multiplication, 1 minimal.
-
-    Concrete orders expose `key(mono)`, an int that is affine in the
-    exponents, so key(a + b) = key(a) + key(b) - key(0); larger key means
-    larger monomial. A division step that shifts a divisor's term tm by
-    m - lm therefore moves its key by the fixed offset key(tm) - key(lm).
-    The fields of a key are 64 bits wide, so the key stays exact and
-    injective while every exponent is below 2^64 (a sum of two valid
-    exponents is); `width` bounds the bits of such a key.
-    """
-
-    name = "abstract"
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-
-    def key(self, mono: tuple) -> int:
-        raise NotImplementedError
-
-    def _signature(self):
-        return (self.name, self.nvars)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.nvars})"
-
-
-class Lex(MonomialOrder):
-    """The exponents compared in variable order: the fields of the key hold
-    them, the first variable in the top field."""
-
-    name = "lex"
-
-    @property
-    def width(self) -> int:
-        return 64 * self.nvars
-
-    def key(self, mono: tuple) -> int:
-        k = 0
-        for e in mono:
-            k = k << 64 | e
-        return k
-
-
-class GRevLex(MonomialOrder):
-    """The degree first, then the smaller exponent of the last variable that
-    differs: the key holds the degree above the complemented fields
-    2^64 - 1 - e_i, the last variable's field highest."""
-
-    name = "grevlex"
-
-    @property
-    def width(self) -> int:
-        return 64 * (self.nvars + 1) + self.nvars.bit_length()
-
-    def key(self, mono: tuple) -> int:
-        k = sum(mono) + 1
-        for e in reversed(mono):
-            k = (k << 64) - e
-        return k - 1
-
-
-class EliminationOrder(MonomialOrder):
-    """Block order: the first `naux` variables dominate, inner order breaks ties.
-
-    Any monomial involving an auxiliary variable beats every one that does not,
-    so intersecting a Groebner basis with the inner ring eliminates the block.
-    The key holds the grevlex key of the auxiliary block above the inner
-    key, whose width is fixed.
-    """
-
-    name = "elim"
-
-    def __init__(self, naux: int, inner: MonomialOrder):
-        super().__init__(naux + inner.nvars)
-        self.naux = naux
-        self.inner = inner
-        self._aux = GRevLex(naux)
-
-    @property
-    def width(self) -> int:
-        return self._aux.width + self.inner.width
-
-    def key(self, mono: tuple) -> int:
-        aux = self._aux.key(mono[: self.naux])
-        return (aux << self.inner.width) + self.inner.key(mono[self.naux:])
-
-    def _signature(self):
-        return (self.name, self.naux, self.inner._signature())
-
-
-def make_order(kind: str, nvars: int) -> MonomialOrder:
-    if kind == "lex":
-        return Lex(nvars)
-    if kind == "grevlex":
-        return GRevLex(nvars)
-    raise ValueError(f"unknown monomial order {kind!r}")
+def _grevlex_key(mono: tuple) -> int:
+    """The grevlex key of an exponent tuple: the degree first, then the
+    smaller exponent of the last variable that differs. The key holds the
+    degree above the complemented fields 2^64 - 1 - e_i, the last
+    variable's field highest, so it is affine in the exponents and exact
+    while every exponent is below 2^64 (a sum of two valid exponents is).
+    It takes 64 * (n + 1) + n.bit_length() bits for n variables."""
+    k = sum(mono) + 1
+    for e in reversed(mono):
+        k = (k << 64) - e
+    return k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +76,16 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class PolynomialRing:
-    """F_p[x_1, ..., x_n] with a fixed monomial order; p is a prime in [2, 2^31)."""
+    """F_p[x_1, ..., x_n] under grevlex; p is a prime in [2, 2^31).
 
-    __slots__ = ("p", "variables", "order", "_var_index", "_one", "_zero", "_packer", "guard",
-                 "frobenius_limit")
+    `naux`, the number of auxiliary variables, is 0 unless `extended` built
+    the ring: it prepends them under an elimination order.
+    """
 
-    def __init__(self, p: int, variables, order="grevlex"):
+    __slots__ = ("p", "variables", "naux", "_order_key", "_var_index", "_one", "_zero",
+                 "_packer", "guard", "frobenius_limit")
+
+    def __init__(self, p: int, variables):
         if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
             raise NonPrimeError(f"characteristic must be a prime in [2, 2^31): {p!r}")
         self.p = p
@@ -184,11 +98,8 @@ class PolynomialRing:
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable in {variables}")
         self.variables = variables
-        if isinstance(order, str):
-            order = make_order(order, len(variables))
-        if order.nvars != len(variables):
-            raise ValueError("order arity does not match variable count")
-        self.order = order
+        self.naux = 0
+        self._order_key = _grevlex_key
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._zero = None
         self._one = None
@@ -267,7 +178,7 @@ class PolynomialRing:
 
     def key(self, packed: int) -> int:
         """Order key of a packed monomial; larger key means larger monomial."""
-        return self.order.key(self.unpack(packed))
+        return self._order_key(self.unpack(packed))
 
     def multiply(self, u: dict, v: dict, q: int = 1, cut=(), first: bool = False) -> dict:
         """The coefficient map of u^[q] * v without the terms that a packed
@@ -333,16 +244,23 @@ class PolynomialRing:
         return parse_polynomial(text, self, line=line, column=column)
 
     def extended(self, aux_names) -> "PolynomialRing":
-        """Ring with auxiliary variables prepended under an elimination order."""
+        """Ring with auxiliary variables prepended under an elimination order.
+
+        Its key holds the grevlex key of the auxiliary block above the
+        grevlex key of this ring's variables, whose width is fixed, so any
+        monomial involving an auxiliary variable beats every one that does
+        not, and intersecting a Groebner basis with this ring eliminates the
+        block. The key stays affine in the exponents.
+        """
         aux_names = tuple(aux_names)
         for v in aux_names:
             if v in self._var_index:
                 raise ValueError(f"auxiliary name {v!r} collides with a ring variable")
-        return PolynomialRing(
-            self.p,
-            aux_names + self.variables,
-            EliminationOrder(len(aux_names), self.order),
-        )
+        ext = PolynomialRing(self.p, aux_names + self.variables)
+        naux, width = len(aux_names), 64 * (self.nvars + 1) + self.nvars.bit_length()
+        ext.naux = naux
+        ext._order_key = lambda mono: (_grevlex_key(mono[:naux]) << width) + _grevlex_key(mono[naux:])
+        return ext
 
     def inject(self, f: "Polynomial", extended: "PolynomialRing") -> "Polynomial":
         """Image of f in `extended` (extra leading variables set to exponent 0).
@@ -365,14 +283,14 @@ class PolynomialRing:
             isinstance(other, PolynomialRing)
             and self.p == other.p
             and self.variables == other.variables
-            and self.order == other.order
+            and self.naux == other.naux
         )
 
     def __hash__(self):
-        return hash((self.p, self.variables, self.order._signature()))
+        return hash((self.p, self.variables, self.naux))
 
     def __repr__(self):
-        return f"F_{self.p}[{', '.join(self.variables)}] ({self.order.name})"
+        return f"F_{self.p}[{', '.join(self.variables)}] ({'elim' if self.naux else 'grevlex'})"
 
 
 def _fresh_aux_name(ring: PolynomialRing, base: str = "w") -> str:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,13 +349,44 @@ def test_cli_union_needs_parts(tmp_path):
 
 
 def test_cli_order_flag(tmp_path):
+    """Every ring is grevlex: `--order` is not an option."""
     spec_file = tmp_path / "f.spec"
     spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y^2; e: 1..3")
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert main(["volume", "--order", "lex", "--json", str(out_a), str(spec_file)]) == 0
-    assert main(["volume", "--order", "grevlex", "--json", str(out_b), str(spec_file)]) == 0
-    assert json.loads(out_a.read_text())["rows"] == json.loads(out_b.read_text())["rows"]
+    for order in ("lex", "grevlex"):
+        with pytest.raises(SystemExit) as exc:
+            main(["volume", "--order", order, str(spec_file)])
+        assert exc.value.code == 2
+
+
+# a JSON text and a streamed CSV writer
+@pytest.mark.parametrize("command,flag", [("volume", "--json"), ("vset", "--csv")])
+def test_cli_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, command, flag):
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y^2; e: 1..3")
+    out = tmp_path / "missing" / "out"
+    assert main([command, flag, str(out), str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["volume", "vset"])
+def test_cli_a_stdout_closed_early_ends_without_a_traceback(tmp_path, command):
+    """The reader of stdout is gone before the first byte is written, as
+    after `| head -1`: exit 1 and nothing on stderr."""
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("p=2; ring x,y; J: x,y; seq: x; y^2; e: 1..3")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobvol", command, str(spec_file)],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=corpus.child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_family_specs_need_fixed_j_for_hk(tmp_path):
@@ -474,6 +506,27 @@ def test_cli_a_large_characteristic_answers_at_once_or_stops_at_the_budget(tmp_p
     assert levels == list(range(1, 37))
     for row in payload["rows"]:
         assert (int(row["num"]), int(row["den"])) == (p ** row["e"] - 1, p ** row["e"])
+
+
+@pytest.mark.parametrize("command,spec_text,payload", [
+    ("fedder", "p=2147483647; ring x; J: x; seq: x; e: 1..1",
+     '"label":"F-pure complete intersection (verified to level 1)"'),
+    ("threshold", "p=2147483647; ring x,y; present: y; J: x; seq: x; e: 1..1",
+     '"rows":[{"den":"2147483647","e":1,"num":"2147483646"}]'),
+], ids=["fedder", "threshold"])
+def test_cli_a_large_characteristic_builds_few_powers(tmp_path, command, spec_text, payload):
+    """Fedder's test reads x^(p-1) and the sweep of x in F_p[x,y]/(y) reads
+    powers near p/2, with p = 2^31 - 1. Each is a few dozen products, not
+    one per power below it; a child process, so that a regression fails
+    at the timeout instead of stalling the suite."""
+    spec_file = tmp_path / "p.spec"
+    spec_file.write_text(spec_text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobvol", command, str(spec_file)],
+        capture_output=True, timeout=60, env=corpus.child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert payload in proc.stdout.decode()
 
 
 def test_cli_writes_rows_longer_than_the_default_digit_limit(tmp_path, capsys):

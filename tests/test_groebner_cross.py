@@ -46,23 +46,23 @@ def _frobvol_basis_set(polys, ring):
     return {frozenset(exponents(g).items()) for g in gb.polys}
 
 
-@pytest.mark.parametrize("p,order", [(2, "grevlex"), (3, "grevlex"), (5, "grevlex"), (3, "lex")])
+@pytest.mark.parametrize("p,order", [(2, "grevlex"), (3, "grevlex"), (5, "grevlex")])
 def test_reduced_basis_matches_sympy(p, order):
     rng = random.Random(1000 + p + len(order))
     for nvars in (2, 3):
-        ring = PolynomialRing(p, ["x", "y", "z"][:nvars], order)
+        ring = PolynomialRing(p, ["x", "y", "z"][:nvars])
         for _ in range(6):
             gens = [random_poly(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
             assert _frobvol_basis_set(gens, ring) == _sympy_reduced_basis(gens, ring, order)
 
 
-@pytest.mark.parametrize("p,order", [(2, "grevlex"), (5, "grevlex"), (3, "lex"), (7, "lex")])
+@pytest.mark.parametrize("p,order", [(2, "grevlex"), (5, "grevlex")])
 def test_remainders_match_sympy(p, order):
     """The remainder on division by a reduced basis is unique, so `reduce`
     must match sympy's `reduced` against sympy's own basis term for term."""
     rng = random.Random(2000 + p + len(order))
     for nvars in (2, 3):
-        ring = PolynomialRing(p, ["x", "y", "z"][:nvars], order)
+        ring = PolynomialRing(p, ["x", "y", "z"][:nvars])
         xs = _symbols(ring)
         for _ in range(6):
             gens = [random_poly(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
@@ -88,13 +88,13 @@ def test_named_cases_match_sympy():
         assert _frobvol_basis_set(gens, ring) == _sympy_reduced_basis(gens, ring, "grevlex")
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("order", ["grevlex"])
 @pytest.mark.parametrize("variables,q,relation", [("xyz", 9, "x*y-z^2"), ("xy", 27, "y^2-x^3")])
 def test_bracket_powers_in_quotients_match_sympy(variables, q, relation, order):
     """m^[9] + (xy - z^2) and (x, y)^[27] + (y^2 - x^3) over F_3, where the
     pair criteria drop most S-pairs, by direct Buchberger and level by
     level."""
-    ring = PolynomialRing(3, list(variables), order)
+    ring = PolynomialRing(3, list(variables))
     m = Ideal(ring, list(ring.gens()))
     pres = Ideal(ring, [ring.poly(relation)])
     gens = [g.frobenius(q) for g in m.gens] + [ring.poly(relation)]

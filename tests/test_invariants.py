@@ -14,8 +14,10 @@ from frobvol.errors import (
 )
 from frobvol.groebner import (
     Ideal,
+    frobenius_basis,
     frobenius_power,
     ideal_contains,
+    power_table,
 )
 from frobvol.invariants import (
     check_containment_monotone,
@@ -425,6 +427,17 @@ def test_fedder_examples(R2):
     for empty in (lambda: fedder_criterion([], 1), lambda: fpure_ci_label([], 1)):
         with pytest.raises(BadInputError, match="need at least one element"):
             empty()
+
+
+def test_fedder_at_a_large_characteristic_builds_logarithmically_many_powers():
+    """Fedder's test reads f^(p-1) for the cusp over F_1009. Its power table
+    holds the powers that halving k reaches from p - 1, not every power
+    below p."""
+    R = PolynomialRing(1009, ["x", "y"])
+    f = R.poly("y^2+x^3")
+    assert fedder_criterion([f], 1) is False  # the cusp is never F-pure
+    table = power_table(Ideal(R, (f,)), frobenius_basis(Ideal(R, R.gens()), 1009))
+    assert len(table.pows) <= 2 * (1009).bit_length()
 
 
 def test_fedder_reads_every_entry_of_the_corner():

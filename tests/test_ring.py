@@ -10,14 +10,7 @@ from frobvol.errors import (
     RingMismatchError,
 )
 from frobvol.groebner import Ideal, groebner_basis
-from frobvol.ring import (
-    MAX_EXPONENT,
-    EliminationOrder,
-    GRevLex,
-    Lex,
-    Polynomial,
-    PolynomialRing,
-)
+from frobvol.ring import MAX_EXPONENT, Polynomial, PolynomialRing
 from oracles import bracket_power, exponents, naive_power, product, random_poly
 
 
@@ -162,32 +155,39 @@ def test_ring_axioms_random():
         assert (f * g) * h == f * (g * h)
 
 
-def _check_order_properties(order, nvars, rng):
+def _check_order_properties(ring, rng):
     def random_mono():
-        return tuple(rng.randint(0, 5) for _ in range(nvars))
+        return tuple(rng.randint(0, 5) for _ in range(ring.nvars))
 
-    one = (0,) * nvars
+    def key(mono):
+        return ring.key(ring.pack(mono))
+
+    one = (0,) * ring.nvars
     for _ in range(200):
         a, b, c = random_mono(), random_mono(), random_mono()
-        ka, kb = order.key(a), order.key(b)
+        ka, kb = key(a), key(b)
         # total: keys are equal only on equal monomials
         if a != b:
             assert ka != kb
         # multiplicative: a < b implies a+c < b+c
         if ka < kb:
-            assert order.key(tuple(x + z for x, z in zip(a, c))) < order.key(
-                tuple(y + z for y, z in zip(b, c))
-            )
+            assert key(tuple(x + z for x, z in zip(a, c))) < key(tuple(y + z for y, z in zip(b, c)))
         # 1 is minimal
         if a != one:
-            assert order.key(one) < ka
+            assert key(one) < ka
 
 
 def test_order_properties():
     rng = random.Random(3)
-    _check_order_properties(Lex(3), 3, rng)
-    _check_order_properties(GRevLex(3), 3, rng)
-    _check_order_properties(EliminationOrder(1, GRevLex(2)), 3, rng)
+    _check_order_properties(PolynomialRing(2, ["x", "y", "z"]), rng)
+    _check_order_properties(PolynomialRing(2, ["y", "z"]).extended(["x"]), rng)
+
+
+def _grevlex_key(mono: tuple) -> int:
+    """The degree above the complemented fields 2^64 - 1 - e_i, the last
+    variable's field highest."""
+    fields = sum((2**64 - 1 - e) << 64 * i for i, e in enumerate(mono))
+    return (sum(mono) << 64 * len(mono)) + fields
 
 
 _EXPONENTS = st.one_of(st.integers(0, 12), st.integers(MAX_EXPONENT - 12, MAX_EXPONENT),
@@ -196,46 +196,47 @@ _EXPONENTS = st.one_of(st.integers(0, 12), st.integers(MAX_EXPONENT - 12, MAX_EX
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.sampled_from(["grevlex", "lex", "elim"]), st.lists(_EXPONENTS, min_size=n, max_size=n))))
+    st.sampled_from(["grevlex", "elim"]), st.lists(_EXPONENTS, min_size=n, max_size=n))))
 def test_a_packed_key_is_the_order_key_of_its_exponents(case):
     """`PolynomialRing.key` of a packed monomial is the order key of its
     exponents: pack and unpack round-trip every exponent up to 2^63 - 1, in
-    every field, under grevlex, lex and elimination orders."""
+    every field, under grevlex and under the elimination order, whose key
+    holds the auxiliary block's grevlex key above the fixed-width grevlex
+    key of the other variables."""
     kind, exps = case
     names = ["x", "y", "z", "u"][:len(exps)]
-    if kind == "elim":
+    mono = tuple(exps)
+    if kind == "grevlex":
+        R = PolynomialRing(5, names)
+        expected = _grevlex_key(mono)
+    else:
         if len(names) == 1:
             names.append("v")
-            exps = exps + [0]
+            mono += (0,)
         R = PolynomialRing(5, names[1:]).extended(names[:1])
-    else:
-        R = PolynomialRing(5, names, kind)
-    mono = tuple(exps)
-    assert R.key(R.pack(mono)) == R.order.key(mono)
+        n = len(names) - 1
+        width = 64 * (n + 1) + n.bit_length()
+        expected = (_grevlex_key(mono[:1]) << width) + _grevlex_key(mono[1:])
+    assert R.unpack(R.pack(mono)) == mono
+    assert R.key(R.pack(mono)) == expected
 
 
 def test_a_grevlex_key_past_two_to_the_64_is_exact():
-    """`GRevLex.key` stays exact and ordered where the degree of three
+    """The grevlex key stays exact and ordered where the degree of three
     fields near 2^63 passes 2^64 - 1."""
     R = PolynomialRing(2, ["x", "y", "z"])
     top, near = (MAX_EXPONENT,) * 3, (MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT - 1)
     assert sum(top) > 2**64
-    assert R.key(R.pack(top)) == GRevLex(3).key(top) > R.key(R.pack(near)) == GRevLex(3).key(near)
-
-
-def test_grevlex_vs_lex_disagree():
-    ring_g = PolynomialRing(2, ["x", "y"], "grevlex")
-    ring_l = PolynomialRing(2, ["x", "y"], "lex")
-    f_g = ring_g.poly("x + y^2")
-    f_l = ring_l.poly("x + y^2")
-    assert ring_g.unpack(f_g.leading()[0]) == (0, 2)  # degree wins
-    assert ring_l.unpack(f_l.leading()[0]) == (1, 0)  # x block wins
+    assert R.key(R.pack(top)) == _grevlex_key(top) > R.key(R.pack(near)) == _grevlex_key(near)
 
 
 def test_elimination_order_dominates():
-    order = EliminationOrder(1, GRevLex(2))
+    R = PolynomialRing(2, ["x", "y"])
+    E = R.extended(["w"])
     # any aux-positive monomial beats any aux-free one
-    assert order.key((1, 0, 0)) > order.key((0, 9, 9))
+    assert E.key(E.pack((1, 0, 0))) > E.key(E.pack((0, 9, 9)))
+    assert repr(R) == "F_2[x, y] (grevlex)" and repr(E) == "F_2[w, x, y] (elim)"
+    assert E != PolynomialRing(2, ["w", "x", "y"])
 
 
 def test_parse_print_roundtrip(R2, R5):

@@ -340,10 +340,12 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
     command = args.command
     pres = spec.presentation()
     if command in ("vset", "staircase"):
-        sets = list(escape_sets(spec.sequence(), spec.family(), spec.levels(), pres,
-                                BudgetCounter(spec.budget)))
+        counter = BudgetCounter(spec.budget)
+        sets = list(escape_sets(spec.sequence(), spec.family(), spec.levels(), pres, counter))
         if command == "staircase":
             return staircase_svg(sets), 0
+        for ds in sets:
+            counter.charge(ds.size)  # the points the CSV lists
         return (lambda out: downset_csv(sets, out)), 0
 
     if command == "volume":

@@ -16,6 +16,7 @@ from math import factorial, prod
 
 from .errors import (
     BadInputError,
+    BadLevelError,
     BudgetExceededError,
     ExponentOverflowError,
     HypothesisViolatedError,
@@ -420,9 +421,9 @@ def check_simplex_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=
     counter = _as_budget(budget)
     p = J.ring.p
     t = seq.t
-    ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
+    ((_, _, positive, _),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
     total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
-    left = Fraction(ds.positive_size, p ** (e * t))
+    left = Fraction(positive, p ** (e * t))
     right = Fraction(total, p ** e) ** t / factorial(t)
     ok = left <= right
     return CheckReport("simplex_bound", {"e": e}, left, right, ok,
@@ -481,29 +482,56 @@ def check_hk_length_inequality(seq: IdealSequence, J: Ideal, e: int, pres=None,
     left = staircase_count_of(frobenius_basis(J, q, pres))
     if left is None:
         raise NotPrimaryError("reference ideal is not primary to the irrelevant maximal ideal")
-    ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
+    ((_, size, _, _),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
     I = ideal_sum(*seq.entries)
-    right = ds.size * standard_monomial_count(ideal_sum(I, Jq), pres)
+    right = size * standard_monomial_count(ideal_sum(I, Jq), pres)
     ok = left <= right
     return CheckReport("hk_length_ineq", {"e": e}, left, right, ok,
                        None if ok else (left, right))
 
 
+def _fixed_level_sizes(seq: IdealSequence, fam: PFamily, outer_levels, inner_levels, pres,
+                       counter) -> dict:
+    """{(e, e'): (size, positive size)} of the level-e' escape set against
+    the Frobenius family of the fixed level-e ideal J_e.
+
+    For a Frobenius family of J that is the level-(e+e') escape set of the
+    family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so each distinct
+    level e+e' is counted once, in one pass (`regions.escape_sizes`), and
+    the hypothesis is checked once, against J, whose radical every J^[q]
+    shares. An explicit family counts the inner levels of the Frobenius
+    family of its level-e ideal."""
+
+    def sizes(family, wanted) -> dict:
+        return {level: (size, positive)
+                for level, size, positive, _ in escape_sizes(seq, family, wanted, pres, counter)}
+
+    if fam.kind != "frobenius":
+        return {(e, e2): cell for e in outer_levels
+                for e2, cell in sizes(PFamily.frobenius(fam.level_ideal(e)), inner_levels).items()}
+    for level in (*outer_levels, *inner_levels):
+        if level < 0:
+            raise BadLevelError(f"negative level {level}")
+    swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))
+    return {(e, e2): swept[e + e2] for e in outer_levels for e2 in inner_levels}
+
+
 def check_level_refinement_bound(seq: IdealSequence, fam: PFamily, e: int, e1: int, e2: int,
                                  pres=None, budget=None) -> CheckReport:
     """Refining against the fixed level-e ideal grows the positive-normalized
-    count by at most p^{e(t-1)} * u / p^{e1} for the explicit constant u."""
+    count by at most p^{e(t-1)} * u / p^{e1} for the explicit constant u.
+    Both counts are read against J_e as `truncation_table` reads its cells
+    (`_fixed_level_sizes`)."""
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
-    fixed = PFamily.frobenius(fam.level_ideal(e))
-    fine = escape_set(seq, fixed, e1 + e2, pres, counter)
-    coarse = escape_set(seq, fixed, e1, pres, counter)
+    cells = _fixed_level_sizes(seq, fam, [e], [e1, e1 + e2], pres, counter)
+    (_, fine), (_, coarse) = cells[e, e1 + e2], cells[e, e1]
     mus = seq.generator_counts()
     ells = containment_exponents(seq, fam, pres)
     u = _leave_one_out([m ** 2 * ell + 1 for m, ell in zip(mus, ells)]) * (max(mus) + 1)
-    left = Fraction(fine.positive_size, p ** ((e1 + e2) * t))
-    right = Fraction(coarse.positive_size, p ** (e1 * t)) + Fraction(p ** (e * (t - 1)) * u, p ** e1)
+    left = Fraction(fine, p ** ((e1 + e2) * t))
+    right = Fraction(coarse, p ** (e1 * t)) + Fraction(p ** (e * (t - 1)) * u, p ** e1)
     ok = left <= right
     return CheckReport(
         "level_refinement_bound", {"e": e, "e1": e1, "e2": e2},
@@ -514,32 +542,17 @@ def check_level_refinement_bound(seq: IdealSequence, fam: PFamily, e: int, e1: i
 def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_levels,
                      pres=None, budget=None) -> CheckReport:
     """Diagnostic grid: escape-set size against the fixed level-e ideal at
-    inner level e', normalized by p^{(e+e')t}. No verdict is implied.
-
-    For a Frobenius family of J the cell is the level-(e+e') escape set of
-    the family itself, since (J^[p^e])^[p^e'] = J^[p^(e+e')]; so each
-    distinct level e+e' is counted once, in one pass
-    (`regions.escape_sizes`), and the hypothesis is checked once, against J,
-    whose radical every J^[q] shares. An explicit family counts the inner
-    levels of the Frobenius family of its level-e ideal."""
-    counter = _as_budget(budget)
+    inner level e', normalized by p^{(e+e')t} (`_fixed_level_sizes`). No
+    verdict is implied."""
     p = fam.p
     t = seq.t
     outer_levels, inner_levels = list(outer_levels), list(inner_levels)
-
-    def sizes(family, wanted) -> dict:
-        return {e: size for e, size, _, _ in escape_sizes(seq, family, wanted, pres, counter)}
-
-    if fam.kind == "frobenius":
-        swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))
+    cells = _fixed_level_sizes(seq, fam, outer_levels, inner_levels, pres, _as_budget(budget))
     table = []
     for e in outer_levels:
-        if fam.kind == "frobenius":
-            cells, shift = swept, e
-        else:
-            cells, shift = sizes(PFamily.frobenius(fam.level_ideal(e)), inner_levels), 0
         for e2 in inner_levels:
-            v = Fraction(cells[shift + e2], p ** ((e + e2) * t))
+            size, _ = cells[e, e2]
+            v = Fraction(size, p ** ((e + e2) * t))
             table.append({"e": e, "e_inner": e2, "num": str(v.numerator), "den": str(v.denominator)})
     return CheckReport("pfamily_truncation", {}, len(table), len(table), True, None, table)
 
@@ -547,17 +560,17 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
 def check_threshold_bounds(seq: IdealSequence, J: Ideal, e: int, pres=None,
                            budget=None) -> CheckReport:
     """Positive-normalized count is bounded by both threshold surrogates:
-    the simplex term and the product of per-entry (nu+1)/p^e."""
+    the simplex term and the product of per-entry (nu+1)/p^e. Each nu + 1
+    is the size of the entry's own escape set, which `regions.escape_sizes`
+    yields with the count."""
     counter = _as_budget(budget)
     p = J.ring.p
     t = seq.t
-    ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
+    ((_, _, positive, singles),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
     total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
     simplex = Fraction(total, p ** e) ** t / factorial(t)
-    product = Fraction(1)
-    for I in seq.entries:
-        product *= Fraction(nu(I, J, e, pres, budget=counter) + 1, p ** e)
-    left = Fraction(ds.positive_size, p ** (e * t))
+    product = Fraction(prod(singles), p ** (e * t))
+    left = Fraction(positive, p ** (e * t))
     right = min(simplex, product)
     ok = left <= right
     return CheckReport("threshold_bounds", {"e": e}, left, right, ok,

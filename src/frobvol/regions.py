@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     BadInputError,
@@ -39,8 +40,9 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetCounter:
-    """Counts sweep probes and the root automaton's edges and count bits
-    (its weights are sweeps); trips loudly instead of hanging."""
+    """Counts sweep probes, the root automaton's edges and count bits (its
+    weights are sweeps), and the points that `vset` and `verify_cover`
+    list; trips loudly instead of hanging."""
 
     __slots__ = ("limit", "used")
 
@@ -366,13 +368,13 @@ def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None
 
 def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None):
     """Yield (e, size, positive size, singles) of the level-e escape set at
-    each of `levels`, all charged to one budget: what `nu` and the
-    threshold, volume and truncation tables read. `singles` holds the size
-    of each entry's own escape set, the points of the set on that axis. A
-    principal sequence over a polynomial ring with a Frobenius family
-    (`_flat`) is counted on its Frobenius-root automaton
-    (`automaton.RootAutomaton`), whose cost grows with the level only by
-    its counts' digits; any other sequence reads the sweep of
+    each of `levels`, all charged to one budget: what `nu`, the threshold,
+    volume and truncation tables and the checkers that need only sizes
+    read. `singles` holds the size of each entry's own escape set, the
+    points of the set on that axis. A principal sequence over a polynomial
+    ring with a Frobenius family (`_flat`) is counted on its Frobenius-root
+    automaton (`automaton.RootAutomaton`), whose cost grows with the level
+    only by its counts' digits; any other sequence reads the sweep of
     `escape_sets`."""
     counter = _as_budget(budget)
     if not (seq.principal and _flat(fam, pres)):
@@ -569,12 +571,18 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
     row (`_down_set_rows`) and each coarse cell is tested once per row,
     with no fine point set built.
 
+    The points of V and of the axis slabs that `border_points` lists are
+    charged to the budget before it lists them.
+
     This is a theorem; a false verdict signals an implementation bug and
     carries the least uncovered numerator tuple.
     """
     counter = _as_budget(budget)
     V = escape_set(seq, fam, e1, pres, counter)
-    border = border_points(V, axis_bounds(seq, fam, e1, pres))
+    caps = axis_bounds(seq, fam, e1, pres)
+    slabs = sum(prod(c + 1 for c in caps[:j] + caps[j + 1:]) for j in range(V.dimension))
+    counter.charge(V.size + slabs)
+    border = border_points(V, caps)
     steps = range(max(seq.generator_counts()) + 1)
     cells = set(V.points()).union(tuple(v + k for v in x) for x in border for k in steps)
     s = fam.p ** e2

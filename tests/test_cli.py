@@ -117,6 +117,8 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
      "generator y is not in the radical of (x), so no power of (y) lies in it"),
     ("check union_decomposition", "p=3; ring x,y; J: x,y; J: x; seq: x; y+x^2",
      "generator x^2 + y is not in the radical of (x), so no power of (x^2 + y) lies in it"),
+    ("check level_refinement_bound", "p=2; ring x,y; J: x; seq: y",
+     "generator y is not in the radical of (x), so no power of (y) lies in it"),
     ("threshold", "p=2; ring x,y; J: 1; seq: x", "reference ideal must be proper"),
 ])
 def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
@@ -513,20 +515,43 @@ def test_cli_a_large_characteristic_answers_at_once_or_stops_at_the_budget(tmp_p
      '"label":"F-pure complete intersection (verified to level 1)"'),
     ("threshold", "p=2147483647; ring x,y; present: y; J: x; seq: x; e: 1..1",
      '"rows":[{"den":"2147483647","e":1,"num":"2147483646"}]'),
-], ids=["fedder", "threshold"])
+    ("check level_refinement_bound", "p=2147483647; ring x; J: x; seq: x; e: 1..1",
+     '"left":"9903520300447984150353281022/4611686014132420609"'),
+], ids=["fedder", "threshold", "level_refinement_bound"])
 def test_cli_a_large_characteristic_builds_few_powers(tmp_path, command, spec_text, payload):
     """Fedder's test reads x^(p-1) and the sweep of x in F_p[x,y]/(y) reads
     powers near p/2, with p = 2^31 - 1. Each is a few dozen products, not
-    one per power below it; a child process, so that a regression fails
-    at the timeout instead of stalling the suite."""
+    one per power below it. The level refinement bound counts levels 2 and
+    3 of (x)'s own family, whose radical test does not face (x^p); its left
+    side is (p^3 - 1)/p^2. A child process, so that a regression fails at
+    the timeout instead of stalling the suite."""
     spec_file = tmp_path / "p.spec"
     spec_file.write_text(spec_text)
     proc = subprocess.run(
-        [sys.executable, "-m", "frobvol", command, str(spec_file)],
+        [sys.executable, "-m", "frobvol", *command.split(), str(spec_file)],
         capture_output=True, timeout=60, env=corpus.child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert payload in proc.stdout.decode()
+
+
+@pytest.mark.parametrize("command", ["vset", "verify-cover --e1 1 --e2 1"],
+                         ids=["vset", "verify-cover"])
+def test_cli_the_points_listed_are_charged_before_they_are_listed(tmp_path, command):
+    """The level-1 escape set of x against (x) over F_p, p = 2^31 - 1, is
+    [0, p), found in a few dozen probes. `vset` charges the p points it
+    would write, and `verify-cover` the p points of V and the slab that
+    `border_points` would list, so each stops at a budget of 20,000 with
+    exit 3, one error line and nothing written. A child process, so that a
+    listing that is not charged fails at the timeout."""
+    spec_file = tmp_path / "p.spec"
+    spec_file.write_text("p=2147483647; ring x; J: x; seq: x; e: 1..1; budget=20000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobvol", *command.split(), str(spec_file)],
+        capture_output=True, timeout=60, env=corpus.child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"error: budget 20000 exceeded\n"
 
 
 def test_cli_writes_rows_longer_than_the_default_digit_limit(tmp_path, capsys):

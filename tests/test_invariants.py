@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import frobvol.invariants as invariants
 from frobvol.errors import (
     BadInputError,
+    BadLevelError,
     BudgetExceededError,
     HypothesisViolatedError,
     NotPrimaryError,
@@ -17,7 +19,10 @@ from frobvol.groebner import (
     frobenius_basis,
     frobenius_power,
     ideal_contains,
+    ideal_sum,
     power_table,
+    staircase_count_of,
+    standard_monomial_count,
 )
 from frobvol.invariants import (
     check_containment_monotone,
@@ -38,7 +43,13 @@ from frobvol.invariants import (
     truncation_table,
     volume_table,
 )
-from frobvol.regions import BudgetCounter, IdealSequence, PFamily, escape_set
+from frobvol.regions import (
+    BudgetCounter,
+    IdealSequence,
+    PFamily,
+    containment_exponents,
+    escape_set,
+)
 from frobvol.ring import PolynomialRing
 import corpus
 from oracles import brute_force_nu, exponents, ideal_power, random_poly
@@ -203,6 +214,45 @@ def test_every_nu_route_gives_the_same_nu(case):
     assert escape_set(seq, fam, e, pres).max_points == ((value,),)
 
 
+def cold_sides(seq, J, e, pres=None) -> dict:
+    """{checker name: (left, right)} of the checkers that read their sizes
+    from `regions.escape_sizes`, computed from a cold `escape_set` and the
+    `nu` of each entry instead. The length inequality needs principal
+    entries."""
+    q = J.ring.p ** e
+    t = seq.t
+    ds = escape_set(seq, PFamily.frobenius(J), e, pres)
+    left = Fraction(ds.positive_size, q ** t)
+    simplex = Fraction(nu(ideal_sum(*seq.entries), J, e, pres), q) ** t / factorial(t)
+    product = prod(Fraction(nu(I, J, e, pres) + 1, q) for I in seq.entries)
+    sides = {"simplex_bound": (left, simplex), "threshold_bounds": (left, min(simplex, product))}
+    if seq.principal:
+        length = staircase_count_of(frobenius_basis(J, q, pres))
+        rest = standard_monomial_count(ideal_sum(*seq.entries, frobenius_power(J, q)), pres)
+        sides["hk_length_ineq"] = (length, ds.size * rest)
+    return sides
+
+
+def cold_refinement_sides(seq, fam, e, e1, e2, pres=None) -> tuple:
+    """(left, right) of the level refinement bound from cold escape sets
+    against the Frobenius family of the level-e ideal J_e itself, the
+    family it is stated for."""
+    p, t = fam.p, seq.t
+    fixed = PFamily.frobenius(fam.level_ideal(e))
+    fine = escape_set(seq, fixed, e1 + e2, pres)
+    coarse = escape_set(seq, fixed, e1, pres)
+    mus = seq.generator_counts()
+    ells = containment_exponents(seq, fam, pres)
+    u = sum(prod(m ** 2 * ell + 1 for j, (m, ell) in enumerate(zip(mus, ells)) if j != i)
+            for i in range(t)) * (max(mus) + 1)
+    return (Fraction(fine.positive_size, p ** ((e1 + e2) * t)),
+            Fraction(coarse.positive_size, p ** (e1 * t)) + Fraction(p ** (e * (t - 1)) * u, p ** e1))
+
+
+def assert_sides(report, sides):
+    assert (report.left, report.right) == tuple(map(str, sides)), report.to_jsonable()
+
+
 @st.composite
 def level_check_cases(draw):
     """(seq, J, e): one or two principal entries with no constant term from
@@ -218,7 +268,9 @@ def level_check_cases(draw):
 @given(level_check_cases())
 def test_every_level_checker_holds_on_random_entries(case):
     """Each of the eight per-level checkers states a theorem, so every
-    report is ok. A failing case belongs in `corpus.CORPUS`."""
+    report is ok. A failing case belongs in `corpus.CORPUS`. The checkers
+    that read only sizes, and the level refinement bound against J^[p^2]
+    at e1 = e2 = 1, give the sides of cold escape sets and per-entry nu."""
     seq, J, e = case
     R = J.ring
     parts = [Ideal(R, [R.poly(g) for g in part.split(",")]) for part in corpus.UNION_PARTS[2]]
@@ -235,6 +287,14 @@ def test_every_level_checker_holds_on_random_entries(case):
         reports.append(check_slice_bound(seq, J, e))
     for report in reports:
         assert report.ok, report.to_jsonable()
+    sides = cold_sides(seq, J, e)
+    for report in reports:
+        if report.name in sides:
+            assert_sides(report, sides[report.name])
+    fam = PFamily.frobenius(J)
+    refinement = check_level_refinement_bound(seq, fam, 2, 1, 1)
+    assert refinement.ok, refinement.to_jsonable()
+    assert_sides(refinement, cold_refinement_sides(seq, fam, 2, 1, 1))
 
 
 @st.composite
@@ -255,7 +315,9 @@ def quotient_level_check_cases(draw):
 def test_every_level_checker_holds_in_a_quotient_ring(case):
     """The per-level checkers that admit a presented ring, and the level
     refinement bound at e = e1 = e2 = 1, on random entries of the A_1
-    singularity. A failing case belongs in `corpus.CORPUS`."""
+    singularity. A failing case belongs in `corpus.CORPUS`. The checkers
+    that read only sizes give the sides of cold escape sets and per-entry
+    nu."""
     seq, J, e, pres = case
     reports = [
         check_frob_shift(seq, J, e, pres),
@@ -270,6 +332,11 @@ def test_every_level_checker_holds_in_a_quotient_ring(case):
         reports.append(check_slice_bound(seq, J, e, pres))
     for report in reports:
         assert report.ok, report.to_jsonable()
+    sides = cold_sides(seq, J, e, pres)
+    sides["level_refinement_bound"] = cold_refinement_sides(seq, PFamily.frobenius(J), 1, 1, 1, pres)
+    for report in reports:
+        if report.name in sides:
+            assert_sides(report, sides[report.name])
 
 
 def test_nu_hypothesis(R2):
@@ -374,12 +441,15 @@ def test_the_checkers_hold_on_explicit_families(case):
     """On an explicit family the volume table raises nothing: the gap bound
     holds, and the positive rows need not rise, since J_(e+1) may be larger
     than J_e^[p]. The plain rows never rise in any ring or family:
-    V_(e+1) lies in p * V_e + [0, p)^t. The level refinement bound holds."""
+    V_(e+1) lies in p * V_e + [0, p)^t. The level refinement bound holds,
+    with the sides of cold escape sets against the Frobenius family of J_e."""
     seq, fam, e = case
     table = volume_table(seq, fam, range(4))
     values = [v for _, v in table.rows]
     assert all(a >= b for a, b in zip(values, values[1:])), table.rows
-    assert check_level_refinement_bound(seq, fam, e, 1, 1).ok
+    report = check_level_refinement_bound(seq, fam, e, 1, 1)
+    assert report.ok, report.to_jsonable()
+    assert_sides(report, cold_refinement_sides(seq, fam, e, 1, 1))
 
 
 def test_volume_json_schema(R2, m2):
@@ -613,6 +683,11 @@ def test_check_level_refinement(R2, m2):
     report = check_level_refinement_bound(seq_of(R2, ["x"], ["y^2"]), fam, 1, 1, 1)
     assert report.ok
     assert report.params == {"e": 1, "e1": 1, "e2": 1}
+    # a Frobenius family reads level e + e' of its own levels, and still
+    # refuses a negative fixed or inner level
+    for levels in [(-1, 1, 1), (1, -2, 1)]:
+        with pytest.raises(BadLevelError, match="^negative level -"):
+            check_level_refinement_bound(seq_of(R2, ["x"]), fam, *levels)
 
 
 def test_truncation_table_diagnostic(R2, m2):
@@ -627,10 +702,30 @@ def test_truncation_table_diagnostic(R2, m2):
     assert truncation_table(seq, explicit, range(1, 3), range(1, 3)).table == report.table
 
 
+def test_the_size_only_checkers_count_on_the_automaton():
+    """On (x; y^2 + x) over F_3 at e = 5 the level refinement bound reads
+    levels 6 and 7 of (x, y)'s own family and the length inequality reads
+    level 5, each counted on the root automaton: within budgets of 1,000
+    and 300 units, which sweeps of the fixed family J^[3^5] (7,840 units)
+    and of the level-5 escape set (728) overrun."""
+    R = PolynomialRing(3, ["x", "y"])
+    seq, J = seq_of(R, ["x"], ["y^2+x"]), Ideal(R, list(R.gens()))
+    report = check_level_refinement_bound(seq, PFamily.frobenius(J), 5, 1, 1, budget=1000)
+    assert (report.ok, report.left, report.right) == (True, "151679/3", "459905/9")
+    report = check_hk_length_inequality(seq, J, 5, budget=300)
+    assert (report.ok, report.left, report.right) == (True, "59049", "101236")
+
+
 def test_check_threshold_bounds(R2, m2):
     report = check_threshold_bounds(seq_of(R2, ["x"], ["y^2"]), m2, 2)
     assert report.ok
     assert Fraction(report.left) <= Fraction(report.right)
+    # for (x; y) the product (nu(x) + 1)(nu(y) + 1)/16 = 1 is below the
+    # simplex term 9/8, so the right side is the product of the entries' sizes
+    seq = seq_of(R2, ["x"], ["y"])
+    report = check_threshold_bounds(seq, m2, 2)
+    assert (report.ok, report.left, report.right) == (True, "9/16", "1")
+    assert_sides(report, cold_sides(seq, m2, 2)["threshold_bounds"])
 
 
 def test_check_report_json(R2, m2):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, PowerTable, buchberger
 from .regions import IdealSequence, _principal_escape_set
 from .ring import Polynomial
 
@@ -40,7 +40,10 @@ class RootAutomaton:
     def __init__(self, entries, fam, counter):
         self.entries, self.fam, self.counter = entries, fam, counter
         self.ring, self.basis = fam.ring, fam.level_basis(0)
-        self.gens = [I.gens[0] for I in entries]
+        # the entries' powers modulo the zero ideal, owned here (not shared
+        # through `power_table`), so they are freed with the automaton
+        zero = GroebnerBasis(self.ring, ())
+        self.tables = [PowerTable(I, zero) for I in entries]
         unit = GroebnerBasis(self.ring, [self.ring.one()])
         self.states = {unit: 0}
         self.bases = [unit]
@@ -65,7 +68,7 @@ class RootAutomaton:
         sizes[0] = 1  # no entries: 1 escapes the proper ideal J^[q]
         full = len(sizes) - 1
         positive = sum((-1) ** bin(full ^ T).count("1") * n for T, n in sizes.items())
-        return sizes[full], positive, tuple(sizes[1 << i] for i in range(len(self.gens)))
+        return sizes[full], positive, tuple(sizes[1 << i] for i in range(len(self.entries)))
 
     def _push(self, counts: dict, T: int) -> dict:
         """The counts one level up of the sub-sequence T."""
@@ -96,19 +99,24 @@ class RootAutomaton:
                 count(lo, hi[:j] + (mid,) + hi[j + 1:])
                 count(lo[:j] + (mid + 1,) + lo[j + 1:], hi)
 
-            t, top = len(self.gens), self.ring.p - 1
+            t, top = len(self.entries), self.ring.p - 1
             count((0,) * t, tuple(top if T >> j & 1 else 0 for j in range(t)))
         return self.moves[k, T]
 
     def edge(self, k: int, d: tuple) -> int:
-        """The state (K f^d)^[1/p] for the state K = k and the digit vector d."""
+        """The state (K f^d)^[1/p] for the state K = k and the digit vector d.
+        The digit factor f^d is the product over the entries of the powers
+        f_i^(d_i), each read from the entry's own power table
+        (`groebner.PowerTable`), so the powers of one entry are built once
+        for all its digits and all the states."""
         target = self.edges[k].get(d)
         if target is None:
             self.counter.charge()
             factor = self.factors.get(d)
             if factor is None:
                 factor = self.factors[d] = prod(
-                    (f ** a for f, a in zip(self.gens, d) if a), start=self.ring.one())
+                    (table.power(a)[0] for table, a in zip(self.tables, d) if a),
+                    start=self.ring.one())
             basis = buchberger(self._root([g * factor for g in self.bases[k].polys]), self.ring)
             target = self.states.setdefault(basis, len(self.bases))
             if target == len(self.bases):

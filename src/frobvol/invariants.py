@@ -39,6 +39,7 @@ from .regions import (
     PFamily,
     _as_budget,
     _flat,
+    _power_tables,
     box_region,
     containment_exponents,
     escape_set,
@@ -291,9 +292,12 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
 
 def fedder_criterion(f_seq, e: int) -> bool:
     """True iff (f_1 ... f_t)^(p^e - 1) escapes the bracket power of the
-    ideal of all variables: the escape-set probe at the corner
-    (p^e - 1, ..., p^e - 1) (`regions.product_escapes`), each f_i powered
-    in its own table. An f_i need not lie in that ideal."""
+    ideal m of all variables: the escape-set probe at the corner
+    (p^e - 1, ..., p^e - 1) of the sequence ((f_1), ..., (f_t)) against the
+    Frobenius family of m (`regions.product_escapes`). Each f_i is powered
+    in its own table, linked down the family's levels as a sweep links it
+    (`regions._power_tables`), so a digit step reads its high digits modulo
+    the level below. An f_i need not lie in m."""
     f_seq = list(f_seq)
     if not f_seq:
         raise BadInputError("need at least one element")
@@ -303,9 +307,10 @@ def fedder_criterion(f_seq, e: int) -> bool:
             raise BadInputError("elements from different rings")
         if f.is_zero:
             return False
-    q = ring.p ** e
-    basis = frobenius_basis(Ideal(ring, ring.gens()), q)
-    return product_escapes([q - 1] * len(f_seq), [Ideal(ring, (f,)) for f in f_seq], basis)
+    seq = IdealSequence(Ideal(ring, (f,)) for f in f_seq)
+    fam = PFamily.frobenius(Ideal(ring, ring.gens()))
+    _power_tables(seq, fam, e, None)
+    return product_escapes([ring.p ** e - 1] * seq.t, seq.entries, fam.level_basis(e))
 
 
 def is_parameter_sequence(f_seq, pres=None) -> bool:

@@ -396,6 +396,9 @@ class Polynomial:
         return Polynomial(self.ring, self.ring.multiply(self.coeffs, {0: 1}, q))
 
     def __pow__(self, k: int) -> "Polynomial":
+        """f^k by repeated squaring after peeling off Frobenius. No package
+        algorithm calls it (they read `groebner.PowerTable`); it is the
+        tests' independent reference for the tables."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative int: {k!r}")
         if k == 0:

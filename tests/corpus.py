@@ -6,6 +6,9 @@ per-instance knobs for the heavier checks.
 """
 
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import frobvol
@@ -94,3 +97,15 @@ def child_env(**extra) -> dict:
     src = str(Path(frobvol.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_capped(args, timeout: int = 60, cap: int = 2**30) -> subprocess.CompletedProcess:
+    """Run `python ARGS` in a child process with `child_env`, a timeout and
+    an address-space cap of `cap` bytes, so that a regression fails at one
+    of them instead of stalling the suite or exhausting memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=timeout,
+                          env=child_env(), preexec_fn=limit)

@@ -517,22 +517,47 @@ def test_cli_a_large_characteristic_answers_at_once_or_stops_at_the_budget(tmp_p
      '"rows":[{"den":"2147483647","e":1,"num":"2147483646"}]'),
     ("check level_refinement_bound", "p=2147483647; ring x; J: x; seq: x; e: 1..1",
      '"left":"9903520300447984150353281022/4611686014132420609"'),
-], ids=["fedder", "threshold", "level_refinement_bound"])
+    ("check frob_shift", "p=2147483647; ring x; J: x; seq: x; e: 1..1; budget=20000",
+     '"left":"4611686014132420609","ok":true,"params":{"e":1},"right":"4611686014132420609"'),
+], ids=["fedder", "threshold", "level_refinement_bound", "frob_shift"])
 def test_cli_a_large_characteristic_builds_few_powers(tmp_path, command, spec_text, payload):
     """Fedder's test reads x^(p-1) and the sweep of x in F_p[x,y]/(y) reads
     powers near p/2, with p = 2^31 - 1. Each is a few dozen products, not
     one per power below it. The level refinement bound counts levels 2 and
     3 of (x)'s own family, whose radical test does not face (x^p); its left
-    side is (p^3 - 1)/p^2. A child process, so that a regression fails at
-    the timeout instead of stalling the suite."""
+    side is (p^3 - 1)/p^2. The Frobenius shift sweeps (x) against (x^p):
+    its radical test runs against the p-th root (x), and the containment
+    exponent p of x in (x^p) is found by doubling and bisecting, so both
+    sides are p^2 within a budget of 20,000 probes. A child process, so
+    that a regression fails at the timeout instead of stalling the suite."""
     spec_file = tmp_path / "p.spec"
     spec_file.write_text(spec_text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "frobvol", *command.split(), str(spec_file)],
-        capture_output=True, timeout=60, env=corpus.child_env(),
-    )
+    proc = corpus.run_capped(["-m", "frobvol", *command.split(), str(spec_file)])
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert payload in proc.stdout.decode()
+
+
+@pytest.mark.parametrize("spec_text,levels", [
+    ("p=1009; ring x,y; J: x,y; seq: y^2+x^3; e: 1..3", 3),
+    ("p=5; ring x,y,z; J: x,y,z; seq: x^4+y^4+z^4; x*y*z+x^3; e: 1..6", 6),
+], ids=["cusp_over_F1009", "quartic_pair_over_F5"])
+def test_cli_fedder_powers_down_the_levels(tmp_path, spec_text, levels):
+    """Fedder's test at level e reads f^(q-1) modulo m^[q], q = p^e; its
+    digit step takes the high digits f^(q/p - 1) modulo the level below,
+    where the table of the level below holds them, not modulo m^[q], where
+    they are barely truncated. Neither sequence is F-pure at any level.
+    Read modulo m^[q] alone, the cusp over F_1009 ran out of 2 GB by e = 3
+    and the quartic pair over F_5 took about a minute at e = 6. A child
+    process capped at 1 GB, so that a regression fails at the cap or the
+    timeout instead of exhausting memory."""
+    spec_file = tmp_path / "fedder.spec"
+    spec_file.write_text(spec_text)
+    proc = corpus.run_capped(["-m", "frobvol", "fedder", str(spec_file)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    p = spec_text.split(";")[0].removeprefix("p=")
+    rows = ",".join(f'{{"e":{e},"value":false}}' for e in range(1, levels + 1))
+    assert proc.stdout.decode() == (
+        f'{{"kind":"fedder","label":null,"p":{p},"rows":[{rows}],"sop":true}}\n')
 
 
 @pytest.mark.parametrize("command", ["vset", "verify-cover --e1 1 --e2 1"],
@@ -546,10 +571,7 @@ def test_cli_the_points_listed_are_charged_before_they_are_listed(tmp_path, comm
     listing that is not charged fails at the timeout."""
     spec_file = tmp_path / "p.spec"
     spec_file.write_text("p=2147483647; ring x; J: x; seq: x; e: 1..1; budget=20000")
-    proc = subprocess.run(
-        [sys.executable, "-m", "frobvol", *command.split(), str(spec_file)],
-        capture_output=True, timeout=60, env=corpus.child_env(),
-    )
+    proc = corpus.run_capped(["-m", "frobvol", *command.split(), str(spec_file)])
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr == b"error: budget 20000 exceeded\n"
 

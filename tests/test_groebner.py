@@ -316,6 +316,12 @@ def test_radical_membership_of_a_bracket_power():
     R3 = PolynomialRing(3, ["x", "y"])
     J = frobenius_power(Ideal(R3, list(R3.gens())), 27)
     assert radical_membership(R3.poly("y^2+x"), J)
+    # generators that are all cubes face their cube roots, down to a unit
+    cube = Ideal(R3, [R3.poly("x^3+2*y^3")])  # (x + 2y)^3
+    assert radical_membership(R3.poly("x+2*y"), cube)
+    assert not radical_membership(R3.poly("x"), cube)
+    assert radical_membership(R3.poly("y"), Ideal(R3, [R3.one(), R3.poly("x^9")]))
+    assert radical_membership(R3.poly("y"), Ideal(R3, [R3.one()]))
 
 
 def test_power_containment_index(R2):
@@ -326,6 +332,23 @@ def test_power_containment_index(R2):
     assert power_containment_index(Ideal(R2, [R2.poly("x+y")]), Ideal(R2, [R2.poly("x^4+y^4")])) == 4
     with pytest.raises(HypothesisViolatedError):
         power_containment_index(Ideal(R2, [x]), Ideal(R2, [y]))
+
+
+def test_power_containment_index_doubles_only_a_principal_ideal():
+    """x^k lies in (x^p), p = 1009, from k = p on. A principal power is one
+    polynomial, so the search doubles k and bisects: 20 probes, each
+    reading halves down to the held powers, so the table holds at most
+    10^2 powers (51), not p of them. The powers of (x, y, z) grow with k,
+    so its search in (x^6, y^6, z^6) steps one power at a time and holds
+    just the powers up to the answer, 3 * 5 + 1."""
+    R = PolynomialRing(1009, ["x"])
+    I, J = Ideal(R, R.gens()), Ideal(R, [R.poly("x").frobenius(R.p)])
+    assert power_containment_index(I, J) == R.p
+    assert len(power_table(I, groebner_basis(J)).pows) <= 10**2
+    R = PolynomialRing(2, ["x", "y", "z"])
+    m, J = Ideal(R, R.gens()), Ideal(R, [R.poly(f"{v}^6") for v in "xyz"])
+    assert power_containment_index(m, J) == 16
+    assert sorted(power_table(m, groebner_basis(J)).pows) == list(range(17))
 
 
 def test_the_hypothesis_is_decided_before_powers_are_built():

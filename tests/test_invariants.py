@@ -500,14 +500,22 @@ def test_fedder_examples(R2):
 
 
 def test_fedder_at_a_large_characteristic_builds_logarithmically_many_powers():
-    """Fedder's test reads f^(p-1) for the cusp over F_1009. Its power table
-    holds the powers that halving k reaches from p - 1, not every power
-    below p."""
+    """Fedder's test reads f^(q-1) for the cusp over F_1009 from the power
+    table of (f) modulo m^[q], linked to the table one level down. At
+    e = 1 that table holds the powers that halving k reaches from p - 1,
+    not every power below p. At e = 2 the digit step reads f^(p-1) from
+    the level-1 table as it stands, so the level-2 table adds only the
+    powers that halving reaches from p - 1 and q - 1 itself."""
     R = PolynomialRing(1009, ["x", "y"])
-    f = R.poly("y^2+x^3")
-    assert fedder_criterion([f], 1) is False  # the cusp is never F-pure
-    table = power_table(Ideal(R, (f,)), frobenius_basis(Ideal(R, R.gens()), 1009))
+    f, m = Ideal(R, [R.poly("y^2+x^3")]), Ideal(R, R.gens())
+    assert fedder_criterion(f.gens, 1) is False  # the cusp is never F-pure
+    table = power_table(f, frobenius_basis(m, 1009))
     assert len(table.pows) <= 2 * (1009).bit_length()
+    assert fedder_criterion(f.gens, 2) is False
+    level2 = power_table(f, frobenius_basis(m, 1009**2))
+    assert level2.below is table
+    assert len(table.pows) <= 2 * (1009).bit_length()
+    assert len(level2.pows) <= 2 * (1009).bit_length() + 1
 
 
 def test_fedder_reads_every_entry_of_the_corner():

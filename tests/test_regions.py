@@ -46,7 +46,7 @@ from frobvol.regions import (
 )
 from frobvol.invariants import nu, threshold_table, volume_table
 from frobvol.ring import PolynomialRing
-from corpus import COVER_PARAMS, load
+from corpus import COVER_PARAMS, load, run_capped
 from oracles import (
     brute_force_escape_points,
     downset_size_inclusion_exclusion,
@@ -780,6 +780,32 @@ def test_a_large_characteristic_costs_about_log_p_edges():
     counter = BudgetCounter(10**6)
     assert nu(cusp, m, 2, budget=counter) == -(-5 * 211**2 // 6) - 1
     assert counter.used < 100
+
+
+def test_the_automaton_reads_its_digit_powers_from_power_tables():
+    """The root automaton of the cusp over F_1009 forms each digit factor
+    f^d, d < p, from the entry's own `PowerTable`, and nothing on the way
+    to the sizes (the containment exponent, the edges, the weights' sweeps)
+    calls `Polynomial.__pow__`, which a counter wrapped around it would
+    see. The sizes at e = 1..3 are ceil(5q/6), since p = 1 mod 6. A child
+    process capped at 1 GB, so the wrapper stays out of the suite's
+    process and a regression fails at the cap or the timeout."""
+    code = (
+        "from frobvol.groebner import Ideal\n"
+        "from frobvol.regions import IdealSequence, PFamily, escape_sizes\n"
+        "from frobvol.ring import Polynomial, PolynomialRing\n"
+        "calls = []\n"
+        "power = Polynomial.__pow__\n"
+        "Polynomial.__pow__ = lambda f, k: calls.append(k) or power(f, k)\n"
+        "R = PolynomialRing(1009, ['x', 'y'])\n"
+        "seq = IdealSequence([Ideal(R, [R.poly('y^2+x^3')])])\n"
+        "fam = PFamily.frobenius(Ideal(R, list(R.gens())))\n"
+        "print([size for _, size, _, _ in escape_sizes(seq, fam, range(1, 4))], len(calls))\n"
+    )
+    proc = run_capped(["-c", code])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    sizes = [-(-5 * 1009**e // 6) for e in range(1, 4)]
+    assert proc.stdout.decode() == f"{sizes} 0\n"
 
 
 def test_a_weight_is_one_sweep_of_its_state():

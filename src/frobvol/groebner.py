@@ -12,8 +12,11 @@ are. `_divide` is the one division loop: it serves `GroebnerBasis.reduce`,
 the S-polynomials and tail reduction of `buchberger`, and the product
 kernel. Divisibility and overflow are read off the guard bits of the packed
 fields, and the largest remaining term comes off a heap of int order keys;
-a divisor's tail carries each term's key offset from its leading monomial
-(`_tail`), so a division step adds to a key instead of computing one.
+a divisor's tail carries each term's key offset from its leading monomial,
+so a division step adds to a key instead of computing one. `_divide`
+returns each remainder term with the key it holds, and the tails of
+`buchberger`, `_autoreduce` and `GroebnerBasis` are read off those keys, so
+a basis keys each of its terms once.
 
 `GroebnerBasis.reduce_products` is the product kernel of every power and
 every prefix product of an escape-set sweep: the distinct nonzero normal
@@ -128,19 +131,22 @@ class GroebnerBasis:
     """A reduced, monic Groebner basis, sorted by leading monomial (ascending).
 
     Alongside the polynomials it keeps their packed leading monomials and
-    tails, the form `_divide` works on."""
+    tails, the form `_divide` works on: each polynomial's terms are keyed
+    once, by `_divide` with no divisors, and its tail offsets are read off
+    those keys."""
 
     __slots__ = ("ring", "polys", "leading_monomials", "is_monomial", "_tails")
 
     def __init__(self, ring: PolynomialRing, polys):
         self.ring = ring
-        polys = sorted(polys, key=lambda f: ring.key(f.leading()[0]))
-        self.polys = tuple(polys)
-        self.leading_monomials = tuple(f.leading()[0] for f in polys)
-        self.is_monomial = all(len(f.coeffs) == 1 for f in polys)
+        # each polynomial's keyed terms, the polynomials by their leading keys
+        keyed = sorted(((_divide(f.coeffs, (), (), ring), f) for f in polys),
+                       key=lambda t: t[0][0][2])
+        self.polys = tuple(f for _, f in keyed)
+        self.leading_monomials = tuple(terms[0][0] for terms, _ in keyed)
+        self.is_monomial = all(len(f.coeffs) == 1 for f in self.polys)
         self._tails = tuple(
-            _tail(lm, [(m, c) for m, c in f.coeffs.items() if m != lm], ring)
-            for f, lm in zip(polys, self.leading_monomials)
+            tuple((m, c, k - terms[0][2]) for m, c, k in terms[1:]) for terms, _ in keyed
         )
 
     @property
@@ -161,23 +167,17 @@ class GroebnerBasis:
         if f.is_zero or not self.polys:
             return f
         rem = _divide(f.coeffs, self.leading_monomials, self._tails, self.ring)
-        return Polynomial(self.ring, dict(rem))
+        return Polynomial(self.ring, {m: c for m, c, _ in rem})
 
     def reduce_products(self, left, right) -> tuple:
         """Distinct nonzero NF(u*v) for u in `left` and v in `right`, in
         first-seen order: `_dedup(self.reduce(u * v) ...)`.
 
-        Each product is one pass of `_product`. When only one product is
-        formed, its normal form is the answer and nothing is deduplicated.
+        Each product is one pass of `_product`.
         """
-        if not left or not right:
-            return ()
         ring = self.ring
         if any(f.ring is not ring and f.ring != ring for f in (*left, *right)):
             raise RingMismatchError("polynomial from a different ring")
-        if len(left) == 1 and len(right) == 1:
-            out = self._product(left[0].coeffs, right[0].coeffs)
-            return (Polynomial(ring, out),) if out else ()
         found = {}
         for u in left:
             for v in right:
@@ -198,7 +198,8 @@ class GroebnerBasis:
         ring = self.ring
         if self.is_monomial:
             return ring.multiply(u, v, q, self.leading_monomials, _first)
-        return dict(_divide(ring.multiply(u, v, q), self.leading_monomials, self._tails, ring))
+        rem = _divide(ring.multiply(u, v, q), self.leading_monomials, self._tails, ring)
+        return {m: c for m, c, _ in rem}
 
     def meets(self, left, right) -> bool:
         """Whether some product u*v, u in `left` and v in `right`, lies
@@ -227,22 +228,15 @@ class GroebnerBasis:
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
 
 
-def _tail(lm: int, terms, ring: PolynomialRing) -> tuple:
-    """A monic divisor's tail in the form `_divide` reads: (packed monomial,
-    coefficient, key offset) for each term (m, c) of `terms`, where the
-    offset key(m) - key(lm) moves an order key by the shift that takes the
-    leading monomial lm to a cancelled term, since order keys are affine in
-    the exponents."""
-    key = ring.key
-    k = key(lm)
-    return tuple((m, c, key(m) - k) for m, c in terms)
-
-
 def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
     """Remainder of the packed terms `terms` (packed monomial -> coefficient,
     not yet reduced mod p) on division by monic divisors, given by their
-    packed leading monomials `lms` and the matching `tails` (`_tail`), as
-    (packed monomial, coefficient) pairs in descending order.
+    packed leading monomials `lms` and the matching `tails`, as keyed terms
+    (packed monomial, coefficient, order key) in descending order; with no
+    divisors, the terms themselves, keyed and sorted. A divisor's tail
+    holds (packed monomial, coefficient, key offset) for each term after
+    its leading one, the offset key(m) - key(lm) moving an order key by the
+    shift that takes the leading monomial lm to a cancelled term.
 
     Each step cancels the largest remaining term with the first listed
     divisor whose leading monomial divides it. The terms wait in a heap of
@@ -288,7 +282,7 @@ def _divide(terms: dict, lms, tails, ring: PolynomialRing) -> list:
                         work[n] = v - c * tc
                 break
         else:
-            rem.append((m, c))
+            rem.append((m, c, k))
     return rem
 
 
@@ -309,7 +303,9 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     polynomial whose leading monomial the new one divides is retired: it
     forms no more pairs and no longer divides. Pair lcms are field-wise
     maxima of packed monomials, read off the guard bits. Each S-polynomial
-    is built from the tails of its pair.
+    is built from the tails of its pair. Only the input terms and the pair
+    lcms are keyed: a remainder comes from `_divide` with its terms' keys,
+    and a new polynomial's tail offsets are read off them.
     """
     if isinstance(gens, Ideal):
         ring = gens.ring
@@ -324,6 +320,7 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
     key, p, guard = ring.key, ring.p, ring.guard
 
     lms: list[int] = []
+    keys: list[int] = []  # the order keys of the leading monomials
     tails: list[tuple] = []
     live: list[int] = []  # the indices not retired
     live_lms: list[int] = []
@@ -339,8 +336,8 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         return ((b | guard) - a) & guard == guard
 
     def push(terms):
-        """Add the polynomial of `terms`, leading term first."""
-        (lm, lc), *tail = terms
+        """Add the polynomial of the keyed `terms` (`_divide`), leading term first."""
+        (lm, lc, lk), *tail = terms
         inv = pow(lc, p - 2, p)
         j = len(lms)
         pairs[:] = [pair for pair in pairs if not (
@@ -359,13 +356,14 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
             if shared:
                 heapq.heappush(pairs, (key(m), i, j, m))
         lms.append(lm)
-        tails.append(_tail(lm, [(m, c * inv % p) for m, c in tail], ring))
+        keys.append(lk)
+        tails.append(tuple((m, c * inv % p, k - lk) for m, c, k in tail))
         live[:] = [i for i in live if not divides(lm, lms[i])] + [j]
         live_lms[:] = [lms[i] for i in live]
         live_tails[:] = [tails[i] for i in live]
 
     for g in gens:
-        push(g.terms_desc())
+        push(_divide(g.coeffs, (), (), ring))
 
     while pairs:
         _, i, j, lcm_ij = heapq.heappop(pairs)
@@ -382,23 +380,25 @@ def buchberger(gens, ring: PolynomialRing | None = None) -> GroebnerBasis:
         if r:
             push(r)
 
-    return GroebnerBasis(ring, _autoreduce(live_lms, live_tails, ring))
+    return GroebnerBasis(ring, _autoreduce([(keys[i], lms[i], tails[i]) for i in live], ring))
 
 
-def _autoreduce(lms: list, tails: list, ring: PolynomialRing) -> list:
-    """Minimalize and tail-reduce a monic Groebner generating set, given by
-    leading monomials and tails (`_tail`); returns the polynomials."""
-    key, guard = ring.key, ring.guard
+def _autoreduce(polys: list, ring: PolynomialRing) -> list:
+    """Minimalize and tail-reduce a monic Groebner generating set, given as
+    (leading key, leading monomial, tail) with the tails of `_divide`;
+    returns the polynomials. Each offset of a reduced tail is read off the
+    key that `_divide` returns with its term."""
+    guard = ring.guard
     minimal = []
-    for lm, tail in sorted(zip(lms, tails), key=lambda f: key(f[0])):
-        if not any(((lm | guard) - g) & guard == guard for g, _ in minimal):
-            minimal.append((lm, tail))
+    for lk, lm, tail in sorted(polys):  # by leading key, so a divisor comes first
+        if not any(((lm | guard) - g) & guard == guard for _, g, _ in minimal):
+            minimal.append((lk, lm, tail))
     # tail reduction keeps every leading monomial, since none divides another
-    lms, tails = map(list, zip(*minimal))
-    for i in range(len(minimal)):
+    keys, lms, tails = map(list, zip(*minimal))
+    for i, lk in enumerate(keys):
         others = lms[:i] + lms[i + 1:], tails[:i] + tails[i + 1:]
         rem = _divide({m: c for m, c, _ in tails[i]}, *others, ring)
-        tails[i] = _tail(lms[i], rem, ring)
+        tails[i] = tuple((m, c, k - lk) for m, c, k in rem)
     return [Polynomial(ring, {lm: 1, **{m: c for m, c, _ in tail}}) for lm, tail in zip(lms, tails)]
 
 

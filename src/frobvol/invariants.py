@@ -9,7 +9,6 @@ theorems, so a false verdict is an implementation bug and carries a witness.
 from __future__ import annotations
 
 import json
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, prod
@@ -46,6 +45,7 @@ from .regions import (
     escape_sizes,
     product_escapes,
 )
+from .ring import _digits
 
 
 def json_text(payload) -> str:
@@ -56,19 +56,6 @@ def json_text(payload) -> str:
 def _leave_one_out(values: list) -> int:
     """The sum over i of the product of every value but the i-th."""
     return sum(prod(values[:i] + values[i + 1:]) for i in range(len(values)))
-
-
-def _digits(n: int) -> str:
-    """str(n) past the default limit of 4300 digits (Python 3.11, and
-    3.10.7 on), which the exact rows of a high level pass."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _fraction_json(v: Fraction) -> dict:
@@ -122,8 +109,8 @@ class CheckReport:
     def __init__(self, name, params, left, right, ok, witness=None, table=None):
         self.name = name
         self.params = dict(params)
-        self.left = str(left)
-        self.right = str(right)
+        self.left = _digits(left)
+        self.right = _digits(right)
         self.ok = bool(ok)
         self.witness = witness
         self.table = table
@@ -138,7 +125,7 @@ class CheckReport:
             "left": self.left,
             "right": self.right,
             "ok": self.ok,
-            "witness": None if self.witness is None else str(self.witness),
+            "witness": None if self.witness is None else _digits(self.witness),
         }
         if self.table is not None:
             out["table"] = self.table
@@ -309,8 +296,8 @@ def fedder_criterion(f_seq, e: int) -> bool:
             return False
     seq = IdealSequence(Ideal(ring, (f,)) for f in f_seq)
     fam = PFamily.frobenius(Ideal(ring, ring.gens()))
-    _power_tables(seq, fam, e, None)
-    return product_escapes([ring.p ** e - 1] * seq.t, seq.entries, fam.level_basis(e))
+    tables = _power_tables(seq, fam, e, None)
+    return product_escapes([ring.p ** e - 1] * seq.t, tables, fam.level_basis(e))
 
 
 def is_parameter_sequence(f_seq, pres=None) -> bool:
@@ -558,7 +545,7 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
         for e2 in inner_levels:
             size, _ = cells[e, e2]
             v = Fraction(size, p ** ((e + e2) * t))
-            table.append({"e": e, "e_inner": e2, "num": str(v.numerator), "den": str(v.denominator)})
+            table.append({"e": e, "e_inner": e2, **_fraction_json(v)})
     return CheckReport("pfamily_truncation", {}, len(table), len(table), True, None, table)
 
 

@@ -215,7 +215,9 @@ def axis_bounds(seq: IdealSequence, fam: PFamily, e: int, pres=None) -> tuple:
 
 def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None) -> bool:
     """True iff the product ideal at `point` is NOT contained in the level
-    ideal: one probe (`product_escapes`), charged to the budget."""
+    ideal: one probe (`product_escapes`) of the entries' power tables,
+    linked down the family's levels as a sweep links them
+    (`_power_tables`), charged to the budget."""
     point = tuple(point)
     if len(point) != seq.t:
         raise BadInputError(f"point arity {len(point)} != sequence length {seq.t}")
@@ -225,23 +227,24 @@ def escapes(point, seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=N
     counter = _as_budget(budget)
     basis = fam.level_basis(e, pres)
     counter.charge()
-    return product_escapes(point, seq.entries, basis)
+    return product_escapes(point, _power_tables(seq, fam, e, pres), basis)
 
 
-def product_escapes(point, entries, basis: GroebnerBasis) -> bool:
-    """True iff the product of the powers I^a of the `entries` at `point`
-    has a normal form other than 0 modulo `basis`. Each power is read from
-    the entry's own power table; the normal forms of the product of all
-    entries but the last are formed, and `GroebnerBasis.meets` tests their
-    products with the last power. No hypothesis is checked."""
-    acc = power_table(entries[0], basis).power(point[0])
-    if len(entries) == 1:
+def product_escapes(point, tables, basis: GroebnerBasis) -> bool:
+    """True iff the product of the powers I^a of the entries at `point` has
+    a normal form other than 0 modulo `basis`, each power read from the
+    entry's table in `tables` (the `_power_tables` of the level of
+    `basis`). The normal forms of the product of all entries but the last
+    are formed, and `GroebnerBasis.meets` tests their products with the
+    last power. No hypothesis is checked."""
+    acc = tables[0].power(point[0])
+    if len(tables) == 1:
         return bool(acc)
-    for I, a in zip(entries[1:-1], point[1:-1]):
+    for table, a in zip(tables[1:-1], point[1:-1]):
         if not acc:
             return False
-        acc = basis.reduce_products(acc, power_table(I, basis).power(a))
-    return bool(acc) and basis.meets(acc, power_table(entries[-1], basis).power(point[-1]))
+        acc = basis.reduce_products(acc, table.power(a))
+    return bool(acc) and basis.meets(acc, tables[-1].power(point[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +311,19 @@ def _down_set_rows(corners) -> list:
     return list(reversed(top.items()))
 
 
-def _sizes(rows) -> tuple:
-    """The number of points of the rows (b, top), and of the positive ones."""
-    return sum(top + 1 for _, top in rows), sum(top for b, top in rows if 0 not in b)
-
-
-def _antichain(points) -> tuple:
-    """The maximal points among `points`. In reverse lexicographic order a
-    point comes after every point above it, so it is compared only with the
-    maximal points kept so far."""
-    out = []
-    for a in sorted(set(map(tuple, points)), reverse=True):
-        if not any(all(x <= y for x, y in zip(a, b)) for b in out):
-            out.append(a)
-    return tuple(sorted(out))
+def _down_set(dimension, level, p, rows: dict) -> DownSet:
+    """The down-set of the rows {prefix: top}, each the points prefix + (a,)
+    for a = 0..top, with every prefix of the set present: the point
+    prefix + (top,) is maximal unless the row one step up on some axis of
+    the prefix reaches top, and the sizes are summed row by row."""
+    max_points = [
+        prefix + (top,) for prefix, top in rows.items()
+        if all(rows.get(prefix[:i] + (x + 1,) + prefix[i + 1:], -1) < top
+               for i, x in enumerate(prefix))
+    ]
+    size = sum(top + 1 for top in rows.values())
+    positive = sum(top for prefix, top in rows.items() if 0 not in prefix)
+    return DownSet(dimension, level, p, max_points, size, positive)
 
 
 def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
@@ -508,15 +510,7 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
         carry.clear()
         carry[e] = rows
 
-    size, positive = _sizes(rows.items())
-    max_points = []
-    for prefix, m in rows.items():
-        if all(
-            rows.get(prefix[:i] + (prefix[i] + 1,) + prefix[i + 1:], -1) < m
-            for i in range(t - 1)
-        ):
-            max_points.append(prefix + (m,))
-    return DownSet(t, e, fam.p, max_points, size, positive)
+    return _down_set(t, e, p, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +595,9 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
 
 def box_region(dimension, level, p, corners) -> DownSet:
     """The down-set the corners generate: the union of the boxes [0, a] over
-    the corners a, counted row by row (no set is built)."""
-    max_points = _antichain(corners)
-    size, positive = _sizes(_down_set_rows(max_points))
-    return DownSet(dimension, level, p, max_points, size, positive)
+    the corners a, read off its rows (`_down_set_rows`, `_down_set`), so
+    dominated and repeated corners drop out and no set is built."""
+    return _down_set(dimension, level, p, dict(_down_set_rows(corners)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 
 from .errors import (
     ExponentOverflowError,
@@ -49,6 +50,21 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _digits(n) -> str:
+    """str(n) of an exact int, or of a Fraction or tuple of them, past the
+    default limit of 4300 digits (Python 3.11, and 3.10.7 on), which a high
+    level's q and exact rows pass: the package's one writer of exact
+    integers."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +205,12 @@ class PolynomialRing:
         against `frobenius_limit` when q = p and `scale_limit(q)` otherwise.
 
         Every monomial field holds at most MAX_EXPONENT, so a field of a
-        packed product sets its guard bit exactly when it overflows; every
-        distinct product monomial is checked when first formed. A term that
+        packed product sets its guard bit exactly when it overflows; a
+        surviving product monomial is checked when first formed. A term that
         a monomial of `cut` divides is dropped as soon as it is formed, so
-        a truncated product never stores it, and the survivors'
+        a truncated product never stores it (nor remembers it: a set of the
+        dropped monomials doubled peak memory on truncated products of long
+        polynomials and saved no measured time), and the survivors'
         coefficients are reduced mod p, dropping those that vanish. When
         one factor has one term the product is a shift of the other: its
         monomials are distinct and its coefficients nonzero, because p is
@@ -209,11 +227,10 @@ class PolynomialRing:
         shift = len(u) == 1 or len(v) == 1
         stop = shift and first
         acc = {}
-        dead = set()
         for m1, c1 in u.items():
             if q != 1:
                 if (limit - m1) & guard != guard:
-                    raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {q}")
+                    raise ExponentOverflowError(f"exponent beyond 2^63-1 scaling by {_digits(q)}")
                 m1 *= q
             for m2, c2 in v.items():
                 m = m1 + m2
@@ -222,15 +239,11 @@ class PolynomialRing:
                     if c is not None:
                         acc[m] = c + c1 * c2
                         continue
-                    if m in dead:
-                        continue
                 if m & guard:
                     raise ExponentOverflowError("exponent beyond 2^63-1 in a product")
                 g = m | guard
                 for lm in cut:
                     if (g - lm) & guard == guard:
-                        if not shift:  # a shift forms each monomial once
-                            dead.add(m)
                         break
                 else:
                     if stop:

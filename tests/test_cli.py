@@ -576,6 +576,44 @@ def test_cli_the_points_listed_are_charged_before_they_are_listed(tmp_path, comm
     assert proc.stderr == b"error: budget 20000 exceeded\n"
 
 
+@pytest.mark.parametrize("command,code", [
+    ("hk", 2),
+    ("check frob_shift", 2),
+    ("check containment_monotone", 2),
+    ("check sup_identity", 2),
+    ("check hk_length_ineq", 2),
+    ("check simplex_bound", 0),
+    ("check level_refinement_bound", 0),
+    ("check threshold_bounds", 0),
+], ids=["hk", "frob_shift", "containment_monotone", "sup_identity", "hk_length_ineq",
+        "simplex_bound", "level_refinement_bound", "threshold_bounds"])
+def test_cli_writes_exact_integers_past_the_default_digit_limit(tmp_path, capsys, command, code):
+    """q = p^470 with p = 2^31 - 1 has 4,387 digits, past the 4,300 that
+    Python's str allows by default, and `ring._digits` writes every exact
+    integer. x^q passes the exponent ceiling: `hk` writes its empty partial
+    table flagged `exponent_overflow`, and the checkers that sweep print
+    one error line naming q in full, both with exit 2. The size-only
+    checkers count on the automaton and write their sides in full. Each
+    exited 1 with a traceback when q and the sides went through str."""
+    spec_file = tmp_path / "high.spec"
+    spec_file.write_text("p=2147483647; ring x; J: x; seq: x; e: 470..470")
+    assert main([*command.split(), str(spec_file)]) == code
+    captured = capsys.readouterr()
+    q = 2147483647**470
+    if code == 2:
+        head = "error: exponent beyond 2^63-1 scaling by "
+        assert captured.err.startswith(head) and captured.err.endswith("\n")
+        digits = captured.err[len(head):-1]
+        assert len(digits) == 4387 and int(digits[-18:]) == q % 10**18
+        assert captured.out == ("" if command != "hk" else
+                                '{"flags":{"exponent_overflow":true},"kind":"hk",'
+                                '"p":2147483647,"rows":[],"t":1}\n')
+    else:
+        (report,) = json.loads(captured.out)["checks"]
+        assert captured.err == "" and report["ok"] and report["witness"] is None
+        assert min(len(report["left"]), len(report["right"])) > 4300
+
+
 def test_cli_writes_rows_longer_than_the_default_digit_limit(tmp_path, capsys):
     """7^6000 has 5,071 digits, past the 4,300 that Python's str allows by
     default; the cusp's row at that level is still written in full, given

@@ -37,7 +37,7 @@ from .errors import (
     NonPrimeError,
     SpecParseError,
 )
-from .groebner import Ideal
+from .groebner import Ideal, ideal_sum
 from .invariants import (
     CHECK_NAMES,
     check_containment_monotone,
@@ -49,16 +49,13 @@ from .invariants import (
     check_sup_identity,
     check_threshold_bounds,
     check_union_decomposition,
-    fedder_criterion,
-    fpure_ci_label,
+    fedder_payload,
     hilbert_kunz_table,
-    is_parameter_sequence,
     json_text,
     threshold_table,
     truncation_table,
     volume_table,
 )
-from .groebner import ideal_sum
 from .regions import (
     BudgetCounter,
     DEFAULT_BUDGET,
@@ -374,11 +371,7 @@ def _dispatch(spec: ProblemSpec, args) -> tuple:
         if not seq.principal:
             raise BadInputError("fedder needs a sequence of single-generator entries")
         f_seq = [I.gens[0] for I in seq.entries]
-        rows = [{"e": e, "value": fedder_criterion(f_seq, e)} for e in spec.levels()]
-        sop = is_parameter_sequence(f_seq, pres)
-        label = fpure_ci_label(f_seq, spec.e_hi, pres)
-        return json_text({"kind": "fedder", "p": spec.p, "rows": rows, "sop": sop,
-                          "label": label}), 0
+        return json_text(fedder_payload(f_seq, spec.levels(), spec.e_hi, pres)), 0
 
     if command == "check":
         return _run_check(spec, args.name, args)

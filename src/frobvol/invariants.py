@@ -15,7 +15,6 @@ from math import factorial, prod
 
 from .errors import (
     BadInputError,
-    BadLevelError,
     BudgetExceededError,
     ExponentOverflowError,
     HypothesisViolatedError,
@@ -34,10 +33,12 @@ from .groebner import (
     standard_monomial_count,
 )
 from .regions import (
+    DownSet,
     IdealSequence,
     PFamily,
     _as_budget,
     _flat,
+    _nonnegative,
     _power_tables,
     box_region,
     containment_exponents,
@@ -251,10 +252,9 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
     `d` must be nonnegative; finite length
     is required at every level (the graded stand-in for m-primary). An
     exponent overflow carries the rows finished before it (`_cut_short`)."""
-    ring = J.ring
-    p = ring.p
+    p = J.ring.p
     if d is None:
-        d = krull_dimension(Ideal(ring, ()), pres)
+        d = krull_dimension(Ideal(J.ring, ()), pres)
         if d < 0:
             raise BadInputError("presented ring is zero; no Hilbert-Kunz data")
     elif d < 0:
@@ -262,6 +262,7 @@ def hilbert_kunz_table(J: Ideal, levels, pres=None, d=None) -> EstimateTable:
     rows = []
     with _cut_short("hk", p, 1, rows):
         for e in levels:
+            _nonnegative(e)
             q = p ** e
             lam = staircase_count_of(frobenius_basis(J, q, pres))
             if lam is None:
@@ -284,7 +285,9 @@ def fedder_criterion(f_seq, e: int) -> bool:
     Frobenius family of m (`regions.product_escapes`). Each f_i is powered
     in its own table, linked down the family's levels as a sweep links it
     (`regions._power_tables`), so a digit step reads its high digits modulo
-    the level below. An f_i need not lie in m."""
+    the level below. For t >= 2 the time goes to the corner product (its
+    `GroebnerBasis.meets` modulo m^[q]), not to the powers. An f_i need not
+    lie in m, and a zero f_i gives False."""
     f_seq = list(f_seq)
     if not f_seq:
         raise BadInputError("need at least one element")
@@ -314,31 +317,43 @@ def is_parameter_sequence(f_seq, pres=None) -> bool:
 FPURE_CI_LABEL = "F-pure complete intersection (verified to level {e})"
 
 
-def fpure_ci_label(f_seq, e_max: int, pres=None):
-    """The certification label, or None.
-
-    The label asserts only finitely checked facts: the dimension-drop test,
-    each f_i in the ideal m of all variables (the radical hypothesis of the
-    escape sets against m), and Fedder's test at every level up to e_max.
-    With each f_i in m, the level-e escape set of (f_1, ..., f_t) against m
-    lies in the box [0, q-1]^t and fills it exactly when the corner
-    (q-1, ..., q-1) escapes, which is Fedder's test; so the label also
-    means volume rows of exactly 1 up to e_max. Requires a polynomial
-    ambient ring.
-    """
+def fedder_payload(f_seq, levels, e_max: int, pres=None) -> dict:
+    """The `frobvol fedder` payload, each test run at most once: rows of
+    `fedder_criterion` over `levels`, sop `is_parameter_sequence` and label
+    `fpure_ci_label` up to e_max. The label reads the rows, and tests a
+    level below them only while no test has failed, in ascending order,
+    stopping at the first that fails."""
     f_seq = list(f_seq)
     if not f_seq:
         raise BadInputError("need at least one element")
-    if pres is not None and not pres.is_zero:
-        return None
+    rows = {e: fedder_criterion(f_seq, e) for e in levels}
+    sop = is_parameter_sequence(f_seq, pres)
     ring = f_seq[0].ring
-    if (
-        is_parameter_sequence(f_seq, pres)
+    tested = range(1, e_max + 1)
+    certified = (
+        (pres is None or pres.is_zero) and e_max >= 1 and sop
         and ideal_contains(Ideal(ring, f_seq), Ideal(ring, ring.gens()))
-        and all(fedder_criterion(f_seq, e) for e in range(1, e_max + 1))
-    ):
-        return FPURE_CI_LABEL.format(e=e_max)
-    return None
+        and all(rows.get(e, True) for e in tested)
+        and all(fedder_criterion(f_seq, e) for e in tested if e not in rows)
+    )
+    return {"kind": "fedder", "p": ring.p, "rows": [{"e": e, "value": v} for e, v in rows.items()],
+            "sop": sop, "label": FPURE_CI_LABEL.format(e=e_max) if certified else None}
+
+
+def fpure_ci_label(f_seq, e_max: int, pres=None):
+    """The certification label of `fedder_payload` with no rows, or None.
+
+    The label asserts only finitely checked facts: the dimension-drop test,
+    each f_i in the ideal m of all variables (the radical hypothesis of the
+    escape sets against m), and Fedder's test at every level from 1 to
+    e_max, so with e_max < 1 no level is tested and there is no label.
+    With each f_i in m, the level-e escape set of (f_1, ..., f_t) against m
+    lies in the box [0, q-1]^t and fills it exactly when the corner
+    (q-1, ..., q-1) escapes, which is Fedder's test; so the label also
+    means volume rows of exactly 1 from level 1 to e_max. Requires a
+    polynomial ambient ring.
+    """
+    return fedder_payload(f_seq, (), e_max, pres)["label"]
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +378,10 @@ def check_frob_shift(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=Non
     """Escape set against the p-th bracket power at level e equals the
     escape set against the ideal itself at level e+1."""
     counter = _as_budget(budget)
-    p = J.ring.p
-    left = escape_set(seq, PFamily.frobenius(frobenius_power(J, p)), e, pres, counter)
+    left = escape_set(seq, PFamily.frobenius(frobenius_power(J, J.ring.p)), e, pres, counter)
     right = escape_set(seq, PFamily.frobenius(J), e + 1, pres, counter)
-    ok = left.max_points == right.max_points
-    witness = None
-    if not ok:
-        diff = set(left.points()) ^ set(right.points())
-        witness = sorted(diff)[0]
-    return CheckReport("frob_shift", {"e": e}, left.size, right.size, ok, witness)
+    witness = _least_difference(left, right)
+    return CheckReport("frob_shift", {"e": e}, left.size, right.size, witness is None, witness)
 
 
 def check_containment_monotone(seq: IdealSequence, J: Ideal, bigger: Ideal, e: int,
@@ -396,27 +406,30 @@ def check_slice_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=No
     ds = escape_set(seq, fam, e, pres, counter)
     ds_prefix = escape_set(seq.truncated(), fam, e, pres, counter)
     last_nu = nu(seq.entries[-1], J, e, pres, budget=counter)
-    witness = None
-    for mp in ds.max_points:
-        if mp[:-1] not in ds_prefix or mp[-1] > last_nu:
-            witness = mp
-            break
-    ok = witness is None
-    return CheckReport(
-        "slice_bound", {"e": e},
-        ds.size, ds_prefix.size * (last_nu + 1), ok, witness,
-    )
+    witness = next((mp for mp in ds.max_points
+                    if mp[:-1] not in ds_prefix or mp[-1] > last_nu), None)
+    return CheckReport("slice_bound", {"e": e}, ds.size, ds_prefix.size * (last_nu + 1),
+                       witness is None, witness)
+
+
+def _least_difference(a: DownSet, b: DownSet):
+    """None when the down-sets are equal, else the least point in just one
+    of them: the witness of a checker comparing two escape sets."""
+    return None if a == b else min(set(a.points()) ^ set(b.points()))
+
+
+def _simplex_sides(seq: IdealSequence, J: Ideal, e: int, pres, counter) -> tuple:
+    """(positive count / p^(et), (nu of the entry sum / p^e)^t / t!, singles)
+    at level e: the sizes first (`regions.escape_sizes`), then nu of the sum."""
+    q, t = J.ring.p ** e, seq.t
+    ((_, _, positive, singles),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
+    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
+    return Fraction(positive, q ** t), Fraction(total, q) ** t / factorial(t), singles
 
 
 def check_simplex_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=None) -> CheckReport:
     """Positive-normalized count is at most (nu of the entry sum / p^e)^t / t!."""
-    counter = _as_budget(budget)
-    p = J.ring.p
-    t = seq.t
-    ((_, _, positive, _),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
-    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
-    left = Fraction(positive, p ** (e * t))
-    right = Fraction(total, p ** e) ** t / factorial(t)
+    left, right, _ = _simplex_sides(seq, J, e, pres, _as_budget(budget))
     ok = left <= right
     return CheckReport("simplex_bound", {"e": e}, left, right, ok,
                        None if ok else (left, right))
@@ -457,26 +470,24 @@ def check_union_decomposition(seq: IdealSequence, parts, e: int, pres=None,
     for part in parts:
         corners.extend(escape_set(seq, PFamily.frobenius(part), e, pres, counter).max_points)
     union = box_region(seq.t, e, ds_j.p, corners)
-    ok = union == ds_j
-    witness = None if ok else min(set(union.points()) ^ set(ds_j.points()))
-    return CheckReport("union_decomposition", {"e": e}, ds_j.size, union.size, ok, witness)
+    witness = _least_difference(union, ds_j)
+    return CheckReport("union_decomposition", {"e": e}, ds_j.size, union.size, witness is None,
+                       witness)
 
 
 def check_hk_length_inequality(seq: IdealSequence, J: Ideal, e: int, pres=None,
                                budget=None) -> CheckReport:
     """length(R/J^[p^e]) is at most |escape set| * length(R/(I + J^[p^e]))."""
+    _nonnegative(e)
     if not seq.principal:
         raise HypothesisViolatedError("length inequality needs a sequence of elements")
     counter = _as_budget(budget)
-    ring = J.ring
-    q = ring.p ** e
-    Jq = frobenius_power(J, q)
+    q = J.ring.p ** e
     left = staircase_count_of(frobenius_basis(J, q, pres))
     if left is None:
         raise NotPrimaryError("reference ideal is not primary to the irrelevant maximal ideal")
     ((_, size, _, _),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
-    I = ideal_sum(*seq.entries)
-    right = size * standard_monomial_count(ideal_sum(I, Jq), pres)
+    right = size * standard_monomial_count(ideal_sum(*seq.entries, frobenius_power(J, q)), pres)
     ok = left <= right
     return CheckReport("hk_length_ineq", {"e": e}, left, right, ok,
                        None if ok else (left, right))
@@ -498,12 +509,10 @@ def _fixed_level_sizes(seq: IdealSequence, fam: PFamily, outer_levels, inner_lev
         return {level: (size, positive)
                 for level, size, positive, _ in escape_sizes(seq, family, wanted, pres, counter)}
 
+    _nonnegative(*outer_levels, *inner_levels)
     if fam.kind != "frobenius":
         return {(e, e2): cell for e in outer_levels
                 for e2, cell in sizes(PFamily.frobenius(fam.level_ideal(e)), inner_levels).items()}
-    for level in (*outer_levels, *inner_levels):
-        if level < 0:
-            raise BadLevelError(f"negative level {level}")
     swept = sizes(fam, sorted({e + e2 for e in outer_levels for e2 in inner_levels}))
     return {(e, e2): swept[e + e2] for e in outer_levels for e2 in inner_levels}
 
@@ -513,7 +522,8 @@ def check_level_refinement_bound(seq: IdealSequence, fam: PFamily, e: int, e1: i
     """Refining against the fixed level-e ideal grows the positive-normalized
     count by at most p^{e(t-1)} * u / p^{e1} for the explicit constant u.
     Both counts are read against J_e as `truncation_table` reads its cells
-    (`_fixed_level_sizes`)."""
+    (`_fixed_level_sizes`). A negative level or step is rejected up front."""
+    _nonnegative(e, e1, e2)
     counter = _as_budget(budget)
     p = fam.p
     t = seq.t
@@ -536,15 +546,12 @@ def truncation_table(seq: IdealSequence, fam: PFamily, outer_levels, inner_level
     """Diagnostic grid: escape-set size against the fixed level-e ideal at
     inner level e', normalized by p^{(e+e')t} (`_fixed_level_sizes`). No
     verdict is implied."""
-    p = fam.p
-    t = seq.t
     outer_levels, inner_levels = list(outer_levels), list(inner_levels)
     cells = _fixed_level_sizes(seq, fam, outer_levels, inner_levels, pres, _as_budget(budget))
     table = []
     for e in outer_levels:
         for e2 in inner_levels:
-            size, _ = cells[e, e2]
-            v = Fraction(size, p ** ((e + e2) * t))
+            v = Fraction(cells[e, e2][0], fam.p ** ((e + e2) * seq.t))
             table.append({"e": e, "e_inner": e2, **_fraction_json(v)})
     return CheckReport("pfamily_truncation", {}, len(table), len(table), True, None, table)
 
@@ -554,16 +561,9 @@ def check_threshold_bounds(seq: IdealSequence, J: Ideal, e: int, pres=None,
     """Positive-normalized count is bounded by both threshold surrogates:
     the simplex term and the product of per-entry (nu+1)/p^e. Each nu + 1
     is the size of the entry's own escape set, which `regions.escape_sizes`
-    yields with the count."""
-    counter = _as_budget(budget)
-    p = J.ring.p
-    t = seq.t
-    ((_, _, positive, singles),) = escape_sizes(seq, PFamily.frobenius(J), [e], pres, counter)
-    total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
-    simplex = Fraction(total, p ** e) ** t / factorial(t)
-    product = Fraction(prod(singles), p ** (e * t))
-    left = Fraction(positive, p ** (e * t))
-    right = min(simplex, product)
+    yields with the count (`_simplex_sides`)."""
+    left, simplex, singles = _simplex_sides(seq, J, e, pres, _as_budget(budget))
+    right = min(simplex, Fraction(prod(singles), J.ring.p ** (e * seq.t)))
     ok = left <= right
     return CheckReport("threshold_bounds", {"e": e}, left, right, ok,
                        None if ok else (left, right))

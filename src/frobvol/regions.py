@@ -56,6 +56,13 @@ class BudgetCounter:
             raise BudgetExceededError(f"budget {self.limit} exceeded")
 
 
+def _nonnegative(*levels) -> None:
+    """Raise BadLevelError naming the first negative level, if any."""
+    for e in levels:
+        if e < 0:
+            raise BadLevelError(f"negative level {e}")
+
+
 def _as_budget(budget) -> BudgetCounter:
     if budget is None:
         return BudgetCounter(DEFAULT_BUDGET)
@@ -153,8 +160,7 @@ class PFamily:
         return self.ring.p
 
     def level_ideal(self, e: int) -> Ideal:
-        if e < 0:
-            raise BadLevelError(f"negative level {e}")
+        _nonnegative(e)
         if self.kind == "frobenius":
             return frobenius_power(self.base, self.p ** e)
         if e >= len(self.levels):
@@ -166,8 +172,7 @@ class PFamily:
     def level_basis(self, e: int, pres=None) -> GroebnerBasis:
         """Basis of the level-e reference ideal, which must be proper."""
         if self.kind == "frobenius":
-            if e < 0:
-                raise BadLevelError(f"negative level {e}")
+            _nonnegative(e)
             basis = frobenius_basis(self.base, self.p ** e, pres)
         else:
             basis = groebner_basis(self.level_ideal(e), pres)
@@ -393,8 +398,7 @@ def escape_sizes(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=Non
 
             containment_exponents(seq, fam, pres)
             automaton = RootAutomaton(seq.entries, fam, counter)
-        if e < 0:
-            raise BadLevelError(f"negative level {e}")
+        _nonnegative(e)
         yield (e, *automaton.sizes(e))
 
 
@@ -571,6 +575,7 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
     This is a theorem; a false verdict signals an implementation bug and
     carries the least uncovered numerator tuple.
     """
+    _nonnegative(e1, e2)
     counter = _as_budget(budget)
     V = escape_set(seq, fam, e1, pres, counter)
     caps = axis_bounds(seq, fam, e1, pres)

@@ -120,6 +120,10 @@ BIG = "9223372036854775808"  # 2^63, one past the packed exponent field
     ("check level_refinement_bound", "p=2; ring x,y; J: x; seq: y",
      "generator y is not in the radical of (x), so no power of (y) lies in it"),
     ("threshold", "p=2; ring x,y; J: 1; seq: x", "reference ideal must be proper"),
+    # a negative refinement step or level, refused before any work
+    ("verify-cover --e1 2 --e2 -1", EXAMPLE, "negative level -1"),
+    ("check level_refinement_bound --e 1 --e1 2 --e2 -1", EXAMPLE, "negative level -1"),
+    ("check hk_length_ineq --e -1", EXAMPLE, "negative level -1"),
 ])
 def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec_text, message):
     """Each grammar or input error ends the run with exit 2, an empty stdout
@@ -332,12 +336,46 @@ def test_cli_fedder_label(tmp_path):
     ("p=2; ring x,y,z; J: x,y,z; seq: x*y+z^2; x^2+y^3+z^3; e: 1..4",
      '{"kind":"fedder","label":null,"p":2,"rows":[{"e":1,"value":false},{"e":2,"value":false},'
      '{"e":3,"value":false},{"e":4,"value":false}],"sop":true}\n'),
+    # the cusp is not F-pure; at e = 0..0 no level from 1 up is tested, so
+    # there is no label
+    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 0..0",
+     '{"kind":"fedder","label":null,"p":7,"rows":[{"e":0,"value":true}],"sop":true}\n'),
+    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 0..1",
+     '{"kind":"fedder","label":null,"p":7,"rows":[{"e":0,"value":true},{"e":1,"value":false}],'
+     '"sop":true}\n'),
 ])
 def test_cli_fedder_stdout_is_pinned(tmp_path, capsys, spec_text, expected):
     spec_file = tmp_path / "f.spec"
     spec_file.write_text(spec_text)
     assert main(["fedder", str(spec_file)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("spec_text, probes, label", [
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 1..3", 3, 3),
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 2..3", 3, 3),
+    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 2..3", 2, None),
+    ("p=3; ring x,y; J: x,y; seq: y+1; e: 2..2", 1, None),
+], ids=["xy_z_e1-3", "xy_z_e2-3", "cusp_e2-3", "outside_m"])
+def test_cli_fedder_runs_each_test_once(tmp_path, capsys, monkeypatch, spec_text, probes, label):
+    """`frobvol fedder` builds its rows, sop and label in one pass
+    (`invariants.fedder_payload`). (xy; z) over F_2 is F-pure: at e = 1..3 the
+    label reads the three rows and probes no corner of its own, and at
+    e = 2..3 it probes level 1 alone. The cusp's rows fail, and y + 1 lies
+    outside m, so neither label probes a level. Each run makes one
+    dimension test (two `krull_dimension` calls) and one containment test."""
+    counts = {}
+    for name in ("product_escapes", "krull_dimension", "ideal_contains"):
+        def counted(*args, _real=getattr(invariants, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(invariants, name, counted)
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text(spec_text)
+    assert main(["fedder", str(spec_file)]) == 0
+    expected = None if label is None else invariants.FPURE_CI_LABEL.format(e=label)
+    assert json.loads(capsys.readouterr().out)["label"] == expected
+    assert counts == {"product_escapes": probes, "krull_dimension": 2, "ideal_contains": 1}
 
 
 def test_cli_union_needs_parts(tmp_path):

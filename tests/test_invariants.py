@@ -480,6 +480,11 @@ def test_hk_not_primary(R2):
     x, _ = R2.gens()
     with pytest.raises(NotPrimaryError):
         hilbert_kunz_table(Ideal(R2, [x]), range(1, 3))
+    m2 = Ideal(R2, list(R2.gens()))
+    with pytest.raises(BadInputError, match="^presented ring is zero; no Hilbert-Kunz data$"):
+        hilbert_kunz_table(m2, range(1, 3), Ideal(R2, [R2.one()]))
+    with pytest.raises(BadLevelError, match="^negative level -1$"):
+        hilbert_kunz_table(m2, [-1])
 
 
 def test_hk_dimension_override(R2, m2):
@@ -494,6 +499,9 @@ def test_fedder_examples(R2):
     assert fedder_criterion([x, y], 1) is True
     assert fedder_criterion([R2.poly("x^2")], 1) is False
     assert fedder_criterion([R2.poly("x+y")], 2) is True
+    # a zero element makes every product zero, and drops no dimension
+    assert fedder_criterion([x, R2.zero()], 1) is False
+    assert is_parameter_sequence([x, R2.zero()]) is False
     for empty in (lambda: fedder_criterion([], 1), lambda: fpure_ci_label([], 1)):
         with pytest.raises(BadInputError, match="need at least one element"):
             empty()
@@ -626,6 +634,13 @@ def test_fpure_ci_label(R2):
     assert fpure_ci_label([R2.poly("x^2")], 2) is None
     # x, y^2+x is a regular sequence but the quotient is not reduced
     assert fpure_ci_label([x, R2.poly("y^2+x")], 2) is None
+    # no level from 1 up is tested at e_max = 0, so nothing is certified:
+    # not (x, y), and not the cusp, which fails Fedder's test at level 1
+    cusp = [PolynomialRing(7, ["x", "y"]).poly("y^2+x^3")]
+    assert fpure_ci_label([x, y], 0) is None
+    assert fpure_ci_label(cusp, 0) is None and fpure_ci_label(cusp, 1) is None
+    # the label needs a polynomial ambient ring
+    assert fpure_ci_label([x], 3, Ideal(R2, [y])) is None
 
 
 # -- checkers -----------------------------------------------------------------
@@ -684,6 +699,10 @@ def test_checker_hypothesis_validation(R2, m2):
         check_hk_length_inequality(
             IdealSequence([Ideal(R2, [x, y])]), m2, 1
         )  # needs principal entries
+    with pytest.raises(HypothesisViolatedError, match="^need at least two ideals to intersect$"):
+        check_union_decomposition(seq_of(R2, ["x"]), [m2], 1)
+    with pytest.raises(NotPrimaryError, match="^reference ideal is not primary"):
+        check_hk_length_inequality(seq_of(R2, ["x"]), Ideal(R2, [x]), 1)
 
 
 def test_check_level_refinement(R2, m2):
@@ -692,8 +711,8 @@ def test_check_level_refinement(R2, m2):
     assert report.ok
     assert report.params == {"e": 1, "e1": 1, "e2": 1}
     # a Frobenius family reads level e + e' of its own levels, and still
-    # refuses a negative fixed or inner level
-    for levels in [(-1, 1, 1), (1, -2, 1)]:
+    # refuses a negative fixed or inner level, or a negative step e2
+    for levels in [(-1, 1, 1), (1, -2, 1), (1, 2, -1)]:
         with pytest.raises(BadLevelError, match="^negative level -"):
             check_level_refinement_bound(seq_of(R2, ["x"]), fam, *levels)
 

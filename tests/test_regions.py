@@ -499,6 +499,27 @@ def test_explicit_family_bad_level_propagates(R2):
         escape_set(seq, fam, 5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda R: IdealSequence([]), r"^need at least one sequence entry$"),
+    (lambda R: IdealSequence([R.gens()[0]]), r"^sequence entry is not an ideal: "),
+    (lambda R: IdealSequence([Ideal(R, [R.gens()[0]]), Ideal(PolynomialRing(3, ["x"]), [])]),
+     r"^sequence entries live in different rings$"),
+    (lambda R: IdealSequence([Ideal(R, [R.zero()])]), r"^sequence entries must be nonzero ideals$"),
+    (lambda R: seq_of(R, ["x"]).truncated(), r"^cannot truncate a length-1 sequence$"),
+    (lambda R: PFamily.frobenius(Ideal(R, [])), r"^reference ideal must be nonzero$"),
+    (lambda R: PFamily.explicit([]), r"^explicit family needs at least level 0$"),
+    (lambda R: escapes((1,), seq_of(R, ["x"], ["y"]), PFamily.frobenius(Ideal(R, R.gens())), 1),
+     r"^point arity 1 != sequence length 2$"),
+    (lambda R: escapes((1, -1), seq_of(R, ["x"], ["y"]), PFamily.frobenius(Ideal(R, R.gens())), 1),
+     r"^negative exponent in \(1, -1\)$"),
+    (lambda R: downset_csv([], io.StringIO()), r"^nothing to export$"),
+], ids=["empty_sequence", "not_an_ideal", "mixed_rings", "zero_entry", "truncate_one",
+        "zero_reference", "empty_family", "point_arity", "negative_exponent", "empty_export"])
+def test_input_checks_name_what_they_reject(R2, build, message):
+    with pytest.raises(BadInputError, match=message):
+        build(R2)
+
+
 def test_quotient_membership(R2):
     x, y = R2.gens()
     pres = Ideal(R2, [x * y])

@@ -145,15 +145,15 @@ class RootAutomaton:
     def weight(self, k: int, T: int) -> int:
         """#{h in N^T : f^h K not in J} for the state K = k: the level-0
         escape set of the sub-sequence T swept from K's normal forms modulo
-        J (`regions._principal_escape_set`). The sweep assumes that its
-        empty prefix escapes, so a K inside J, whose weight is 0, is told
-        by one probe charged before it."""
+        J (`regions._principal_escape_set`), summed over its rows. The sweep
+        assumes that its empty prefix escapes, so a K inside J, whose weight
+        is 0, is told by one probe charged before it."""
         if (k, T) not in self.weights:
             self.counter.charge()
             start = self.basis.reduce_products(self.bases[k].polys, (self.ring.one(),))
             sub = IdealSequence(I for j, I in enumerate(self.entries) if T >> j & 1)
-            self.weights[k, T] = _principal_escape_set(
-                sub, self.fam, 0, None, self.counter, start=start).size if start else 0
+            self.weights[k, T] = sum(top + 1 for top in _principal_escape_set(
+                sub, self.fam, 0, None, self.counter, start=start).values()) if start else 0
         return self.weights[k, T]
 
 

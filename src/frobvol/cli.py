@@ -314,7 +314,15 @@ _LEVEL_CHECKS = {
 }
 
 
+# The level flags each checker reads (a per-level checker: --e); any other is refused.
+_CHECK_FLAGS = {"level_refinement_bound": ("e", "e1", "e2"), "pfamily_truncation": ()}
+
+
 def _run_check(spec: ProblemSpec, name: str, args) -> tuple:
+    reads = _CHECK_FLAGS.get(name, ("e",))
+    for flag in ("e", "e1", "e2"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise BadInputError(f"check {name} does not read --{flag}")
     seq = spec.sequence()
     pres = spec.presentation()
     counter = BudgetCounter(spec.budget)

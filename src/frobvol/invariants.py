@@ -40,7 +40,6 @@ from .regions import (
     _flat,
     _nonnegative,
     _power_tables,
-    box_region,
     containment_exponents,
     escape_set,
     escape_sizes,
@@ -438,13 +437,13 @@ def check_simplex_bound(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=
 def check_sup_identity(seq: IdealSequence, J: Ideal, e: int, pres=None, budget=None) -> CheckReport:
     """nu of the entry sum equals the largest coordinate sum in the escape set.
 
-    `regions.escape_set` computes `nu` of the sum by this identity, so the
-    check is not independent: for principal entries both sides are read
-    off one escape set."""
+    The right side is read off the escape set's rows. `regions.escape_set`
+    reads `nu` of a sum of principal entries off the sweep of their
+    generators by this identity, so the check is not independent."""
     counter = _as_budget(budget)
     ds = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
     total = nu(ideal_sum(*seq.entries), J, e, pres, budget=counter)
-    best = max(sum(mp) for mp in ds.max_points)
+    best = max(sum(prefix) + top for prefix, top in ds.rows.items())
     ok = total == best
     return CheckReport("sup_identity", {"e": e}, total, best, ok,
                        None if ok else (total, best))
@@ -454,8 +453,9 @@ def check_union_decomposition(seq: IdealSequence, parts, e: int, pres=None,
                               budget=None) -> CheckReport:
     """For J = intersection of the parts, the escape set of J is the union of
     the parts' escape sets. Polynomial ambient ring only (bracket powers
-    commute with intersections there). The sets compare by maximal points;
-    points are listed only to name a witness when they differ."""
+    commute with intersections there). The union's rows are the row-wise
+    max of the parts' rows, and the sets compare by rows; points are listed
+    only to name a witness when they differ."""
     if pres is not None and not pres.is_zero:
         raise HypothesisViolatedError("union decomposition needs a polynomial ambient ring")
     parts = list(parts)
@@ -466,10 +466,11 @@ def check_union_decomposition(seq: IdealSequence, parts, e: int, pres=None,
     for other in parts[1:]:
         J = ideal_intersection(J, other)
     ds_j = escape_set(seq, PFamily.frobenius(J), e, pres, counter)
-    corners = []
+    rows = {}
     for part in parts:
-        corners.extend(escape_set(seq, PFamily.frobenius(part), e, pres, counter).max_points)
-    union = box_region(seq.t, e, ds_j.p, corners)
+        for prefix, top in escape_set(seq, PFamily.frobenius(part), e, pres, counter).rows.items():
+            rows[prefix] = max(rows.get(prefix, -1), top)
+    union = DownSet(seq.t, e, ds_j.p, rows)
     witness = _least_difference(union, ds_j)
     return CheckReport("union_decomposition", {"e": e}, ds_j.size, union.size, witness is None,
                        witness)

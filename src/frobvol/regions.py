@@ -7,8 +7,9 @@ a finite down-set; everything here (enumeration, borders, the two covers of a
 refined escape set, volumes, exports) manipulates such sets exactly, with
 integer numerators over a power-of-p denominator. No floating point anywhere.
 
-A `DownSet` holds a down-set by its maximal points a; scaled by 1/p^e it is
-the paper's box region, the union of the boxes [0, a/p^e]. Where only the
+A `DownSet` holds a down-set by the rows {prefix: top} its sweep finds;
+scaled by 1/p^e it is the paper's box region, the union of the boxes
+[0, a/p^e] over its maximal points a. Where only the
 sizes are needed (`escape_sizes`), a principal sequence over a polynomial
 ring is counted on its Frobenius-root automaton instead of swept.
 """
@@ -257,33 +258,41 @@ def product_escapes(point, tables, basis: GroebnerBasis) -> bool:
 # ---------------------------------------------------------------------------
 
 class DownSet:
-    """A finite down-closed subset of N^t, stored by its maximal points."""
+    """A finite down-closed subset of N^t, held by its rows {prefix: top},
+    the points prefix + (a,) for a = 0..top, one for every prefix of the
+    set, in ascending prefix order. prefix + (top,) is a maximal point
+    unless the row one step up on some axis of the prefix reaches top."""
 
-    __slots__ = ("dimension", "level", "p", "max_points", "size", "positive_size")
+    __slots__ = ("dimension", "level", "p", "rows", "max_points", "size", "positive_size")
 
-    def __init__(self, dimension, level, p, max_points, size, positive_size):
+    def __init__(self, dimension, level, p, rows: dict):
         self.dimension = dimension
         self.level = level
         self.p = p
-        self.max_points = tuple(sorted(max_points))
-        self.size = size
-        self.positive_size = positive_size
+        self.rows = rows = dict(sorted(rows.items()))
+        self.max_points = tuple(
+            prefix + (top,) for prefix, top in rows.items()
+            if all(rows.get(prefix[:i] + (x + 1,) + prefix[i + 1:], -1) < top
+                   for i, x in enumerate(prefix))
+        )
+        self.size = sum(top + 1 for top in rows.values())
+        self.positive_size = sum(top for prefix, top in rows.items() if 0 not in prefix)
 
     def __contains__(self, point) -> bool:
         point = tuple(point)
-        return any(
-            all(x <= m for x, m in zip(point, mp)) for mp in self.max_points
-        )
+        if len(point) != self.dimension:
+            raise BadInputError(f"point arity {len(point)} != down-set dimension {self.dimension}")
+        return min(point) >= 0 and point[-1] <= self.rows.get(point[:-1], -1)
 
     def points(self) -> list:
         """All points, sorted; intended for export and small-instance oracles."""
-        return [b + (a,) for b, top in _down_set_rows(self.max_points) for a in range(top + 1)]
+        return [prefix + (a,) for prefix, top in self.rows.items() for a in range(top + 1)]
 
     def __eq__(self, other):
         return (
             isinstance(other, DownSet)
             and self.dimension == other.dimension
-            and self.max_points == other.max_points
+            and self.rows == other.rows
         )
 
     def __hash__(self):
@@ -296,41 +305,6 @@ class DownSet:
         )
 
 
-def _down_set_rows(corners) -> list:
-    """The rows (b, top), the points b + (a,) for a = 0..top, of the union of
-    the boxes [0, m] over the corners m, sorted. The prefixes b are the points
-    of the corners' rows less their last coordinate; walked from the last,
-    top(b) is the max of b's own corner and top(b + e_i) over the axes i < t - 1."""
-    if not corners:
-        return []
-    if len(corners[0]) == 1:
-        return [((), max(m[0] for m in corners))]
-    own = {m[:-1]: m[-1] for m in sorted(corners)}  # the largest m[-1] comes last
-    top = {}
-    for prefix, end in reversed(_down_set_rows(list(own))):
-        ups = [prefix[:i] + (x + 1,) + prefix[i + 1:] for i, x in enumerate(prefix)]
-        above = -1  # top(prefix + (a + 1,))
-        for a in range(end, -1, -1):
-            b = prefix + (a,)
-            above = top[b] = max(own.get(b, -1), above, *[top.get(u + (a,), -1) for u in ups])
-    return list(reversed(top.items()))
-
-
-def _down_set(dimension, level, p, rows: dict) -> DownSet:
-    """The down-set of the rows {prefix: top}, each the points prefix + (a,)
-    for a = 0..top, with every prefix of the set present: the point
-    prefix + (top,) is maximal unless the row one step up on some axis of
-    the prefix reaches top, and the sizes are summed row by row."""
-    max_points = [
-        prefix + (top,) for prefix, top in rows.items()
-        if all(rows.get(prefix[:i] + (x + 1,) + prefix[i + 1:], -1) < top
-               for i, x in enumerate(prefix))
-    ]
-    size = sum(top + 1 for top in rows.values())
-    positive = sum(top for prefix, top in rows.items() if 0 not in prefix)
-    return DownSet(dimension, level, p, max_points, size, positive)
-
-
 def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
                carry=None) -> DownSet:
     """Enumerate the level-e escape set exactly.
@@ -340,9 +314,10 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
     ring, so a product of powers of the entries escapes exactly when some
     product of powers of their generators does. The escape set is therefore
     the image of the principal sequence's under the sums over each entry's
-    block of coordinates, and its maximal points are among the images of
-    that set's maximal points. Only principal sequences are swept, so every
-    power a probe reads is built from base-p digits.
+    block of coordinates, read off the split rows in one pass: the top of
+    image prefix B is the largest last-block prefix sum plus top over the
+    split rows whose first t - 1 block sums are B. Only principal sequences
+    are swept, so every power a probe reads is built from base-p digits.
 
     `carry` is None (a cold sweep) or a dict that hands the rows of the
     swept sequence from one level to the next: the sweep starts from the
@@ -351,15 +326,15 @@ def escape_set(seq: IdealSequence, fam: PFamily, e: int, pres=None, budget=None,
     """
     counter = _as_budget(budget)
     if seq.principal:
-        return _principal_escape_set(seq, fam, e, pres, counter, carry)
+        return DownSet(seq.t, e, fam.p, _principal_escape_set(seq, fam, e, pres, counter, carry))
     split = IdealSequence(Ideal(seq.ring, (g,)) for I in seq.entries for g in I.gens)
-    ends = list(itertools.accumulate(seq.generator_counts()))
-    blocks = list(zip([0] + ends, ends))
-    corners = [
-        tuple(sum(m[a:b]) for a, b in blocks)
-        for m in _principal_escape_set(split, fam, e, pres, counter, carry).max_points
-    ]
-    return box_region(seq.t, e, fam.p, corners)
+    starts = [0, *itertools.accumulate(seq.generator_counts())][:-1]
+    blocks, last = list(zip(starts, starts[1:])), starts[-1]
+    rows = {}
+    for prefix, top in _principal_escape_set(split, fam, e, pres, counter, carry).items():
+        image = tuple(sum(prefix[a:b]) for a, b in blocks)
+        rows[image] = max(rows.get(image, -1), sum(prefix[last:]) + top)
+    return DownSet(seq.t, e, fam.p, rows)
 
 
 def escape_sets(seq: IdealSequence, fam: PFamily, levels, pres=None, budget=None):
@@ -430,8 +405,9 @@ def _power_tables(seq: IdealSequence, fam: PFamily, e: int, pres) -> list:
 
 
 def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
-                          counter: BudgetCounter, carry=None, start=None) -> DownSet:
-    """The escape set of a principal sequence.
+                          counter: BudgetCounter, carry=None, start=None) -> dict:
+    """The rows {prefix: top} of the escape set of a principal sequence, in
+    ascending prefix order (`DownSet`).
 
     Depth-first sweep over prefixes; on the last axis the feasible values form
     an interval [0, m] located by binary search, so the work scales with the
@@ -513,8 +489,7 @@ def _principal_escape_set(seq: IdealSequence, fam: PFamily, e: int, pres,
     if carry is not None:
         carry.clear()
         carry[e] = rows
-
-    return _down_set(t, e, p, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +501,17 @@ def border_points(V: DownSet, caps) -> frozenset:
     whose diagonal successor x + (1, ..., 1) is not in V. The slab of axis
     j holds the points with x_j = 0 and x_i <= caps[i] on the other axes;
     `caps` are the exclusive `axis_bounds` of V's level. A successor has no
-    coordinate 0, so it lies in C exactly when it lies in V."""
+    coordinate 0, so it lies in C exactly when it lies in V, that is when
+    the row of V at its prefix reaches its last coordinate."""
     slabs = (
         x
         for j in range(V.dimension)
         for x in itertools.product(*[range(1 if i == j else c + 1) for i, c in enumerate(caps)])
     )
-    points = V.points()
-    inside = set(points)
+    rows = V.rows
     return frozenset(
-        x for x in itertools.chain(points, slabs) if tuple(v + 1 for v in x) not in inside
+        x for x in itertools.chain(V.points(), slabs)
+        if rows.get(tuple([v + 1 for v in x[:-1]]), -1) <= x[-1]
     )
 
 
@@ -565,9 +541,9 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
     the second (the fill of B's diagonal translates by k <= mu, the largest
     generator count) exactly when ceil(n/s) - k*(1, ..., 1) lies in B for
     some such k. So both are read off the coarse cell ceil(n/s), against
-    the coarse cells V and B + k*(1, ..., 1): the fine set is walked row by
-    row (`_down_set_rows`) and each coarse cell is tested once per row,
-    with no fine point set built.
+    V's row at the cell's prefix and the coarse cells B + k*(1, ..., 1):
+    the fine set is walked row by row and each coarse cell is tested once
+    per row, with no set of V's points or of fine points built.
 
     The points of V and of the axis slabs that `border_points` lists are
     charged to the budget before it lists them.
@@ -583,13 +559,13 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
     counter.charge(V.size + slabs)
     border = border_points(V, caps)
     steps = range(max(seq.generator_counts()) + 1)
-    cells = set(V.points()).union(tuple(v + k for v in x) for x in border for k in steps)
+    shifted = {tuple(v + k for v in x) for x in border for k in steps}
     s = fam.p ** e2
     fine = escape_set(seq, fam, e1 + e2, pres, counter)
-    for prefix, top in _down_set_rows(fine.max_points):
+    for prefix, top in fine.rows.items():
         cell = tuple(-(-a // s) for a in prefix)
-        for c in range(-(-top // s) + 1):
-            if cell + (c,) not in cells:
+        for c in range(V.rows.get(cell, -1) + 1, -(-top // s) + 1):
+            if cell + (c,) not in shifted:
                 return CoverCheck(False, prefix + (max(0, (c - 1) * s + 1),))
     return CoverCheck(True, None)
 
@@ -599,10 +575,20 @@ def verify_cover(seq: IdealSequence, fam: PFamily, e1: int, e2: int, pres=None,
 # ---------------------------------------------------------------------------
 
 def box_region(dimension, level, p, corners) -> DownSet:
-    """The down-set the corners generate: the union of the boxes [0, a] over
-    the corners a, read off its rows (`_down_set_rows`, `_down_set`), so
-    dominated and repeated corners drop out and no set is built."""
-    return _down_set(dimension, level, p, dict(_down_set_rows(corners)))
+    """The down-set the corners generate, the union of the boxes [0, a] over
+    the corners a: each box's rows are the prefixes below a's with top the
+    last coordinate of a, and the union keeps the larger top of each row.
+    A corner of another arity or with a negative coordinate is refused."""
+    rows = {}
+    for corner in corners:
+        if len(corner) != dimension:
+            raise BadInputError(f"corner arity {len(corner)} != dimension {dimension}")
+        if any(a < 0 for a in corner):
+            raise BadInputError(f"negative coordinate in corner {corner}")
+        *head, top = corner
+        for prefix in itertools.product(*[range(a + 1) for a in head]):
+            rows[prefix] = max(rows.get(prefix, -1), top)
+    return DownSet(dimension, level, p, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -623,18 +609,17 @@ def downset_csv(downsets, out) -> None:
     """Write CSV with one lattice point per line to the text stream `out`.
     Columns: e, a1..at (exact integers).
 
-    A row (prefix, top) of a level's maximal points (`_down_set_rows`) is
-    its head "e,a1,...,a(t-1)," joined over the cached lines of the last
-    coordinate, 0 to top, so no set of points is built and `out` gets one
-    row at a time."""
+    A row (prefix, top) of a level is its head "e,a1,...,a(t-1)," joined
+    over the cached lines of the last coordinate, 0 to top, so no set of
+    points is built and `out` gets one row at a time."""
     downsets = _export_list(downsets)
     t = downsets[0].dimension
-    width = 1 + max((m[-1] for ds in downsets for m in ds.max_points), default=-1)
+    width = 1 + max((top for ds in downsets for top in ds.rows.values()), default=-1)
     cells = [f"{a}\n" for a in range(width)]
     out.write("e," + ",".join(f"a{i + 1}" for i in range(t)) + "\n")
     for ds in downsets:
         level = f"{ds.level},"
-        for prefix, top in _down_set_rows(ds.max_points):
+        for prefix, top in ds.rows.items():
             head = level + "".join(f"{a}," for a in prefix)
             out.write(head + head.join(cells[:top + 1]))
 

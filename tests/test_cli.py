@@ -138,6 +138,26 @@ def test_cli_spec_errors_are_one_line_and_exit_2(tmp_path, capsys, command, spec
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("check frob_shift --e1 3 --e2 9", "--e1"),
+    ("check union_decomposition --e 1 --e2 1", "--e2"),
+    ("check pfamily_truncation --e 1 --e1 5", "--e"),
+    ("check pfamily_truncation --e2 2", "--e2"),
+])
+def test_cli_check_refuses_a_flag_it_does_not_read(tmp_path, capsys, monkeypatch, command, flag):
+    """A per-level checker reads --e only, and `pfamily_truncation` reads no
+    level flag: any other ends the run with exit 2 and one error line naming
+    the first such flag, before the checker runs."""
+    for name in ("check_frob_shift", "check_union_decomposition", "truncation_table"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the checker ran"))
+    spec_file = tmp_path / "problem.spec"
+    spec_file.write_text(EXAMPLE)
+    assert main(command.split() + [str(spec_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {command.split()[1]} does not read {flag}\n"
+
+
 def test_one_ring_per_parse():
     """Every object a spec derives lives in the ring that `parse_spec` built."""
     for name, text in corpus.CORPUS.items():

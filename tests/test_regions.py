@@ -29,7 +29,6 @@ from frobvol.groebner import (
 )
 from frobvol.regions import (
     BudgetCounter,
-    DownSet,
     IdealSequence,
     PFamily,
     axis_bounds,
@@ -314,12 +313,13 @@ def test_downset_from_max_points(worked):
     assert ds.size == 12
     assert ds.positive_size == 5
     assert (0, 3) in ds and (2, 2) not in ds
+    assert (-1, 0) not in ds and (0, -1) not in ds
 
 
 def test_down_set_points_are_the_sorted_union_of_boxes():
-    """Points stream from the maximal points in sorted order, each once,
-    also where one box contains another; `box_region` counts them and keeps
-    the maximal corners, and `downset_csv` writes them row by row."""
+    """Points stream from the rows in sorted order, each once, also where
+    one box contains another; `box_region` counts them and keeps the
+    maximal corners, and `downset_csv` writes them row by row."""
     rng = random.Random(23)
     for t in (1, 2, 3):
         for _ in range(20):
@@ -327,7 +327,7 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
             union = set()
             for m in corners:
                 union.update(itertools.product(*(range(v + 1) for v in m)))
-            assert DownSet(t, 1, 2, corners, len(union), 0).points() == sorted(union)
+            assert box_region(t, 1, 2, corners).points() == sorted(union)
             positive = sum(1 for pt in union if min(pt) >= 1)
             maximal = sorted(
                 a for a in union
@@ -344,19 +344,28 @@ def test_down_set_points_are_the_sorted_union_of_boxes():
     assert csv_text(box_region(2, 1, 2, [])) == "e,a1,a2\n"
 
 
+def rows_of(points) -> list:
+    """The rows (prefix, top) of a set of points, in ascending prefix order."""
+    tops = {}
+    for pt in sorted(points):
+        tops[pt[:-1]] = pt[-1]
+    return list(tops.items())
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(1, 4).flatmap(
-    lambda t: st.lists(st.tuples(*[st.integers(0, 5)] * t), max_size=6)))
-def test_down_set_rows_match_the_union_of_boxes(corners):
-    """Each row is a prefix of the union with its largest last coordinate,
-    the prefixes in sorted order; corners may repeat or contain each other."""
+@given(st.integers(1, 4).flatmap(lambda t: st.tuples(
+    st.just(t), st.lists(st.tuples(*[st.integers(0, 5)] * t), max_size=6))))
+def test_down_set_rows_match_the_union_of_boxes(case):
+    """Each row of `box_region` is a prefix of the union with its largest
+    last coordinate, the prefixes in sorted order; corners may repeat or
+    contain each other, and no corners give the empty set of dimension t."""
+    t, corners = case
     union = set()
     for m in corners:
         union.update(itertools.product(*(range(v + 1) for v in m)))
-    tops = {}
-    for pt in sorted(union):
-        tops[pt[:-1]] = pt[-1]
-    assert regions._down_set_rows(corners) == list(tops.items())
+    region = box_region(t, 1, 2, corners)
+    assert region.dimension == t
+    assert list(region.rows.items()) == rows_of(union)
 
 
 def test_csv_export_to_a_stream_holds_one_row_at_a_time():
@@ -499,6 +508,11 @@ def test_explicit_family_bad_level_propagates(R2):
         escape_set(seq, fam, 5)
 
 
+def _worked_level_two(R):
+    """The level-2 escape set of x; y^2 + x against (x, y)."""
+    return escape_set(seq_of(R, ["x"], ["y^2+x"]), PFamily.frobenius(Ideal(R, R.gens())), 2)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda R: IdealSequence([]), r"^need at least one sequence entry$"),
     (lambda R: IdealSequence([R.gens()[0]]), r"^sequence entry is not an ideal: "),
@@ -513,8 +527,14 @@ def test_explicit_family_bad_level_propagates(R2):
     (lambda R: escapes((1, -1), seq_of(R, ["x"], ["y"]), PFamily.frobenius(Ideal(R, R.gens())), 1),
      r"^negative exponent in \(1, -1\)$"),
     (lambda R: downset_csv([], io.StringIO()), r"^nothing to export$"),
+    (lambda R: box_region(2, 1, 2, [(1,)]), r"^corner arity 1 != dimension 2$"),
+    (lambda R: box_region(2, 1, 2, [(2, 1), (1, -1)]),
+     r"^negative coordinate in corner \(1, -1\)$"),
+    (lambda R: (0,) in _worked_level_two(R), r"^point arity 1 != down-set dimension 2$"),
+    (lambda R: (0, 0, 5) in _worked_level_two(R), r"^point arity 3 != down-set dimension 2$"),
 ], ids=["empty_sequence", "not_an_ideal", "mixed_rings", "zero_entry", "truncate_one",
-        "zero_reference", "empty_family", "point_arity", "negative_exponent", "empty_export"])
+        "zero_reference", "empty_family", "point_arity", "negative_exponent", "empty_export",
+        "corner_arity", "negative_corner", "contains_short_point", "contains_long_point"])
 def test_input_checks_name_what_they_reject(R2, build, message):
     with pytest.raises(BadInputError, match=message):
         build(R2)
@@ -670,8 +690,28 @@ def escape_cases(draw):
 @given(escape_cases())
 def test_escape_set_matches_bruteforce_on_random_specs(case):
     seq, fam, e, pres = case
-    got = set(escape_set(seq, fam, e, pres).points())
-    assert got == brute_force_escape_points(seq, fam, e, pres)
+    ds = escape_set(seq, fam, e, pres)
+    expected = brute_force_escape_points(seq, fam, e, pres)
+    assert set(ds.points()) == expected
+    assert list(ds.rows.items()) == rows_of(expected)
+
+
+@pytest.mark.parametrize("entries", [
+    [["x", "y"], ["z"], ["x", "z"]],
+    [["z"], ["x", "y"], ["x", "z"]],
+    [["x"], ["y", "z", "x*y"], ["y+z"]],
+], ids=["xy_z_xz", "z_xy_xz", "x_yzxy_y+z"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_three_entry_split_matches_bruteforce(entries, e):
+    """The image rows of a t = 3 split, with a multi-generator entry in the
+    middle or at the ends, against the brute-force points over F_2[x,y,z]."""
+    R3 = PolynomialRing(2, ["x", "y", "z"])
+    seq = seq_of(R3, *entries)
+    fam = PFamily.frobenius(Ideal(R3, list(R3.gens())))
+    ds = escape_set(seq, fam, e)
+    expected = brute_force_escape_points(seq, fam, e)
+    assert list(ds.rows.items()) == rows_of(expected)
+    assert ds.size == len(expected)
 
 
 @st.composite

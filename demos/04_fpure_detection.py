@@ -1,7 +1,9 @@
 """Detecting F-pure complete intersections from volume tables.
 
 The certificate is the dimension-drop test, each f_i in the ideal m of all
-variables, and Fedder's product test at every level up to the checked one.
+variables, and Fedder's product test at level 1, which by Fedder's lemma
+(Fedder, "F-purity and rational singularity", Trans. AMS 278, 1983) has the
+same answer at every level up to the checked one.
 With each f_i in m, Fedder's test at level e holds exactly when the
 level-e volume row is 1 (the escape set fills the box [0, q-1]^t exactly
 when its corner escapes), so the certificate also means volume rows of 1;

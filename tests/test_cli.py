@@ -372,18 +372,22 @@ def test_cli_fedder_stdout_is_pinned(tmp_path, capsys, spec_text, expected):
 
 
 @pytest.mark.parametrize("spec_text, probes, label", [
-    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 1..3", 3, 3),
-    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 2..3", 3, 3),
-    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 2..3", 2, None),
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 1..3", 1, 3),
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 2..3", 1, 3),
+    ("p=2; ring x,y,z; J: x,y,z; seq: x*y; z; e: 6..6", 1, 6),
+    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 2..3", 1, None),
+    ("p=7; ring x,y; J: x,y; seq: y^2+x^3; e: 0..3", 2, None),
     ("p=3; ring x,y; J: x,y; seq: y+1; e: 2..2", 1, None),
-], ids=["xy_z_e1-3", "xy_z_e2-3", "cusp_e2-3", "outside_m"])
+], ids=["xy_z_e1-3", "xy_z_e2-3", "xy_z_e6", "cusp_e2-3", "cusp_e0-3", "outside_m"])
 def test_cli_fedder_runs_each_test_once(tmp_path, capsys, monkeypatch, spec_text, probes, label):
     """`frobvol fedder` builds its rows, sop and label in one pass
-    (`invariants.fedder_payload`). (xy; z) over F_2 is F-pure: at e = 1..3 the
-    label reads the three rows and probes no corner of its own, and at
-    e = 2..3 it probes level 1 alone. The cusp's rows fail, and y + 1 lies
-    outside m, so neither label probes a level. Each run makes one
-    dimension test (two `krull_dimension` calls) and one containment test."""
+    (`invariants.fedder_payload`). Fedder's test has one answer at every
+    level from 1 up (Fedder's lemma), so one corner probe at level 1 answers
+    every row e >= 1 and the label: (xy; z) over F_2 is F-pure, and its
+    label reads that probe whatever the levels asked, up to level 6. The
+    cusp's rows fail, and y + 1 lies outside m. Row 0 is a probe of its
+    own, so the cusp at e = 0..3 makes two. Each run makes one dimension
+    test (two `krull_dimension` calls) and one containment test."""
     counts = {}
     for name in ("product_escapes", "krull_dimension", "ideal_contains"):
         def counted(*args, _real=getattr(invariants, name), _name=name):
@@ -604,18 +608,27 @@ def test_cli_fedder_powers_down_the_levels(tmp_path, spec_text, levels):
     digit step takes the high digits f^(q/p - 1) modulo the level below,
     where the table of the level below holds them, not modulo m^[q], where
     they are barely truncated. Neither sequence is F-pure at any level.
-    Read modulo m^[q] alone, the cusp over F_1009 ran out of 2 GB by e = 3
-    and the quartic pair over F_5 took about a minute at e = 6. A child
-    process capped at 1 GB, so that a regression fails at the cap or the
-    timeout instead of exhausting memory."""
+    `frobvol fedder` tests level 1 alone, so the child process also calls
+    `fedder_criterion` at the top level, 3 and 6. Read modulo m^[q] alone,
+    the cusp over F_1009 ran out of 2 GB by e = 3 and the quartic pair over
+    F_5 took about a minute at e = 6. A child process capped at 1 GB, so
+    that a regression fails at the cap or the timeout instead of exhausting
+    memory."""
     spec_file = tmp_path / "fedder.spec"
     spec_file.write_text(spec_text)
-    proc = corpus.run_capped(["-m", "frobvol", "fedder", str(spec_file)])
+    code = (
+        "from frobvol.cli import main, parse_spec\n"
+        "from frobvol.invariants import fedder_criterion\n"
+        f"assert main(['fedder', {str(spec_file)!r}]) == 0\n"
+        f"seq = parse_spec({spec_text!r}).sequence()\n"
+        f"print(fedder_criterion([I.gens[0] for I in seq.entries], {levels}))\n"
+    )
+    proc = corpus.run_capped(["-c", code])
     assert (proc.returncode, proc.stderr) == (0, b"")
     p = spec_text.split(";")[0].removeprefix("p=")
     rows = ",".join(f'{{"e":{e},"value":false}}' for e in range(1, levels + 1))
     assert proc.stdout.decode() == (
-        f'{{"kind":"fedder","label":null,"p":{p},"rows":[{rows}],"sop":true}}\n')
+        f'{{"kind":"fedder","label":null,"p":{p},"rows":[{rows}],"sop":true}}\nFalse\n')
 
 
 @pytest.mark.parametrize("command", ["vset", "verify-cover --e1 1 --e2 1"],

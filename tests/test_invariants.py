@@ -35,6 +35,7 @@ from frobvol.invariants import (
     check_threshold_bounds,
     check_union_decomposition,
     fedder_criterion,
+    fedder_payload,
     fpure_ci_label,
     hilbert_kunz_table,
     is_parameter_sequence,
@@ -502,6 +503,10 @@ def test_fedder_examples(R2):
     # a zero element makes every product zero, and drops no dimension
     assert fedder_criterion([x, R2.zero()], 1) is False
     assert is_parameter_sequence([x, R2.zero()]) is False
+    # row 0 is its own test, and rows 1 and 2 read level 1's
+    assert fedder_payload([x, R2.zero()], range(0, 3), 2) == {
+        "kind": "fedder", "p": 2, "rows": [{"e": e, "value": False} for e in range(3)],
+        "sop": False, "label": None}
     for empty in (lambda: fedder_criterion([], 1), lambda: fpure_ci_label([], 1)):
         with pytest.raises(BadInputError, match="need at least one element"):
             empty()
@@ -556,6 +561,9 @@ def fedder_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(fedder_cases())
 def test_fedder_matches_direct_power(case):
+    """Fedder's test at level e against the direct power of the product,
+    both by `fedder_criterion` at level e and by the payload's row, which
+    reads level 1 (Fedder's lemma)."""
     f_seq, e = case
     ring = f_seq[0].ring
     q = ring.p ** e
@@ -564,6 +572,7 @@ def test_fedder_matches_direct_power(case):
         prod = prod * f
     direct = any(all(x < q for x in mono) for mono in exponents(prod ** (q - 1)))
     assert fedder_criterion(f_seq, e) is direct
+    assert fedder_payload(f_seq, [e], e)["rows"] == [{"e": e, "value": direct}]
 
 
 @st.composite
